@@ -48,7 +48,6 @@ class RunConfig:
     """Everything one pipeline invocation depends on."""
 
     generators: tuple[tuple[int, ...], ...]
-    verify: bool = True
     keep_trace: bool = False
     isolated_cones: bool = False
 
@@ -263,7 +262,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 1
     cfg = RunConfig(
         generators=cone.generators,
-        verify=args.verify,
         keep_trace=args.trace is not None,
         isolated_cones=args.isolated_cones,
     )
@@ -296,7 +294,7 @@ def _cmd_random(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        cfg = RunConfig(generators=cone.generators, verify=args.verify)
+        cfg = RunConfig(generators=cone.generators)
         doc, _ = run_pipeline(cfg)
         ok = _certificates_pass(doc)
         all_pass = all_pass and ok
@@ -327,15 +325,19 @@ def _cmd_random(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     try:
         thm, cor = final_bounds(args.mu, args.dim)
+        ceiling = intermediate_mu_ceiling(args.mu)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError:
+        print(f"error: the bounds for mu {args.mu} overflow a float", file=sys.stderr)
         return 1
     doc = {
         "mu": args.mu,
         "dimension": args.dim,
         "theorem": thm,
         "simplified": cor,
-        "mu_ceiling": intermediate_mu_ceiling(args.mu),
+        "mu_ceiling": ceiling,
     }
     print(json.dumps(doc, indent=2))
     return 0

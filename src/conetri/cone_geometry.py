@@ -170,10 +170,6 @@ class SimplicialCone:
             sum(map(int.__mul__, row, x)) for row in self._adjugate
         )
 
-    def xi_vector(self, i: int) -> LatticeVector:
-        """The labelled vector xi(i), or the zero vector if unset."""
-        return self.xi.get(i, (0,) * self.dimension)
-
     def max_label(self) -> int:
         """Largest label index carrying a vector (-1 on a fresh base)."""
         m = self._maxlab

@@ -1,22 +1,20 @@
 """Exact linear algebra on small dense integer matrices.
 
-Everything here runs on arbitrary-precision Python integers or
-`fractions.Fraction`; no floating point is used anywhere in this module.
-Matrices are sequences of rows; results are returned as immutable tuples.
-The determinant is computed fraction-free (Bareiss), so intermediate values
-stay integral even though naive elimination would produce rationals.
+Everything here runs on arbitrary-precision Python integers; no floating
+point is used anywhere in this module. Matrices are sequences of rows;
+results are returned as immutable tuples. The determinant is computed
+fraction-free (Bareiss), so intermediate values stay integral even though
+naive elimination would produce rationals.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionError, SingularMatrixError
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
-RationalVector = tuple[Fraction, ...]
 
 
 def _as_rows(m: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -38,29 +36,6 @@ def _require_square(rows: list[list[int]]) -> int:
 
 def identity(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def transpose(m: Sequence[Sequence[int]]) -> IntMatrix:
-    rows = _as_rows(m)
-    return tuple(zip(*rows))
-
-
-def mat_vec(m: Sequence[Sequence[int]], v: Sequence[int]) -> IntVector:
-    rows = _as_rows(m)
-    if len(v) != len(rows[0]):
-        raise DimensionError("matrix/vector size mismatch")
-    return tuple(sum(a * b for a, b in zip(row, v)) for row in rows)
-
-
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
-    ra = _as_rows(a)
-    rb = _as_rows(b)
-    if len(ra[0]) != len(rb):
-        raise DimensionError("matrix/matrix size mismatch")
-    cols = list(zip(*rb))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in ra
-    )
 
 
 def determinant(m: Sequence[Sequence[int]]) -> int:
@@ -131,42 +106,6 @@ def invert_unimodular(m: Sequence[Sequence[int]]) -> IntMatrix:
     if det == 1:
         return adj
     return tuple(tuple(-x for x in row) for row in adj)
-
-
-def solve_rational(m: Sequence[Sequence[int]], b: Sequence[int]) -> RationalVector:
-    """Solve m @ x = b exactly over the rationals.
-
-    Args:
-        m: square integer matrix with nonzero determinant.
-        b: right-hand side of matching length.
-
-    Returns:
-        The unique solution as a tuple of Fractions in lowest terms.
-
-    Raises:
-        DimensionError: on shape mismatch.
-        SingularMatrixError: if `m` is singular.
-    """
-    rows = _as_rows(m)
-    n = _require_square(rows)
-    if len(b) != n:
-        raise DimensionError("right-hand side length mismatch")
-    a = [[Fraction(x) for x in row] + [Fraction(bi)] for row, bi in zip(rows, b)]
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError("singular system")
-        a[k], a[pivot_row] = a[pivot_row], a[k]
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            factor = a[i][k] / pivot
-            if factor:
-                a[i] = [x - factor * y for x, y in zip(a[i], a[k])]
-    x = [Fraction(0)] * n
-    for k in range(n - 1, -1, -1):
-        acc = a[k][n] - sum(a[k][j] * x[j] for j in range(k + 1, n))
-        x[k] = acc / a[k][k]
-    return tuple(x)
 
 
 def nullspace_mod2(m: Sequence[Sequence[int]]) -> list[IntVector]:

@@ -43,11 +43,6 @@ from .number_theory import (
 
 TAU = ROSSER_CONSTANT
 
-# Test hook: when True the engine checks every cone for containment instead
-# of consulting the ray index. Both paths must produce identical runs.
-EXHAUSTIVE_CONTAINMENT_SCAN = False
-
-
 def is_power_of_two(n: int) -> bool:
     return n >= 1 and n & (n - 1) == 0
 
@@ -101,8 +96,6 @@ class P2TState:
 
     triangulation: Triangulation
     trace: list[TraceEvent] = field(default_factory=list)
-    tau: float = TAU
-    work_queue: tuple[int, ...] = ()
 
 
 def find_x(cone: SimplicialCone, p: int) -> tuple[LatticeVector, tuple[int, ...]]:
@@ -173,55 +166,40 @@ def adjust_coefficients(z: tuple[int, ...], p: int) -> tuple[int, ...]:
 
 
 class _Engine:
-    """Shared mutable state for one subdivision run (either phase).
+    """Live cones of one subdivision phase, with a ray index over them.
 
-    With record_trace off, subdivide_all skips TraceEvent construction and
-    hands back bare (parent_id, children_ids, mu_parent, mu_children) rows;
-    the certificate audit only needs the trace of the power-of-two phase.
-    With track_created off, cones that get subdivided away are dropped
-    entirely, which lets refinement runs with large fan-out release their
-    intermediates.
+    Each phase runs its own loop: it pops uids off the FIFO `pending`,
+    subdivides through subdivide_all, and decides which children to add
+    back and what to record about them.
     """
 
-    def __init__(
-        self,
-        tri: Triangulation,
-        record_trace: bool = True,
-        track_created: bool = True,
-        index_units: bool = True,
-    ):
-        self.base = tri.base
-        self.cones: dict[int, SimplicialCone] = {c.uid: c for c in tri.cones}
-        self.track_created = track_created
-        self.all_created = list(tri.all_created) if track_created else []
-        self.uid_source = count(tri.max_uid() + 1)
-        self.pending: deque[int] = deque(self.cones)
-        self.trace: list[TraceEvent] = []
-        self.record_trace = record_trace
-        # Halving events can never touch a unimodular cone (its numerators
-        # for a half-sum of shared generators would be half-integral), so
-        # the refinement phase skips indexing unimodular children.
-        self.index_units = index_units
+    def __init__(self, cones: Iterable[SimplicialCone], next_uid: int):
+        self.cones: dict[int, SimplicialCone] = {}
         self.ray_index: dict[LatticeVector, set[int]] = {}
-        for c in self.cones.values():
-            self._index_add(c)
+        self.pending: deque[int] = deque()
+        self.uid_source = count(next_uid)
+        for cone in cones:
+            self.add(cone)
 
-    def _index_add(self, cone: SimplicialCone) -> None:
+    def add(self, cone: SimplicialCone) -> None:
+        """Make a cone live: index its rays and queue it."""
+        self.cones[cone.uid] = cone
         for key in cone.ray_directions:
             self.ray_index.setdefault(key, set()).add(cone.uid)
+        self.pending.append(cone.uid)
 
-    def _index_remove(self, cone: SimplicialCone) -> None:
+    def _remove(self, cone: SimplicialCone) -> None:
+        del self.cones[cone.uid]
         for key in cone.ray_directions:
-            bucket = self.ray_index.get(key)
-            if bucket is not None:
-                bucket.discard(cone.uid)
-                if not bucket:
-                    del self.ray_index[key]
+            bucket = self.ray_index[key]
+            bucket.discard(cone.uid)
+            if not bucket:
+                del self.ray_index[key]
 
     def cones_containing(
         self, x: LatticeVector, producer: SimplicialCone
     ) -> list[tuple[SimplicialCone, tuple[int, ...]]]:
-        """Current cones containing x with their numerators, in uid order.
+        """Live cones containing x with their numerators, in uid order.
 
         The minimal face of x is spanned by the producer's generators with
         positive coordinate; in a conforming tiling only cones sharing all
@@ -230,24 +208,16 @@ class _Engine:
         coefficient numerators it computes are returned for reuse.
         """
         nums_p = producer.coeff_numerators(x)
-        if all(nums_p) and not EXHAUSTIVE_CONTAINMENT_SCAN:
+        if all(nums_p):
             # Interior point: no other cone of the tiling can contain it.
             return [(producer, nums_p)]
-        if EXHAUSTIVE_CONTAINMENT_SCAN:
-            candidates: Iterable[int] = list(self.cones)
-        else:
-            support = [
-                dirn
-                for dirn, n in zip(producer.ray_directions, nums_p)
-                if n != 0
-            ]
-            buckets = [self.ray_index.get(dirn, set()) for dirn in support]
-            candidates = sorted(set.intersection(*buckets)) if buckets else []
+        support = [
+            dirn for dirn, n in zip(producer.ray_directions, nums_p) if n != 0
+        ]
+        candidates = set.intersection(*(self.ray_index[dirn] for dirn in support))
         out = []
-        for uid in candidates:
-            cone = self.cones.get(uid)
-            if cone is None:
-                continue
+        for uid in sorted(candidates):
+            cone = self.cones[uid]
             nums = nums_p if cone is producer else cone.coeff_numerators(x)
             sign = 1 if cone.det > 0 else -1
             if all(n * sign >= 0 for n in nums):
@@ -255,64 +225,27 @@ class _Engine:
         return out
 
     def subdivide_all(
-        self, x: LatticeVector, p: int, producer: SimplicialCone
-    ) -> list[TraceEvent] | list[tuple[int, tuple[int, ...], int, tuple[int, ...]]]:
-        """Stellar-subdivide every current cone containing x; record events."""
-        events: list = []
-        record = self.record_trace
+        self, x: LatticeVector, producer: SimplicialCone
+    ) -> list[tuple[SimplicialCone, tuple[int, ...], int, list[SimplicialCone]]]:
+        """Split every live cone containing x at x.
+
+        Each split parent leaves the live set; its children are returned,
+        not added, as (parent, numerators, new_label, children) rows.
+        """
+        rows = []
         x_dir = primitive_direction(x)
         for parent, nums in self.cones_containing(x, producer):
             positive = [i for i, n in enumerate(nums) if n != 0]
-            det = parent.det
-            if len(positive) == 1 and nums[positive[0]] == det:
+            if len(positive) == 1 and nums[positive[0]] == parent.det:
                 # x is exactly the generator on that ray: nothing to split.
                 continue
             new_label = parent.max_label() + 1
             children = _split_at(
                 parent, x, nums, positive, new_label, self.uid_source, x_dir
             )
-            children_ids = tuple(c.uid for c in children)
-            mu_children = tuple(c.multiplicity for c in children)
-            if record:
-                sign = 1 if det > 0 else -1
-                mu = parent.multiplicity
-                z_prime = []
-                for n in nums:
-                    num = p * n * sign
-                    assert num % mu == 0
-                    z_prime.append(num // mu)
-                event = TraceEvent(
-                    parent_id=parent.uid,
-                    p=p,
-                    z=tuple(v % p for v in z_prime),
-                    z_prime=tuple(z_prime),
-                    x_prime=x,
-                    new_label_index=new_label,
-                    children_ids=children_ids,
-                    mu_parent=mu,
-                    mu_children=mu_children,
-                )
-                self.trace.append(event)
-            else:
-                event = (parent.uid, children_ids, parent.multiplicity, mu_children)
-            events.append(event)
-            del self.cones[parent.uid]
-            self._index_remove(parent)
-            track = self.track_created
-            index_units = self.index_units
-            for child in children:
-                self.cones[child.uid] = child
-                if index_units or child.det not in (1, -1):
-                    self._index_add(child)
-                if track:
-                    self.all_created.append(child)
-                self.pending.append(child.uid)
-        return events
-
-    def triangulation(self) -> Triangulation:
-        final = list(self.cones.values())
-        created = self.all_created if self.track_created else final
-        return Triangulation(self.base, final, created)
+            self._remove(parent)
+            rows.append((parent, nums, new_label, children))
+        return rows
 
 
 def run_p2t(base: SimplicialCone) -> P2TState:
@@ -329,7 +262,9 @@ def run_p2t(base: SimplicialCone) -> P2TState:
         P2TState whose triangulation tiles `base` with cones of power-of-two
         multiplicity, plus the full subdivision trace.
     """
-    engine = _Engine(Triangulation.trivial(base))
+    engine = _Engine([base], base.uid + 1)
+    created = [base]
+    trace: list[TraceEvent] = []
     factors: dict[int, Factorization] = {base.uid: factorize(base.multiplicity)}
     while engine.pending:
         uid = engine.pending.popleft()
@@ -353,21 +288,42 @@ def run_p2t(base: SimplicialCone) -> P2TState:
         for pos, slot in enumerate(order_slots):
             z_prime_storage[slot] = z_prime_label[pos]
         x_prime = _combine(cone, z_prime_storage, p)
-        events = engine.subdivide_all(x_prime, p, cone)
+        rows = engine.subdivide_all(x_prime, cone)
         assert uid not in engine.cones, "the offending cone must get subdivided"
-        # Derive child factorizations: mu(child) = mu(parent) * z'_i / p.
-        for ev in events:
-            parent_fac = factors.pop(ev.parent_id, None)
+        for parent, nums, new_label, children in rows:
+            # z' read off the parent: nums are det * (z'_i / p).
+            sign = 1 if parent.det > 0 else -1
+            mu = parent.multiplicity
+            z_prime = []
+            for n in nums:
+                num = p * n * sign
+                assert num % mu == 0
+                z_prime.append(num // mu)
+            trace.append(
+                TraceEvent(
+                    parent_id=parent.uid,
+                    p=p,
+                    z=tuple(v % p for v in z_prime),
+                    z_prime=tuple(z_prime),
+                    x_prime=x_prime,
+                    new_label_index=new_label,
+                    children_ids=tuple(c.uid for c in children),
+                    mu_parent=mu,
+                    mu_children=tuple(c.multiplicity for c in children),
+                )
+            )
+            # Derive child factorizations: mu(child) = mu(parent) * z'_i / p.
+            parent_fac = factors.pop(parent.uid, None)
             if parent_fac is None:
-                parent_fac = factorize(ev.mu_parent)
-            for child_uid, zp, mu_child in zip(
-                ev.children_ids, (v for v in ev.z_prime if v), ev.mu_children
-            ):
+                parent_fac = factorize(mu)
+            for child, zp in zip(children, (v for v in z_prime if v)):
                 merged = _merge_factors(parent_fac, zp, p)
-                assert merged.n == mu_child
-                factors[child_uid] = merged
-    tri = engine.triangulation()
-    return P2TState(triangulation=tri, trace=engine.trace, work_queue=())
+                assert merged.n == child.multiplicity
+                factors[child.uid] = merged
+                engine.add(child)
+                created.append(child)
+    tri = Triangulation(base, list(engine.cones.values()), created)
+    return P2TState(triangulation=tri, trace=trace)
 
 
 def _merge_factors(parent: Factorization, z: int, p: int) -> Factorization:

@@ -21,7 +21,7 @@ from .cone_geometry import (
     half_vector,
 )
 from .errors import PhaseOrderError
-from .p2t_engine import TraceEvent, _Engine, is_power_of_two
+from .p2t_engine import _Engine, is_power_of_two
 
 
 @dataclass
@@ -34,7 +34,6 @@ class RefineResult:
     """
 
     triangulation: Triangulation
-    trace: list[TraceEvent] = field(default_factory=list)
     cone_generations: dict[int, int] = field(default_factory=dict)
     vector_generations: list[tuple[LatticeVector, int]] = field(default_factory=list)
 
@@ -54,9 +53,9 @@ def refine_to_unimodular(tri: Triangulation) -> Triangulation:
     return _refine(tri).triangulation
 
 
-def refine_with_generations(tri: Triangulation, keep_trace: bool = False) -> RefineResult:
+def refine_with_generations(tri: Triangulation) -> RefineResult:
     """Like refine_to_unimodular, but keeps generation bookkeeping."""
-    return _refine(tri, keep_trace)
+    return _refine(tri)
 
 
 def refine_isolated(cone: SimplicialCone) -> RefineResult:
@@ -72,47 +71,47 @@ def refine_isolated(cone: SimplicialCone) -> RefineResult:
     return _refine(Triangulation.trivial(fresh))
 
 
-def _refine(tri: Triangulation, keep_trace: bool = False) -> RefineResult:
+def _refine(tri: Triangulation) -> RefineResult:
+    """Halve until every cone is unimodular.
+
+    A halving point is half the sum of generators shared by every cone that
+    contains it, so its coordinates over a unimodular cone would be
+    half-integers: no halving ever touches a unimodular cone. Such cones
+    therefore go straight to `final` and never enter the engine's live set.
+    """
     for c in tri.cones:
         if not is_power_of_two(c.multiplicity):
             raise PhaseOrderError(
                 f"cone {c.uid} has multiplicity {c.multiplicity}, not a power of two"
             )
+    final = [c for c in tri.cones if c.multiplicity == 1]
     engine = _Engine(
-        tri, record_trace=keep_trace, track_created=keep_trace, index_units=False
+        (c for c in tri.cones if c.multiplicity != 1), tri.max_uid() + 1
     )
     generations = {c.uid: 0 for c in tri.cones}
     vectors: list[tuple[LatticeVector, int]] = []
     while engine.pending:
         uid = engine.pending.popleft()
-        if uid not in engine.cones:
-            continue
-        cone = engine.cones[uid]
-        if cone.multiplicity == 1:
+        cone = engine.cones.get(uid)
+        if cone is None:
             continue
         u = half_vector(cone)
         assert u is not None, "even multiplicity must yield a half vector"
         gen = generations[uid] + 1
         vectors.append((u, gen))
-        events = engine.subdivide_all(u, 2, cone)
+        rows = engine.subdivide_all(u, cone)
         assert uid not in engine.cones, "the offending cone must get subdivided"
-        for ev in events:
-            if isinstance(ev, TraceEvent):
-                pid, kids, mu_p, mu_kids = (
-                    ev.parent_id,
-                    ev.children_ids,
-                    ev.mu_parent,
-                    ev.mu_children,
-                )
-            else:
-                pid, kids, mu_p, mu_kids = ev
-            parent_gen = generations.pop(pid, 0)
-            for child_uid, mu_child in zip(kids, mu_kids):
-                assert 2 * mu_child == mu_p
-                generations[child_uid] = parent_gen + 1
+        for parent, _, _, children in rows:
+            parent_gen = generations.pop(parent.uid)
+            for child in children:
+                assert 2 * child.multiplicity == parent.multiplicity
+                generations[child.uid] = parent_gen + 1
+                if child.multiplicity == 1:
+                    final.append(child)
+                else:
+                    engine.add(child)
     return RefineResult(
-        triangulation=engine.triangulation(),
-        trace=engine.trace,
+        triangulation=Triangulation(tri.base, final, final),
         cone_generations=generations,
         vector_generations=vectors,
     )

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .cone_geometry import SimplicialCone, Triangulation, contains, dilation
+from .cone_geometry import LatticeVector, SimplicialCone, Triangulation, dilation
 from .errors import PhaseOrderError
-from .number_theory import factorize, phi
+from .number_theory import eta, factorize, phi
 from .p2t_engine import TraceEvent
 
 PHI_SLACK = 1e-6
@@ -190,7 +190,7 @@ def audit_trace(
 
     Checks, with fresh factorizations and exact dilations:
       * phi descent: each child multiplicity has potential at most the
-        parent's minus 1 (up to PHI_SLACK);
+        parent's minus 1, compared exactly;
       * label depth: every cone's largest label index stays below the base
         potential;
       * multiplicity ceiling: every created cone obeys intermediate_mu_ceiling;
@@ -208,9 +208,12 @@ def audit_trace(
 
     phi_descent_ok = True
     for ev in trace:
-        phi_parent = phi(factorize(ev.mu_parent))
-        for mu_child in ev.mu_children:
-            if phi(factorize(mu_child)) > phi_parent - 1.0 + PHI_SLACK:
+        # phi(c) <= phi(p) - 1  <=>  2 * c**2 * 4**eta(p) <= p**2 * 4**eta(c),
+        # an exact integer test.
+        p = ev.mu_parent
+        four_eta_p = 4 ** eta(factorize(p))
+        for c in ev.mu_children:
+            if 2 * c * c * four_eta_p > p * p * 4 ** eta(factorize(c)):
                 phi_descent_ok = False
 
     label_depth_ok = True

@@ -2,8 +2,9 @@
 
 Everything in here is implemented independently of the package internals:
 determinants by permutation expansion, linear solves by plain Fraction
-elimination, and triangulation validity from first principles. Tests compare
-package output against these, never against the package itself.
+elimination, matrix products by plain sums, and triangulation validity from
+first principles. Tests compare package output against these, never against
+the package itself.
 """
 
 from __future__ import annotations
@@ -38,6 +39,17 @@ def perm_det(m) -> int:
             term *= m[i][perm[i]]
         total += term
     return total
+
+
+def mat_vec(m, v) -> tuple[int, ...]:
+    return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
+
+
+def mat_mul(a, b) -> tuple[tuple[int, ...], ...]:
+    cols = list(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
+    )
 
 
 def frac_solve(m, b) -> tuple[Fraction, ...]:

@@ -1,10 +1,15 @@
 """Input parsing, the pipeline front end, and CLI determinism."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import conetri
 from conetri.cli import (
     RunConfig,
     main,
@@ -177,3 +182,18 @@ def test_main_bounds(capsys):
     assert doc["mu_ceiling"] == pytest.approx(149.0, rel=1e-2)
     assert doc["simplified"] > doc["mu"]
     assert main(["bounds", "--mu", "0", "--dim", "3"]) == 1
+
+
+def test_main_bounds_overflow_is_an_error():
+    # 2**44: the intermediate ceiling 2**(L*(L+3)/2) no longer fits a float.
+    src = Path(conetri.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-m", "conetri.cli", "bounds",
+         "--mu", str(2**44), "--dim", "2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert out.returncode == 1
+    assert out.stderr.startswith("error:")
+    assert "Traceback" not in out.stderr
+    assert out.stdout == ""

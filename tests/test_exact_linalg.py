@@ -1,7 +1,5 @@
 """Exact linear algebra against independent oracles."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,13 +10,10 @@ from conetri.exact_linalg import (
     determinant,
     identity,
     invert_unimodular,
-    mat_mul,
-    mat_vec,
     nullspace_mod2,
     smith_normal_form,
-    solve_rational,
 )
-from conftest import perm_det
+from conftest import mat_mul, mat_vec, perm_det
 
 entries = st.integers(min_value=-9, max_value=9)
 
@@ -52,34 +47,6 @@ def test_determinant_matches_permanent_expansion_3x3(m):
 @settings(max_examples=60)
 def test_determinant_matches_permanent_expansion_4x4(m):
     assert determinant(m) == perm_det(m)
-
-
-def test_solve_examples():
-    assert solve_rational([(1, 0), (0, 1)], (5, 7)) == (5, 7)
-    assert solve_rational([(1, 1), (0, 2)], (1, 1)) == (
-        Fraction(1, 2),
-        Fraction(1, 2),
-    )
-    assert solve_rational([(1, 1), (0, 3)], (1, 1)) == (
-        Fraction(2, 3),
-        Fraction(1, 3),
-    )
-
-
-def test_solve_singular_raises():
-    with pytest.raises(SingularMatrixError):
-        solve_rational([(1, 2), (2, 4)], (1, 1))
-
-
-@given(square_matrix(3), st.lists(entries, min_size=3, max_size=3))
-def test_solve_multiplies_back(m, b):
-    if perm_det(m) == 0:
-        with pytest.raises(SingularMatrixError):
-            solve_rational(m, b)
-        return
-    x = solve_rational(m, b)
-    for row, bi in zip(m, b):
-        assert sum(Fraction(c) * xi for c, xi in zip(row, x)) == bi
 
 
 def test_nullspace_examples():

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import conetri.p2t_engine as engine_mod
 from conetri.cone_geometry import make_cone
 from conetri.errors import DivisibilityError
 from conetri.number_theory import ROSSER_CONSTANT, factorize, is_prime, phi
 from conetri.p2t_engine import (
     TraceEvent,
+    _Engine,
     adjust_coefficients,
     coefficient_ok_protected,
     find_x,
@@ -230,6 +230,18 @@ def test_run_p2t_random_campaign(seed):
         assert cone.max_label() <= phi_base - 1 + 1e-6 or cone is base
 
 
+def exhaustive_cones_containing(engine, x, producer):
+    """Reference for _Engine.cones_containing: test every live cone."""
+    out = []
+    for uid in sorted(engine.cones):
+        cone = engine.cones[uid]
+        nums = cone.coeff_numerators(x)
+        sign = 1 if cone.det > 0 else -1
+        if all(n * sign >= 0 for n in nums):
+            out.append((cone, nums))
+    return out
+
+
 @given(st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=25, deadline=None)
 def test_ray_index_matches_exhaustive_scan(seed):
@@ -238,11 +250,9 @@ def test_ray_index_matches_exhaustive_scan(seed):
     d = rng.choice([2, 3])
     gens = random_cone_gens(rng, d, 5)
     fast = run_p2t(make_cone(gens))
-    engine_mod.EXHAUSTIVE_CONTAINMENT_SCAN = True
-    try:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Engine, "cones_containing", exhaustive_cones_containing)
         slow = run_p2t(make_cone(gens))
-    finally:
-        engine_mod.EXHAUSTIVE_CONTAINMENT_SCAN = False
     assert fast.trace == slow.trace
     assert [c.generators for c in fast.triangulation.cones] == [
         c.generators for c in slow.triangulation.cones

@@ -65,12 +65,12 @@ def test_half_vector_min_weight_tiebreak():
 
 def test_refine_events_halve_multiplicity():
     tri = Triangulation.trivial(make_cone([(1, 0), (1, 4)]))
-    result = refine_with_generations(tri, keep_trace=True)
-    assert [(e.mu_parent, e.mu_children) for e in result.trace] == [
-        (4, (2, 2)),
-        (2, (1, 1)),
-        (2, (1, 1)),
-    ]
+    result = refine_with_generations(tri)
+    # Three halvings: 4 -> (2, 2) at generation 1, then each 2 -> (1, 1).
+    assert result.vector_generations == [((1, 2), 1), ((1, 3), 2), ((1, 1), 2)]
+    finals = result.triangulation.cones
+    assert [c.multiplicity for c in finals] == [1, 1, 1, 1]
+    assert result.cone_generations == {c.uid: 2 for c in finals}
 
 
 def test_hk_bound_examples():
@@ -144,6 +144,5 @@ def test_full_pipeline_tiles_exactly(seed):
 def test_refine_keeps_trace_off_by_default():
     tri = Triangulation.trivial(make_cone([(1, 0), (1, 8)]))
     result = refine_with_generations(tri)
-    assert result.trace == []
     # Without history the created list is just the final tiling.
     assert result.triangulation.all_created == result.triangulation.cones

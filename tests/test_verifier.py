@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conetri.cone_geometry import SimplicialCone, dilation, make_cone
 from conetri.errors import PhaseOrderError
+from conetri.number_theory import factorize, phi
 from conetri.p2t_engine import TraceEvent, run_p2t
 from conetri.pow2_refiner import refine_to_unimodular
 from conetri.verifier import (
@@ -132,6 +133,13 @@ def test_audit_trace_negative_controls():
     # A child whose multiplicity did not drop in potential.
     stuck = TraceEvent(0, 3, (0, 0), (0, 0), (1, 1), 0, (1,), 3, (3,))
     phi_ok, _, _, _ = audit_trace(base, [stuck], [base])
+    assert not phi_ok
+
+    # 1393 = 7 * 199 -> 985 = 5 * 197 misses the required drop of 1 by
+    # only 7.4e-7, because 2 * 985**2 == 1393**2 + 1.
+    near = TraceEvent(0, 7, (1, 1), (1, 1), (1, 1), 0, (1,), 1393, (985,))
+    assert phi(factorize(985)) - (phi(factorize(1393)) - 1) < 1e-6
+    phi_ok, _, _, _ = audit_trace(base, [near], [base])
     assert not phi_ok
 
     # Multiplicity above the intermediate ceiling (here 2^3.63 ~ 12.4).
