@@ -24,7 +24,7 @@ def main():
     print(f"base: {base.generators}, mu={base.multiplicity}, d={base.dimension}")
 
     state = run_p2t(base)
-    tri = refine_to_unimodular(state.triangulation)
+    tri = refine_to_unimodular(state.triangulation).triangulation
     report = certify(base, tri, state.trace, state.triangulation.all_created)
 
     # Tiling validity. Volume is the exact identity

@@ -10,8 +10,7 @@ doing real work.
 
 import argparse
 
-from conetri import make_cone, run_p2t
-from conetri.pow2_refiner import refine_with_generations
+from conetri import make_cone, refine_to_unimodular, run_p2t
 from conetri.verifier import certify
 
 
@@ -46,7 +45,7 @@ def main():
 
     # Phase two halves the remaining powers of two. Every subdivision point
     # is half the sum of some generators, so each split is an exact halving.
-    result = refine_with_generations(state.triangulation)
+    result = refine_to_unimodular(state.triangulation)
     print(f"phase 2: {len(result.vector_generations)} halving points")
     for u, gen in result.vector_generations:
         print(f"  generation {gen}: subdivide at u={u}")

@@ -59,7 +59,6 @@ from .pow2_refiner import (
     hk_exact,
     refine_isolated,
     refine_to_unimodular,
-    refine_with_generations,
 )
 from .verifier import (
     CertificateReport,
@@ -113,7 +112,6 @@ __all__ = [
     "prime_pi",
     "refine_isolated",
     "refine_to_unimodular",
-    "refine_with_generations",
     "rosser_bound",
     "run_p2t",
     "stellar_subdivide",

@@ -201,7 +201,7 @@ def run_pipeline(cfg: RunConfig) -> tuple[dict[str, Any], list[dict[str, Any]]]:
             base, final_cones, list(state.triangulation.all_created)
         )
     else:
-        final = refine_to_unimodular(state.triangulation)
+        final = refine_to_unimodular(state.triangulation).triangulation
     report = certify(
         base,
         final,
@@ -324,8 +324,10 @@ def _cmd_random(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     try:
-        thm, cor = final_bounds(args.mu, args.dim)
+        # The ceiling overflows a float long before final_bounds' trial
+        # division gets expensive, so it goes first.
         ceiling = intermediate_mu_ceiling(args.mu)
+        thm, cor = final_bounds(args.mu, args.dim)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,10 +2,11 @@
 
 A simplicial cone is stored as an ordered tuple of d independent integer
 generators in Z^d. Its multiplicity is |det| of the generator matrix; a cone
-is unimodular when that is 1. Alongside the generators each cone carries a
-label history: label indices -1..-d name the original base generators, and
-every subdivision vector ever introduced on the cone's ancestry keeps its
-label. Labels are what the length certificates are stated in terms of.
+is unimodular when that is 1. Each generator slot also carries a label:
+-1..-d name the original base generators, and a subdivision vector gets
+one more than the largest label of the cone it splits. Labels are what the
+length certificates are stated in terms of; a cone's newest label always
+sits on one of its own generators.
 
 All coordinate computations are exact. Barycentric coordinates come from the
 cached adjugate of the generator matrix, so containment tests and child
@@ -60,7 +61,7 @@ def primitive_direction(v: Sequence[int]) -> LatticeVector:
 
 
 class SimplicialCone:
-    """An ordered simplicial lattice cone with label history.
+    """An ordered simplicial lattice cone with one label per generator.
 
     Construct base cones through make_cone; children come out of
     stellar_subdivide. Direct construction skips the primitivity check,
@@ -73,19 +74,16 @@ class SimplicialCone:
     __slots__ = (
         "generators",
         "labels",
-        "xi",
         "uid",
         "det",
         "_adj",
         "_dirs",
-        "_maxlab",
     )
 
     def __init__(
         self,
         generators: Sequence[Sequence[int]],
         labels: Sequence[int],
-        xi: dict[int, LatticeVector],
         uid: int = 0,
         det: int | None = None,
     ):
@@ -97,11 +95,9 @@ class SimplicialCone:
             raise DimensionError("one label per generator")
         self.generators = gens
         self.labels = tuple(labels)
-        self.xi = dict(xi)
         self.uid = uid
         self._adj = None
         self._dirs = None
-        self._maxlab = None
         if det is None:
             det = determinant(self.matrix())
         if det == 0:
@@ -113,24 +109,20 @@ class SimplicialCone:
         cls,
         generators: tuple[LatticeVector, ...],
         labels: tuple[int, ...],
-        xi: dict[int, LatticeVector],
         uid: int,
         det: int,
         adj: IntMatrix | None = None,
         dirs: tuple[LatticeVector, ...] | None = None,
-        maxlab: int | None = None,
     ) -> "SimplicialCone":
-        """Trusted constructor for subdivision children: no validation,
-        shared xi dict, and optionally precomputed cached properties."""
+        """Trusted constructor for subdivision children: no validation, and
+        optionally precomputed cached properties."""
         cone = cls.__new__(cls)
         cone.generators = generators
         cone.labels = labels
-        cone.xi = xi
         cone.uid = uid
         cone.det = det
         cone._adj = adj
         cone._dirs = dirs
-        cone._maxlab = maxlab
         return cone
 
     @property
@@ -171,12 +163,8 @@ class SimplicialCone:
         )
 
     def max_label(self) -> int:
-        """Largest label index carrying a vector (-1 on a fresh base)."""
-        m = self._maxlab
-        if m is None:
-            m = max(self.xi)
-            self._maxlab = m
-        return m
+        """Newest label on the cone (-1 on a fresh base)."""
+        return max(self.labels)
 
     def __repr__(self) -> str:
         return f"SimplicialCone(uid={self.uid}, mu={self.multiplicity}, gens={self.generators})"
@@ -205,8 +193,7 @@ def make_cone(generators: Sequence[Sequence[int]]) -> SimplicialCone:
         if vector_content(g) != 1:
             raise PrimitivityError(f"generator {g} is not primitive")
     labels = tuple(-(i + 1) for i in range(len(gens)))
-    xi = {-(i + 1): gens[i] for i in range(len(gens))}
-    return SimplicialCone(gens, labels, xi, uid=0)
+    return SimplicialCone(gens, labels, uid=0)
 
 
 def barycentric(cone: SimplicialCone, x: Sequence[int]) -> tuple[Fraction, ...]:
@@ -351,14 +338,13 @@ def half_vector(cone: SimplicialCone) -> LatticeVector | None:
 def stellar_subdivide(
     cone: SimplicialCone,
     x: Sequence[int],
-    new_label: int | None = None,
     uid_source: Iterator[int] | None = None,
 ) -> list[SimplicialCone]:
     """Split a cone at an interior or boundary lattice point.
 
     One child per generator with positive barycentric coordinate; in child i
-    the generator g_i is replaced by x, the slot is relabelled, and the new
-    label carries x. Child multiplicities are lambda_i * mu, exact integers.
+    the generator g_i is replaced by x and its slot gets the label
+    max_label() + 1. Child multiplicities are lambda_i * mu, exact integers.
 
     If x equals a stored generator the subdivision does nothing and the cone
     itself is returned unchanged (the single "child" would be the parent).
@@ -366,7 +352,6 @@ def stellar_subdivide(
     Args:
         cone: the cone to subdivide.
         x: nonzero lattice point inside the cone.
-        new_label: label index for x; defaults to max_label() + 1.
         uid_source: iterator yielding uids for the children.
 
     Raises:
@@ -382,9 +367,7 @@ def stellar_subdivide(
     if len(positive) == 1 and nums[positive[0]] == cone.det:
         # x is exactly the stored generator on that ray: nothing to split.
         return [cone]
-    if new_label is None:
-        new_label = cone.max_label() + 1
-    return _split_at(cone, x, nums, positive, new_label, uid_source)
+    return _split_at(cone, x, nums, positive, cone.max_label() + 1, uid_source)
 
 
 def _split_at(
@@ -402,8 +385,6 @@ def _split_at(
     signs are consistent with cone.det, and that the split is not a no-op.
     """
     d = cone.dimension
-    xi = dict(cone.xi)
-    xi[new_label] = x
     adj = cone._adjugate
     det = cone.det
     gens = cone.generators
@@ -411,8 +392,6 @@ def _split_at(
     parent_dirs = cone._dirs
     if parent_dirs is not None and x_dir is None:
         x_dir = primitive_direction(x)
-    # Engine-issued labels always grow; a caller-picked label may not.
-    maxlab = new_label if new_label >= cone.max_label() else None
     children = []
     for i in positive:
         child_gens = gens[:i] + (x,) + gens[i + 1 :]
@@ -450,7 +429,7 @@ def _split_at(
         )
         children.append(
             SimplicialCone._child(
-                child_gens, child_labels, xi, uid, ni, child_adj, dirs, maxlab
+                child_gens, child_labels, uid, ni, child_adj, dirs
             )
         )
     return children
@@ -462,8 +441,11 @@ class Triangulation:
 
     `cones` is the current tiling in creation order; `all_created` also keeps
     every intermediate cone that was later subdivided away. Both start as
-    [base]. Producers that do not need the history (unimodular refinement,
-    whose intermediates nobody audits) may set all_created = cones.
+    [base]. all_created is the label history: every subdivision vector is
+    the newest-label generator of the cones its split created, so each
+    (label, vector) pair can be read off those cones. Producers whose
+    intermediates nobody audits (unimodular refinement) may set
+    all_created = cones.
     """
 
     base: SimplicialCone

@@ -35,7 +35,6 @@ from .cone_geometry import (
 from .errors import SearchExhaustedError
 from .number_theory import (
     ROSSER_CONSTANT,
-    Factorization,
     factorize,
     is_prime,
     p_max,
@@ -265,20 +264,12 @@ def run_p2t(base: SimplicialCone) -> P2TState:
     engine = _Engine([base], base.uid + 1)
     created = [base]
     trace: list[TraceEvent] = []
-    factors: dict[int, Factorization] = {base.uid: factorize(base.multiplicity)}
     while engine.pending:
         uid = engine.pending.popleft()
-        if uid not in engine.cones:
-            factors.pop(uid, None)
+        cone = engine.cones.get(uid)
+        if cone is None or is_power_of_two(cone.multiplicity):
             continue
-        cone = engine.cones[uid]
-        fac = factors.get(uid)
-        if fac is None:
-            fac = factorize(cone.multiplicity)
-            factors[uid] = fac
-        if is_power_of_two(cone.multiplicity):
-            continue
-        p = p_max(fac)
+        p = p_max(factorize(cone.multiplicity))
         x, z_label = find_x(cone, p)
         z_prime_label = adjust_coefficients(z_label, p)
         order_slots = sorted(
@@ -312,27 +303,9 @@ def run_p2t(base: SimplicialCone) -> P2TState:
                     mu_children=tuple(c.multiplicity for c in children),
                 )
             )
-            # Derive child factorizations: mu(child) = mu(parent) * z'_i / p.
-            parent_fac = factors.pop(parent.uid, None)
-            if parent_fac is None:
-                parent_fac = factorize(mu)
-            for child, zp in zip(children, (v for v in z_prime if v)):
-                merged = _merge_factors(parent_fac, zp, p)
-                assert merged.n == child.multiplicity
-                factors[child.uid] = merged
+            for child in children:
                 engine.add(child)
-                created.append(child)
+            created.extend(children)
     tri = Triangulation(base, list(engine.cones.values()), created)
     return P2TState(triangulation=tri, trace=trace)
 
-
-def _merge_factors(parent: Factorization, z: int, p: int) -> Factorization:
-    """Factorization of parent.n * z // p from the parent's and z's factors."""
-    exps: dict[int, int] = dict(parent.factors)
-    for q, e in factorize(z).factors:
-        exps[q] = exps.get(q, 0) + e
-    exps[p] -= 1
-    if exps[p] == 0:
-        del exps[p]
-    n = parent.n * z // p
-    return Factorization(n, tuple(sorted(exps.items())))

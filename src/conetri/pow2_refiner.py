@@ -38,46 +38,34 @@ class RefineResult:
     vector_generations: list[tuple[LatticeVector, int]] = field(default_factory=list)
 
 
-def refine_to_unimodular(tri: Triangulation) -> Triangulation:
-    """Subdivide every power-of-two cone of a tiling down to multiplicity 1.
-
-    Args:
-        tri: tiling whose cones all have power-of-two multiplicity.
-
-    Returns:
-        A tiling of the same base by unimodular cones.
-
-    Raises:
-        PhaseOrderError: if some multiplicity is not a power of two.
-    """
-    return _refine(tri).triangulation
-
-
-def refine_with_generations(tri: Triangulation) -> RefineResult:
-    """Like refine_to_unimodular, but keeps generation bookkeeping."""
-    return _refine(tri)
-
-
 def refine_isolated(cone: SimplicialCone) -> RefineResult:
     """Refine a single power-of-two cone against itself, with fresh labels.
 
     The cone is rebuilt as its own base (labels -1..-d), so the dilations in
     the result are measured relative to the cone's own basic simplex.
     """
-    d = cone.dimension
-    labels = tuple(-(i + 1) for i in range(d))
-    xi = {-(i + 1): cone.generators[i] for i in range(d)}
-    fresh = SimplicialCone(cone.generators, labels, xi, uid=0, det=cone.det)
-    return _refine(Triangulation.trivial(fresh))
+    labels = tuple(-(i + 1) for i in range(cone.dimension))
+    fresh = SimplicialCone(cone.generators, labels, uid=0, det=cone.det)
+    return refine_to_unimodular(Triangulation.trivial(fresh))
 
 
-def _refine(tri: Triangulation) -> RefineResult:
-    """Halve until every cone is unimodular.
+def refine_to_unimodular(tri: Triangulation) -> RefineResult:
+    """Subdivide every power-of-two cone of a tiling down to multiplicity 1.
 
     A halving point is half the sum of generators shared by every cone that
     contains it, so its coordinates over a unimodular cone would be
     half-integers: no halving ever touches a unimodular cone. Such cones
     therefore go straight to `final` and never enter the engine's live set.
+
+    Args:
+        tri: tiling whose cones all have power-of-two multiplicity.
+
+    Returns:
+        RefineResult whose triangulation tiles the same base by unimodular
+        cones.
+
+    Raises:
+        PhaseOrderError: if some multiplicity is not a power of two.
     """
     for c in tri.cones:
         if not is_power_of_two(c.multiplicity):

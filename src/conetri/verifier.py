@@ -151,7 +151,14 @@ def max_dilation(base: SimplicialCone, cones: Sequence[SimplicialCone]) -> Fract
 
 def intermediate_mu_ceiling(mu: int) -> float:
     """2**(L*(L+3)/2) with L = log2(mu): ceiling for every intermediate
-    multiplicity produced while reducing a base of multiplicity mu."""
+    multiplicity produced while reducing a base of multiplicity mu.
+
+    Raises:
+        ValueError: if mu < 1.
+        OverflowError: if the ceiling exceeds a float (mu >= ~2**44).
+    """
+    if mu < 1:
+        raise ValueError(f"multiplicity must be positive, got {mu}")
     ld = math.log2(mu)
     return 2.0 ** (0.5 * ld * (ld + 3.0))
 
@@ -191,20 +198,24 @@ def audit_trace(
     Checks, with fresh factorizations and exact dilations:
       * phi descent: each child multiplicity has potential at most the
         parent's minus 1, compared exactly;
-      * label depth: every cone's largest label index stays below the base
-        potential;
+      * label depth: every cone's largest label s obeys s <= phi(mu) - 1,
+        tested exactly as 2**(s + 1 + 2*eta(mu)) <= mu**2;
       * multiplicity ceiling: every created cone obeys intermediate_mu_ceiling;
-      * label length: every nonnegative label s carried by any created cone
-        has dilation at most (d/2) * mu(base) * 4**s, compared exactly.
-        all_created must be the full creation history for the coverage
-        argument (newest label per cone) to be exhaustive.
+      * label length: the vector of every nonnegative label s carried by
+        any created cone has dilation at most (d/2) * mu(base) * 4**s,
+        compared exactly. all_created must be the full creation history for
+        the coverage argument (newest label per cone) to be exhaustive.
 
     Returns:
         (phi_descent_ok, label_depth_ok, mu_bound_ok, xi_length_ok).
     """
-    phi_base = phi(factorize(base.multiplicity))
     d = base.dimension
     mu_base = base.multiplicity
+    # s <= phi(mu) - 1  <=>  2**(s + 1 + 2*eta(mu)) <= mu**2. A cone's
+    # largest label is at least -1 (base labels run -1..-d), so the shift
+    # is never negative.
+    depth_shift = 1 + 2 * eta(factorize(mu_base))
+    mu_squared = mu_base * mu_base
 
     phi_descent_ok = True
     for ev in trace:
@@ -223,19 +234,20 @@ def audit_trace(
     log_ceiling = 0.5 * ld_base * (ld_base + 3.0)
     # Every nonnegative label enters existence on the cones of one event,
     # where it is their largest label; it never changes vector afterwards.
-    # Auditing each created cone's newest label therefore covers every
-    # (label, vector) pair carried by any created cone.
+    # Auditing each created cone's newest label, read off its own
+    # generators, therefore covers every (label, vector) pair carried by
+    # any created cone.
     dil_cache: dict[tuple[LatticeVector, int], bool] = {}
     half_d_mu = Fraction(d * mu_base, 2)
     for cone in all_created:
         s = cone.max_label()
-        if s > phi_base - 1.0 + PHI_SLACK:
+        if 1 << (s + depth_shift) > mu_squared:
             label_depth_ok = False
         if math.log2(cone.multiplicity) > log_ceiling + PHI_SLACK:
             mu_bound_ok = False
         if s < 0:
             continue
-        vec = cone.xi[s]
+        vec = cone.generators[cone.labels.index(s)]
         key = (vec, s)
         ok = dil_cache.get(key)
         if ok is None:

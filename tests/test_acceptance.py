@@ -32,7 +32,7 @@ from conetri.number_theory import (
     rosser_bound,
 )
 from conetri.p2t_engine import run_p2t
-from conetri.pow2_refiner import refine_isolated, refine_with_generations
+from conetri.pow2_refiner import refine_isolated, refine_to_unimodular
 from conetri.verifier import (
     final_bounds,
     intermediate_mu_ceiling,
@@ -101,8 +101,8 @@ def campaign():
 
             half_d_mu = Fraction(base.dimension * mu_base, 2)
             seen = {}
-            for cone in state.triangulation.cones:
-                for s, vec in cone.xi.items():
+            for cone in state.triangulation.all_created:
+                for s, vec in zip(cone.labels, cone.generators):
                     if s < 0:
                         continue
                     key = (vec, s)
@@ -113,7 +113,7 @@ def campaign():
                     if not ok:
                         stats["xi_violations"] += 1
 
-            tri = refine_with_generations(state.triangulation).triangulation
+            tri = refine_to_unimodular(state.triangulation).triangulation
             vol, cont, flags = verify_triangulation(base, tri.cones)
             if not (vol and cont and all(flags)):
                 stats["tiling_failures"] += 1
@@ -181,7 +181,7 @@ def test_criterion_05_final_bound(campaign, capsys):
     # The pinned 2D example: measured dilation 1 against a bound near 66.
     base = make_cone([(1, 0), (1, 3)])
     state = run_p2t(base)
-    tri = refine_with_generations(state.triangulation).triangulation
+    tri = refine_to_unimodular(state.triangulation).triangulation
     assert max_dilation(base, tri.cones) == 1
     _, cor = final_bounds(3, 2)
     assert 66 < cor < 67
@@ -264,7 +264,7 @@ def test_criterion_09_staircase_oracle(capsys):
     for n in range(2, 65):
         base = make_cone([(1, 0), (1, n)])
         state = run_p2t(base)
-        result = refine_with_generations(state.triangulation)
+        result = refine_to_unimodular(state.triangulation)
         tri = result.triangulation
         report = oracle_validate_tiling(
             base.generators, [c.generators for c in tri.cones]

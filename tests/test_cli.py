@@ -184,15 +184,36 @@ def test_main_bounds(capsys):
     assert main(["bounds", "--mu", "0", "--dim", "3"]) == 1
 
 
-def test_main_bounds_overflow_is_an_error():
-    # 2**44: the intermediate ceiling 2**(L*(L+3)/2) no longer fits a float.
+def run_bounds_cli(mu, preexec_fn=None):
     src = Path(conetri.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "conetri.cli", "bounds",
-         "--mu", str(2**44), "--dim", "2"],
+         "--mu", str(mu), "--dim", "2"],
         capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=preexec_fn,
     )
+
+
+def test_main_bounds_overflow_is_an_error():
+    # 2**44: the intermediate ceiling 2**(L*(L+3)/2) no longer fits a float.
+    out = run_bounds_cli(2**44)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error:")
+    assert "Traceback" not in out.stderr
+    assert out.stdout == ""
+
+
+def test_main_bounds_huge_mu_is_an_error_without_a_sieve():
+    # Factorizing 10**18 would sieve the primes up to 10**9, a gigabyte;
+    # under a 512 MB address-space cap that dies with a MemoryError.
+    resource = pytest.importorskip("resource")
+    cap = 512 << 20
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    out = run_bounds_cli(10**18, preexec_fn=limit_memory)
     assert out.returncode == 1
     assert out.stderr.startswith("error:")
     assert "Traceback" not in out.stderr

@@ -49,7 +49,6 @@ def test_make_cone_basics():
     c = make_cone([(1, 0), (0, 1)])
     assert c.multiplicity == 1
     assert c.labels == (-1, -2)
-    assert c.xi == {-1: (1, 0), -2: (0, 1)}
     assert c.max_label() == -1
     assert make_cone([(1, 0), (1, 2)]).multiplicity == 2
     assert make_cone([(1, 0, 0), (0, 1, 0), (1, 1, 2)]).multiplicity == 2
@@ -169,8 +168,7 @@ def test_stellar_subdivide_labels():
     c = make_cone([(1, 0), (1, 3)])
     kids = stellar_subdivide(c, (1, 1), uid_source=count(1))
     for k in kids:
-        assert k.xi[0] == (1, 1)
-        assert 0 in k.labels
+        assert k.generators[k.labels.index(0)] == (1, 1)
         assert k.max_label() == 0
     assert kids[0].labels == (0, -2)
     assert kids[1].labels == (-1, 0)
@@ -251,5 +249,5 @@ def test_half_vector_properties(seed):
 
 
 def test_direct_cone_allows_nonprimitive():
-    c = SimplicialCone([(2, 0), (0, 1)], (-1, -2), {-1: (2, 0), -2: (0, 1)})
+    c = SimplicialCone([(2, 0), (0, 1)], (-1, -2))
     assert c.multiplicity == 2

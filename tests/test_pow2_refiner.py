@@ -15,7 +15,6 @@ from conetri.pow2_refiner import (
     hk_exact,
     refine_isolated,
     refine_to_unimodular,
-    refine_with_generations,
 )
 
 from conftest import (
@@ -29,7 +28,7 @@ from test_cone_geometry import random_cone_gens
 
 def test_refine_mu2_splits_in_half():
     tri = Triangulation.trivial(make_cone([(1, 0), (1, 2)]))
-    out = refine_to_unimodular(tri)
+    out = refine_to_unimodular(tri).triangulation
     assert canonical(out.cones) == sorted(
         [tuple(sorted(c)) for c in staircase_cones(2)]
     )
@@ -37,13 +36,13 @@ def test_refine_mu2_splits_in_half():
 
 def test_refine_unit_cone_unchanged():
     base = make_cone([(1, 0), (0, 1)])
-    out = refine_to_unimodular(Triangulation.trivial(base))
+    out = refine_to_unimodular(Triangulation.trivial(base)).triangulation
     assert out.cones == [base]
 
 
 def test_refine_mu4_staircase():
     tri = Triangulation.trivial(make_cone([(1, 0), (1, 4)]))
-    out = refine_to_unimodular(tri)
+    out = refine_to_unimodular(tri).triangulation
     assert canonical(out.cones) == sorted(
         [tuple(sorted(c)) for c in staircase_cones(4)]
     )
@@ -65,7 +64,7 @@ def test_half_vector_min_weight_tiebreak():
 
 def test_refine_events_halve_multiplicity():
     tri = Triangulation.trivial(make_cone([(1, 0), (1, 4)]))
-    result = refine_with_generations(tri)
+    result = refine_to_unimodular(tri)
     # Three halvings: 4 -> (2, 2) at generation 1, then each 2 -> (1, 1).
     assert result.vector_generations == [((1, 2), 1), ((1, 3), 2), ((1, 1), 2)]
     finals = result.triangulation.cones
@@ -134,7 +133,7 @@ def test_full_pipeline_tiles_exactly(seed):
     gens = random_cone_gens(rng, d, 5)
     base = make_cone(gens)
     state = run_p2t(base)
-    out = refine_to_unimodular(state.triangulation)
+    out = refine_to_unimodular(state.triangulation).triangulation
     report = oracle_validate_tiling(gens, [c.generators for c in out.cones])
     assert report["volume_ok"]
     assert report["containment_ok"]
@@ -143,6 +142,6 @@ def test_full_pipeline_tiles_exactly(seed):
 
 def test_refine_keeps_trace_off_by_default():
     tri = Triangulation.trivial(make_cone([(1, 0), (1, 8)]))
-    result = refine_with_generations(tri)
+    result = refine_to_unimodular(tri)
     # Without history the created list is just the final tiling.
     assert result.triangulation.all_created == result.triangulation.cones

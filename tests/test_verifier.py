@@ -66,7 +66,7 @@ def test_max_dilation_examples():
 def test_max_dilation_full_pipeline_mu5():
     base = make_cone([(1, 0), (1, 5)])
     state = run_p2t(base)
-    tri = refine_to_unimodular(state.triangulation)
+    tri = refine_to_unimodular(state.triangulation).triangulation
     assert max_dilation(base, tri.cones) == 1
 
 
@@ -123,8 +123,7 @@ def test_audit_trace_vacuous():
 
 
 def fake_cone(gens, labels):
-    xi = {lab: g for lab, g in zip(labels, gens)}
-    return SimplicialCone(gens, labels, xi)
+    return SimplicialCone(gens, labels)
 
 
 def test_audit_trace_negative_controls():
@@ -154,6 +153,15 @@ def test_audit_trace_negative_controls():
     assert not depth_ok
     assert xi_ok
 
+    # mu = 2**22 - 1 = 3 * 23 * 89 * 683 gives phi(mu) - 1 = 34.9999993:
+    # label 35 is one too deep, by less than the old 1e-6 float slack.
+    wide = make_cone([(1, 0), (1, 2**22 - 1)])
+    assert 35 - (phi(factorize(wide.multiplicity)) - 1) < 1e-6
+    _, depth_ok, _, _ = audit_trace(wide, [], [fake_cone(((1, 0), (1, 1)), (35, -2))])
+    assert not depth_ok
+    _, depth_ok, _, _ = audit_trace(wide, [], [fake_cone(((1, 0), (1, 1)), (34, -2))])
+    assert depth_ok
+
     # Label-0 vector longer than (d/2)*mu*4^0 = 3.
     long0 = fake_cone(((4, 0), (1, 3)), (0, -2))
     assert dilation(base, (4, 0)) == 4
@@ -162,10 +170,28 @@ def test_audit_trace_negative_controls():
     assert not xi_ok
 
 
+@pytest.mark.parametrize("d,bound", [(2, 9), (3, 5), (4, 3)])
+def test_newest_labels_cover_every_trace_vector(d, bound):
+    # The label-length audit reads only each created cone's newest label and
+    # the generator carrying it. That covers the paper's per-label bounds
+    # only if those pairs are exactly the (label, x') of the trace events.
+    rng = random.Random(1000 + d)
+    for _ in range(6):
+        base = make_cone(random_cone_gens(rng, d, bound))
+        state = run_p2t(base)
+        newest = set()
+        for cone in state.triangulation.all_created:
+            s = cone.max_label()
+            if s >= 0:
+                newest.add((s, cone.generators[cone.labels.index(s)]))
+        events = {(ev.new_label_index, ev.x_prime) for ev in state.trace}
+        assert newest == events
+
+
 def test_certify_report_mu3():
     base = make_cone([(1, 0), (1, 3)])
     state = run_p2t(base)
-    tri = refine_to_unimodular(state.triangulation)
+    tri = refine_to_unimodular(state.triangulation).triangulation
     rep = certify(base, tri, state.trace, state.triangulation.all_created)
     assert rep.volume_ok and rep.containment_ok and rep.all_unimodular
     assert rep.phi_descent_ok and rep.label_depth_ok
@@ -179,7 +205,7 @@ def test_certify_report_mu3():
 def test_certify_flags_bad_tiling():
     base = make_cone([(1, 0), (1, 3)])
     state = run_p2t(base)
-    tri = refine_to_unimodular(state.triangulation)
+    tri = refine_to_unimodular(state.triangulation).triangulation
     from conetri.cone_geometry import Triangulation
 
     broken = Triangulation(base, tri.cones[:-1], tri.cones[:-1])
@@ -197,7 +223,7 @@ def test_certify_random_cones(seed):
     gens = random_cone_gens(rng, d, 5)
     base = make_cone(gens)
     state = run_p2t(base)
-    tri = refine_to_unimodular(state.triangulation)
+    tri = refine_to_unimodular(state.triangulation).triangulation
     rep = certify(base, tri, state.trace, state.triangulation.all_created)
     assert rep.volume_ok and rep.containment_ok and rep.all_unimodular
     assert rep.phi_descent_ok and rep.label_depth_ok
@@ -213,6 +239,6 @@ def test_certify_random_cones(seed):
     assert rep.max_dilation == worst
     # Negative labels are original base generators: dilation exactly 1.
     for c in tri.cones:
-        for s, vec in c.xi.items():
+        for s, vec in zip(c.labels, c.generators):
             if s < 0:
                 assert oracle_dilation(gens, vec) <= 1
