@@ -24,7 +24,7 @@ def run_one(dim, bound, seed, mu_cap):
         if mu_cap is None or base.multiplicity <= mu_cap:
             break
     state = run_p2t(base)
-    tri = refine_to_unimodular(state.triangulation).triangulation
+    tri = refine_to_unimodular(state.triangulation)
     report = certify(base, tri, state.trace, state.triangulation.all_created)
     ok = (
         report.volume_ok

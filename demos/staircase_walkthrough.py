@@ -45,25 +45,28 @@ def main():
 
     # Phase two halves the remaining powers of two. Every subdivision point
     # is half the sum of some generators, so each split is an exact halving.
-    result = refine_to_unimodular(state.triangulation)
-    print(f"phase 2: {len(result.vector_generations)} halving points")
-    for u, gen in result.vector_generations:
-        print(f"  generation {gen}: subdivide at u={u}")
-    show("final tiling", result.triangulation.cones)
+    # The halving points are the final generators phase 1 did not have.
+    tri = refine_to_unimodular(state.triangulation)
+    before = {g for c in state.triangulation.cones for g in c.generators}
+    added = sorted({g for c in tri.cones for g in c.generators} - before)
+    print(f"phase 2: {len(added)} halving points")
+    for u in added:
+        print(f"  subdivide at u={u}")
+    show("final tiling", tri.cones)
     print()
 
     # The certificate re-checks everything from scratch: exact volume
     # additivity, containment, unimodularity, and the length bounds.
     report = certify(
         base,
-        result.triangulation,
+        tri,
         state.trace,
         state.triangulation.all_created,
     )
     print(f"certified: volume={report.volume_ok} containment={report.containment_ok}")
     print(f"max dilation {report.max_dilation} vs bound {report.final_bound_cor:.1f}")
     expected = sorted(tuple(sorted(((1, k), (1, k + 1)))) for k in range(n))
-    got = sorted(tuple(sorted(c.generators)) for c in result.triangulation.cones)
+    got = sorted(tuple(sorted(c.generators)) for c in tri.cones)
     print(f"matches the staircase: {got == expected}")
 
 

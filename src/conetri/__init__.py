@@ -54,7 +54,6 @@ from .p2t_engine import (
     run_p2t,
 )
 from .pow2_refiner import (
-    RefineResult,
     hk_bound,
     hk_exact,
     refine_isolated,
@@ -81,7 +80,6 @@ __all__ = [
     "P2TState",
     "PhaseOrderError",
     "PrimitivityError",
-    "RefineResult",
     "SearchExhaustedError",
     "SimplicialCone",
     "SingularMatrixError",

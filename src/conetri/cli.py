@@ -16,6 +16,7 @@ certificate fails, and 1 for unusable input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import sys
@@ -134,6 +135,7 @@ def _report_dict(
     base: SimplicialCone,
     final: Triangulation,
     report: CertificateReport,
+    mu_ceiling: float,
     hk_ok: bool | None = None,
 ) -> dict[str, Any]:
     mu = base.multiplicity
@@ -157,7 +159,7 @@ def _report_dict(
         "bounds": {
             "theorem": report.final_bound_thm,
             "simplified": report.final_bound_cor,
-            "mu_ceiling": intermediate_mu_ceiling(mu),
+            "mu_ceiling": mu_ceiling,
             "slack_ratio": report.slack_ratio,
         },
         "certificates": {
@@ -182,33 +184,38 @@ def run_pipeline(cfg: RunConfig) -> tuple[dict[str, Any], list[dict[str, Any]]]:
     Returns:
         (report, trace): the report document and, when cfg.keep_trace, the
         subdivision events as JSON-ready dicts.
+
+    Raises:
+        OverflowError: if the multiplicity ceiling of the report overflows a
+            float (mu >= ~2**44). It is computed before phase 1, so such a
+            cone fails at once instead of after an endless run.
     """
     base = make_cone(cfg.generators)
+    mu_ceiling = intermediate_mu_ceiling(base.multiplicity)
     state = run_p2t(base)
     hk_ok: bool | None = None
     if cfg.isolated_cones:
         final_cones: list[SimplicialCone] = []
         hk_ok = True
         for cone in state.triangulation.cones:
-            result = refine_isolated(cone)
+            refined = refine_isolated(cone)
             ell = cone.multiplicity.bit_length() - 1
             ceiling = upper_rational(hk_bound(cone.dimension, ell))
-            final_cones.extend(result.triangulation.cones)
-            fresh_base = result.triangulation.base
-            if max_dilation(fresh_base, result.triangulation.cones) > ceiling:
+            final_cones.extend(refined.cones)
+            if max_dilation(refined.base, refined.cones) > ceiling:
                 hk_ok = False
         final = Triangulation(
             base, final_cones, list(state.triangulation.all_created)
         )
     else:
-        final = refine_to_unimodular(state.triangulation).triangulation
+        final = refine_to_unimodular(state.triangulation)
     report = certify(
         base,
         final,
         trace=state.trace,
         p2t_created=state.triangulation.all_created,
     )
-    doc = _report_dict(base, final, report, hk_ok)
+    doc = _report_dict(base, final, report, mu_ceiling, hk_ok)
     trace_doc = []
     if cfg.keep_trace:
         for ev in state.trace:
@@ -248,11 +255,16 @@ def _certificates_pass(doc: dict[str, Any]) -> bool:
     return all(doc["certificates"].values())
 
 
+def _overflow_error(mu: int) -> int:
+    print(f"error: the bounds for mu {mu} overflow a float", file=sys.stderr)
+    return 1
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return 1
     try:
@@ -265,9 +277,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
         keep_trace=args.trace is not None,
         isolated_cones=args.isolated_cones,
     )
-    doc, trace_doc = run_pipeline(cfg)
-    if args.trace is not None:
-        with open(args.trace, "w", encoding="utf-8") as fh:
+    # Open the trace file before the run, so a bad path fails at once.
+    try:
+        sink = (
+            open(args.trace, "w", encoding="utf-8")
+            if args.trace is not None
+            else contextlib.nullcontext()
+        )
+    except OSError as exc:
+        print(f"error: cannot write {args.trace}: {exc}", file=sys.stderr)
+        return 1
+    with sink as fh:
+        try:
+            doc, trace_doc = run_pipeline(cfg)
+        except OverflowError:
+            return _overflow_error(cone.multiplicity)
+        if fh is not None:
             json.dump(trace_doc, fh, indent=2)
             fh.write("\n")
     if args.format == "json":
@@ -295,7 +320,10 @@ def _cmd_random(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         cfg = RunConfig(generators=cone.generators)
-        doc, _ = run_pipeline(cfg)
+        try:
+            doc, _ = run_pipeline(cfg)
+        except OverflowError:
+            return _overflow_error(cone.multiplicity)
         ok = _certificates_pass(doc)
         all_pass = all_pass and ok
         runs.append(
@@ -332,8 +360,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OverflowError:
-        print(f"error: the bounds for mu {args.mu} overflow a float", file=sys.stderr)
-        return 1
+        return _overflow_error(args.mu)
     doc = {
         "mu": args.mu,
         "dimension": args.dim,

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     ContainmentError,
@@ -27,6 +27,7 @@ from .errors import (
     PrimitivityError,
     SingularMatrixError,
 )
+# perfbench's tracer patches these names here, unused invert_unimodular too.
 from .exact_linalg import (
     IntMatrix,
     adjugate,
@@ -249,9 +250,14 @@ def par_normalize(cone: SimplicialCone, x: Sequence[int]) -> LatticeVector:
 def order_p_element(cone: SimplicialCone, p: int) -> LatticeVector:
     """A lattice point of order exactly p in the box group of the cone.
 
-    Built from the Smith normal form of the generator matrix, so the choice
-    is deterministic: if L @ M @ R = diag(s_1..s_d), the point is the last
-    column of L^-1 scaled by s_d / p, reduced into the half-open box.
+    Read off the Smith normal form L @ M @ R = diag(s_1..s_d) of the
+    generator matrix M (generators as columns), so the choice is
+    deterministic. Since M @ R = L^-1 @ diag(s), the integral point
+    (s_d / p) * L^-1[:, -1] equals (1/p) * M @ R[:, -1], that is
+    (1/p) * sum_j R[j][-1] * g_j. Reducing it into the half-open box takes
+    each R[j][-1] mod p, so L is never needed. R is unimodular, so R[:, -1]
+    is primitive and some z_j = R[j][-1] mod p is nonzero: x is not in the
+    generator lattice, while p * x is.
 
     Args:
         cone: the cone; its multiplicity must be divisible by p.
@@ -268,17 +274,24 @@ def order_p_element(cone: SimplicialCone, p: int) -> LatticeVector:
         raise DivisibilityError(
             f"{p} does not divide multiplicity {cone.multiplicity}"
         )
-    diag, lmat, _ = smith_normal_form(cone.matrix())
+    diag, rmat = smith_normal_form(cone.matrix())
     # The largest elementary divisor is a multiple of every prime divisor
     # of the multiplicity, p included.
     assert diag[-1] % p == 0
-    linv = invert_unimodular(lmat)
-    scale = diag[-1] // p
-    xt = tuple(scale * row[-1] for row in linv)
-    x = par_normalize(cone, xt)
-    nums = cone.coeff_numerators(x)
-    assert any(n % cone.det for n in nums), "order-p element collapsed to the lattice"
-    return x
+    z = [row[-1] % p for row in rmat]
+    assert any(z), "order-p element collapsed to the lattice"
+    return _combine(cone, z, p)
+
+
+def _combine(cone: SimplicialCone, z: Iterable[int], p: int) -> LatticeVector:
+    """(1/p) * sum z_i * g_i, asserting that it is a lattice point."""
+    acc = [0] * cone.dimension
+    for zi, g in zip(z, cone.generators):
+        if zi:
+            for i, c in enumerate(g):
+                acc[i] += zi * c
+    assert all(c % p == 0 for c in acc)
+    return tuple(c // p for c in acc)
 
 
 def box_coefficients(cone: SimplicialCone, x: Sequence[int], p: int) -> tuple[int, ...]:

@@ -152,11 +152,13 @@ def nullspace_mod2(m: Sequence[Sequence[int]]) -> list[IntVector]:
 
 def smith_normal_form(
     m: Sequence[Sequence[int]],
-) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
+) -> tuple[tuple[int, ...], IntMatrix]:
     """Smith normal form of a nonsingular square integer matrix.
 
-    Returns (diag, L, R) with L @ m @ R = diag(diag), L and R unimodular,
-    every diagonal entry positive, and diag[i] dividing diag[i+1].
+    Returns (diag, R): there is a unimodular L with L @ m @ R = diag(diag),
+    R is unimodular, every diagonal entry is positive, and diag[i] divides
+    diag[i+1]. The row operations that make up L are applied to m but not
+    recorded.
 
     Pivot choice is deterministic: the entry of smallest nonzero absolute
     value in the remaining block, scanning rows first, then columns.
@@ -167,22 +169,13 @@ def smith_normal_form(
     """
     a = _as_rows(m)
     n = _require_square(a)
-    lmat = [list(row) for row in identity(n)]
     rmat = [list(row) for row in identity(n)]
-
-    def swap_rows(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        lmat[i], lmat[j] = lmat[j], lmat[i]
 
     def swap_cols(i: int, j: int) -> None:
         for row in a:
             row[i], row[j] = row[j], row[i]
         for row in rmat:
             row[i], row[j] = row[j], row[i]
-
-    def row_sub(i: int, k: int, q: int) -> None:
-        a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-        lmat[i] = [x - q * y for x, y in zip(lmat[i], lmat[k])]
 
     def col_sub(j: int, k: int, q: int) -> None:
         for row in a:
@@ -204,18 +197,17 @@ def smith_normal_form(
                 raise SingularMatrixError("matrix has rank below its size")
             bi, bj = best
             if bi != k:
-                swap_rows(bi, k)
+                a[bi], a[k] = a[k], a[bi]
             if bj != k:
                 swap_cols(bj, k)
             if a[k][k] < 0:
                 a[k] = [-x for x in a[k]]
-                lmat[k] = [-x for x in lmat[k]]
             dirty = False
             for i in range(k + 1, n):
                 if a[i][k]:
                     q = a[i][k] // a[k][k]
                     if q:
-                        row_sub(i, k, q)
+                        a[i] = [x - q * y for x, y in zip(a[i], a[k])]
                     if a[i][k]:
                         dirty = True
             for j in range(k + 1, n):
@@ -240,8 +232,5 @@ def smith_normal_form(
             # Fold the offending row into row k; the next elimination round
             # shrinks the pivot, so this terminates.
             a[k] = [x + y for x, y in zip(a[k], a[viol])]
-            lmat[k] = [x + y for x, y in zip(lmat[k], lmat[viol])]
     diag = tuple(a[i][i] for i in range(n))
-    lt = tuple(tuple(row) for row in lmat)
-    rt = tuple(tuple(row) for row in rmat)
-    return diag, lt, rt
+    return diag, tuple(tuple(row) for row in rmat)

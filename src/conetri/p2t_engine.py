@@ -27,6 +27,7 @@ from .cone_geometry import (
     LatticeVector,
     SimplicialCone,
     Triangulation,
+    _combine,
     _split_at,
     box_coefficients,
     order_p_element,
@@ -130,17 +131,6 @@ def find_x(cone: SimplicialCone, p: int) -> tuple[LatticeVector, tuple[int, ...]
     raise SearchExhaustedError(
         f"no acceptable order-{p} multiple; the counting bound is violated"
     )
-
-
-def _combine(cone: SimplicialCone, z_storage: Iterable[int], p: int) -> LatticeVector:
-    """(1/p) * sum z_i * g_i, asserting that it is a lattice point."""
-    acc = [0] * cone.dimension
-    for z, g in zip(z_storage, cone.generators):
-        if z:
-            for i, c in enumerate(g):
-                acc[i] += z * c
-    assert all(c % p == 0 for c in acc)
-    return tuple(c // p for c in acc)
 
 
 def adjust_coefficients(z: tuple[int, ...], p: int) -> tuple[int, ...]:

@@ -11,11 +11,9 @@ h_k <= (d/2) * (3/2)**(k-1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cone_geometry import (
-    LatticeVector,
     SimplicialCone,
     Triangulation,
     half_vector,
@@ -24,21 +22,7 @@ from .errors import PhaseOrderError
 from .p2t_engine import _Engine, is_power_of_two
 
 
-@dataclass
-class RefineResult:
-    """Unimodular refinement plus the bookkeeping the length audit wants.
-
-    cone_generations maps cone uid to its subdivision depth within this
-    phase (0 for the cones handed in); vector_generations records each
-    subdivision vector with the generation it belongs to.
-    """
-
-    triangulation: Triangulation
-    cone_generations: dict[int, int] = field(default_factory=dict)
-    vector_generations: list[tuple[LatticeVector, int]] = field(default_factory=list)
-
-
-def refine_isolated(cone: SimplicialCone) -> RefineResult:
+def refine_isolated(cone: SimplicialCone) -> Triangulation:
     """Refine a single power-of-two cone against itself, with fresh labels.
 
     The cone is rebuilt as its own base (labels -1..-d), so the dilations in
@@ -49,7 +33,7 @@ def refine_isolated(cone: SimplicialCone) -> RefineResult:
     return refine_to_unimodular(Triangulation.trivial(fresh))
 
 
-def refine_to_unimodular(tri: Triangulation) -> RefineResult:
+def refine_to_unimodular(tri: Triangulation) -> Triangulation:
     """Subdivide every power-of-two cone of a tiling down to multiplicity 1.
 
     A halving point is half the sum of generators shared by every cone that
@@ -61,8 +45,8 @@ def refine_to_unimodular(tri: Triangulation) -> RefineResult:
         tri: tiling whose cones all have power-of-two multiplicity.
 
     Returns:
-        RefineResult whose triangulation tiles the same base by unimodular
-        cones.
+        A triangulation of the same base by unimodular cones; its
+        all_created is its cones.
 
     Raises:
         PhaseOrderError: if some multiplicity is not a power of two.
@@ -76,8 +60,6 @@ def refine_to_unimodular(tri: Triangulation) -> RefineResult:
     engine = _Engine(
         (c for c in tri.cones if c.multiplicity != 1), tri.max_uid() + 1
     )
-    generations = {c.uid: 0 for c in tri.cones}
-    vectors: list[tuple[LatticeVector, int]] = []
     while engine.pending:
         uid = engine.pending.popleft()
         cone = engine.cones.get(uid)
@@ -85,24 +67,16 @@ def refine_to_unimodular(tri: Triangulation) -> RefineResult:
             continue
         u = half_vector(cone)
         assert u is not None, "even multiplicity must yield a half vector"
-        gen = generations[uid] + 1
-        vectors.append((u, gen))
         rows = engine.subdivide_all(u, cone)
         assert uid not in engine.cones, "the offending cone must get subdivided"
         for parent, _, _, children in rows:
-            parent_gen = generations.pop(parent.uid)
             for child in children:
                 assert 2 * child.multiplicity == parent.multiplicity
-                generations[child.uid] = parent_gen + 1
                 if child.multiplicity == 1:
                     final.append(child)
                 else:
                     engine.add(child)
-    return RefineResult(
-        triangulation=Triangulation(tri.base, final, final),
-        cone_generations=generations,
-        vector_generations=vectors,
-    )
+    return Triangulation(tri.base, final, final)
 
 
 def hk_bound(d: int, k: int) -> float:

@@ -127,7 +127,7 @@ def pipeline():
     def _run(gens):
         base = make_cone(gens)
         state = run_p2t(base)
-        final = refine_to_unimodular(state.triangulation).triangulation
+        final = refine_to_unimodular(state.triangulation)
         report = certify(
             base, final, state.trace, state.triangulation.all_created
         )

@@ -184,37 +184,84 @@ def test_main_bounds(capsys):
     assert main(["bounds", "--mu", "0", "--dim", "3"]) == 1
 
 
-def run_bounds_cli(mu, preexec_fn=None):
+def run_cli(*args, preexec_fn=None):
     src = Path(conetri.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.run(
-        [sys.executable, "-m", "conetri.cli", "bounds",
-         "--mu", str(mu), "--dim", "2"],
+        [sys.executable, "-m", "conetri.cli", *map(str, args)],
         capture_output=True, text=True, env=env, timeout=60,
         preexec_fn=preexec_fn,
     )
 
 
-def test_main_bounds_overflow_is_an_error():
-    # 2**44: the intermediate ceiling 2**(L*(L+3)/2) no longer fits a float.
-    out = run_bounds_cli(2**44)
-    assert out.returncode == 1
-    assert out.stderr.startswith("error:")
-    assert "Traceback" not in out.stderr
-    assert out.stdout == ""
+def run_bounds_cli(mu, preexec_fn=None):
+    return run_cli("bounds", "--mu", mu, "--dim", 2, preexec_fn=preexec_fn)
 
 
-def test_main_bounds_huge_mu_is_an_error_without_a_sieve():
-    # Factorizing 10**18 would sieve the primes up to 10**9, a gigabyte;
-    # under a 512 MB address-space cap that dies with a MemoryError.
+@pytest.fixture
+def memory_cap():
+    """preexec_fn capping a child at 512 MB of address space: a sieve or a
+    run that blows up dies with a MemoryError instead."""
     resource = pytest.importorskip("resource")
     cap = 512 << 20
+    return lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-    def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-    out = run_bounds_cli(10**18, preexec_fn=limit_memory)
+def assert_error_exit(out):
     assert out.returncode == 1
     assert out.stderr.startswith("error:")
     assert "Traceback" not in out.stderr
     assert out.stdout == ""
+
+
+def test_main_bounds_overflow_is_an_error():
+    # 2**44: the intermediate ceiling 2**(L*(L+3)/2) no longer fits a float.
+    assert_error_exit(run_bounds_cli(2**44))
+
+
+def test_main_bounds_huge_mu_is_an_error_without_a_sieve(memory_cap):
+    # Factorizing 10**18 would sieve the primes up to 10**9, a gigabyte;
+    # under a 512 MB address-space cap that dies with a MemoryError.
+    assert_error_exit(run_bounds_cli(10**18, preexec_fn=memory_cap))
+
+
+def test_main_run_non_utf8_input_is_an_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert main(["run", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
+def test_main_run_unwritable_trace_fails_before_the_run(tmp_path, capsys, monkeypatch):
+    path = write_cone(
+        tmp_path, "cone.json", {"dimension": 2, "generators": [[1, 0], [1, 3]]}
+    )
+    ran = []
+    monkeypatch.setattr("conetri.cli.run_pipeline", lambda cfg: ran.append(cfg))
+    trace_path = tmp_path / "missing" / "trace.json"
+    assert main(["run", path, "--trace", str(trace_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+    assert ran == []
+
+
+def test_main_run_huge_mu_is_an_error_before_phase_1(tmp_path, memory_cap):
+    # mu = 10**37 + 1: factorizing it would sieve far past 512 MB, and no
+    # report could hold its multiplicity ceiling anyway.
+    path = write_cone(
+        tmp_path,
+        "huge.json",
+        {"dimension": 2, "generators": [[1, 0], [1, 10**37 + 1]]},
+    )
+    assert_error_exit(run_cli("run", path, preexec_fn=memory_cap))
+
+
+def test_main_random_huge_mu_is_an_error_before_phase_1(memory_cap):
+    out = run_cli(
+        "random", "--dim", 2, "--bound", 10**30, "--count", 1, "--seed", 0,
+        preexec_fn=memory_cap,
+    )
+    assert_error_exit(out)

@@ -151,6 +151,39 @@ def test_order_p_element_properties(seed):
         assert order_p_element(c, p) == x
 
 
+# (generators, p, order_p_element) for seeded d = 3-5 cones, taken from the
+# implementation that built the point from the inverse of SNF's row
+# transform. The point feeds the subdivision, so it must not move.
+ORDER_P_PINS = [
+    ([(5, 1, 2), (-2, 4, 5), (-5, -2, -4)], 3, (-3, 2, 2)),
+    ([(5, 1, 2), (-2, 4, 5), (-5, -2, -4)], 5, (-2, -1, -2)),
+    ([(-5, 1, 1), (-5, -2, -4), (-4, -1, -3)], 2, (-7, -1, -3)),
+    ([(-5, 1, 1), (-5, -2, -4), (-4, -1, -3)], 3, (-8, -1, -3)),
+    ([(-1, -3, -3), (-4, 1, 1), (5, -1, -5)], 2, (2, -2, -4)),
+    ([(-1, -3, -3), (-4, 1, 1), (5, -1, -5)], 13, (-4, -1, -1)),
+    ([(-2, 3, -3), (0, -1, -6), (4, 0, -5)], 2, (1, 1, -7)),
+    ([(-2, 6, 1, -5), (-4, 2, 3, -6), (0, 3, -3, -1), (6, 4, -3, -1)], 5, (0, 7, -1, -7)),
+    ([(-2, 6, 1, -5), (-4, 2, 3, -6), (0, 3, -3, -1), (6, 4, -3, -1)], 19, (-4, 9, 0, -9)),
+    ([(-3, 0, 1, -3), (-2, 1, 5, 5), (-1, 4, 6, -1), (-4, 4, -2, 5)], 7, (-2, 3, 7, 3)),
+    ([(-3, 0, 1, -3), (-2, 1, 5, 5), (-1, 4, 6, -1), (-4, 4, -2, 5)], 17, (-3, 2, 1, 1)),
+    ([(-6, 3, 5, 3), (-6, 3, 5, 5), (4, 1, 2, -4), (-2, -3, 2, 1)], 2, (-6, 3, 5, 4)),
+    ([(-6, 3, 5, 3), (-6, 3, 5, 5), (4, 1, 2, -4), (-2, -3, 2, 1)], 67, (-4, 0, 7, 2)),
+    ([(2, 3, -6, -5), (-6, 3, -3, -2), (1, 3, 2, -3), (-6, -1, 2, 3)], 2, (-2, 1, -2, -1)),
+    ([(4, -1, -1, -5, 4), (-6, -1, 0, -5, -4), (4, -2, -4, -4, 3), (3, 0, -5, -3, -5), (4, 4, 2, -6, -1)], 3, (0, -2, -2, -8, 1)),
+    ([(4, -1, -1, -5, 4), (-6, -1, 0, -5, -4), (4, -2, -4, -4, 3), (3, 0, -5, -3, -5), (4, 4, 2, -6, -1)], 43, (8, 1, -5, -13, -1)),
+    ([(4, -2, 1, 6, 6), (-4, 6, -4, -6, 5), (1, 6, 4, -4, -4), (2, -4, 6, 0, -3), (3, 3, -2, -6, -1)], 7, (5, 3, 6, 0, 1)),
+    ([(4, -2, 1, 6, 6), (-4, 6, -4, -6, 5), (1, 6, 4, -4, -4), (2, -4, 6, 0, -3), (3, 3, -2, -6, -1)], 1249, (4, 0, 3, -2, 1)),
+    ([(0, -4, 1, 5, 5), (6, 1, -1, 4, -4), (6, -4, 1, 5, 5), (0, 3, -3, -2, -6), (-4, -1, 3, 1, 1)], 3, (2, -4, 1, 5, 5)),
+    ([(0, -4, 1, 5, 5), (6, 1, -1, 4, -4), (6, -4, 1, 5, 5), (0, 3, -3, -2, -6), (-4, -1, 3, 1, 1)], 23, (4, -2, 0, 7, -1)),
+    ([(-5, -5, 2, 1, 6), (1, -2, 5, 1, -6), (-2, 4, -1, -5, 3), (3, -3, 2, 6, -2), (-3, -1, 0, 4, 6)], 5, (-2, -1, 3, 3, 2)),
+]
+
+
+@pytest.mark.parametrize("gens, p, want", ORDER_P_PINS)
+def test_order_p_element_pinned(gens, p, want):
+    assert order_p_element(make_cone(gens), p) == want
+
+
 def test_stellar_subdivide_examples():
     unit = make_cone([(1, 0), (0, 1)])
     kids = stellar_subdivide(unit, (1, 1))

@@ -103,7 +103,7 @@ def test_smith_singular_raises():
 def test_smith_reconstruction(m):
     if perm_det(m) == 0:
         return
-    diag, lmat, rmat = smith_normal_form(m)
+    diag, rmat = smith_normal_form(m)
     assert all(x > 0 for x in diag)
     for a, b in zip(diag, diag[1:]):
         assert b % a == 0
@@ -111,12 +111,13 @@ def test_smith_reconstruction(m):
     for x in diag:
         prod *= x
     assert prod == abs(perm_det(m))
-    assert abs(perm_det(lmat)) == 1
     assert abs(perm_det(rmat)) == 1
-    full = mat_mul(mat_mul(lmat, m), rmat)
-    assert full == tuple(
-        tuple(diag[i] if i == j else 0 for j in range(3)) for i in range(3)
-    )
+    # L @ m @ R = D for a unimodular L  <=>  m @ R = L^-1 @ D: column j of
+    # m @ R is diag[j] times column j of a unimodular matrix.
+    mr = mat_mul(m, rmat)
+    assert all(row[j] % diag[j] == 0 for row in mr for j in range(3))
+    quotients = [[row[j] // diag[j] for j in range(3)] for row in mr]
+    assert abs(perm_det(quotients)) == 1
 
 
 @given(square_matrix(3))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conetri import pow2_refiner
 from conetri.cone_geometry import Triangulation, half_vector, make_cone
 from conetri.errors import PhaseOrderError
 from conetri.p2t_engine import run_p2t
@@ -26,9 +27,28 @@ from conftest import (
 from test_cone_geometry import random_cone_gens
 
 
+def record_halvings(monkeypatch, mu):
+    """Log (u, generation) for every halving point the refiner picks.
+
+    Each split halves exactly, so a cone of multiplicity m inside the
+    refinement of a 2**l cone has been halved l - log2(m) times, and the
+    point that splits it belongs to generation l - log2(m) + 1.
+    """
+    l = mu.bit_length() - 1
+    calls = []
+
+    def recording(cone):
+        u = half_vector(cone)
+        calls.append((u, l - (cone.multiplicity.bit_length() - 1) + 1))
+        return u
+
+    monkeypatch.setattr(pow2_refiner, "half_vector", recording)
+    return calls
+
+
 def test_refine_mu2_splits_in_half():
     tri = Triangulation.trivial(make_cone([(1, 0), (1, 2)]))
-    out = refine_to_unimodular(tri).triangulation
+    out = refine_to_unimodular(tri)
     assert canonical(out.cones) == sorted(
         [tuple(sorted(c)) for c in staircase_cones(2)]
     )
@@ -36,13 +56,13 @@ def test_refine_mu2_splits_in_half():
 
 def test_refine_unit_cone_unchanged():
     base = make_cone([(1, 0), (0, 1)])
-    out = refine_to_unimodular(Triangulation.trivial(base)).triangulation
+    out = refine_to_unimodular(Triangulation.trivial(base))
     assert out.cones == [base]
 
 
 def test_refine_mu4_staircase():
     tri = Triangulation.trivial(make_cone([(1, 0), (1, 4)]))
-    out = refine_to_unimodular(tri).triangulation
+    out = refine_to_unimodular(tri)
     assert canonical(out.cones) == sorted(
         [tuple(sorted(c)) for c in staircase_cones(4)]
     )
@@ -62,14 +82,13 @@ def test_half_vector_min_weight_tiebreak():
     assert half_vector(c) == (1, 0, 1)
 
 
-def test_refine_events_halve_multiplicity():
+def test_refine_events_halve_multiplicity(monkeypatch):
     tri = Triangulation.trivial(make_cone([(1, 0), (1, 4)]))
-    result = refine_to_unimodular(tri)
+    halvings = record_halvings(monkeypatch, 4)
+    out = refine_to_unimodular(tri)
     # Three halvings: 4 -> (2, 2) at generation 1, then each 2 -> (1, 1).
-    assert result.vector_generations == [((1, 2), 1), ((1, 3), 2), ((1, 1), 2)]
-    finals = result.triangulation.cones
-    assert [c.multiplicity for c in finals] == [1, 1, 1, 1]
-    assert result.cone_generations == {c.uid: 2 for c in finals}
+    assert halvings == [((1, 2), 1), ((1, 3), 2), ((1, 1), 2)]
+    assert [c.multiplicity for c in out.cones] == [1, 1, 1, 1]
 
 
 def test_hk_bound_examples():
@@ -104,25 +123,29 @@ def test_refine_isolated_generations(seed):
     if mu & (mu - 1):
         return
     l = mu.bit_length() - 1
-    result = refine_isolated(cone)
-    tri = result.triangulation
+    with pytest.MonkeyPatch.context() as mp:
+        halvings = record_halvings(mp, mu)
+        tri = refine_isolated(cone)
     assert all(c.multiplicity == 1 for c in tri.cones)
-    # Every branch halves l times: all finals sit at generation exactly l.
-    assert set(result.cone_generations.values()) == ({l} if l else {0})
+    # Every branch halves l times: no point lies deeper than generation l.
+    assert all(1 <= k <= l for _, k in halvings)
     # Generation-k subdivision vectors obey h_k, measured against the
     # refined cone's own simplex; finals obey the closed-form ceiling.
-    for u, k in result.vector_generations:
+    for u, k in halvings:
         assert oracle_dilation(gens, u) <= hk_exact(d, k)
     for c in tri.cones:
         for g in c.generators:
             assert oracle_dilation(gens, g) <= Fraction(d, 2) * Fraction(3, 2) ** l
 
 
-def test_refine_isolated_mu16_chain():
-    result = refine_isolated(make_cone([(1, 0), (1, 16)]))
-    assert len(result.triangulation.cones) == 16
-    assert set(result.cone_generations.values()) == {4}
-    assert max(k for _, k in result.vector_generations) == 4
+def test_refine_isolated_mu16_chain(monkeypatch):
+    halvings = record_halvings(monkeypatch, 16)
+    tri = refine_isolated(make_cone([(1, 0), (1, 16)]))
+    assert len(tri.cones) == 16
+    # A balanced binary tree: 2**(k-1) splits at generation k, so every
+    # final cone sits at depth 4.
+    gens = [k for _, k in halvings]
+    assert {k: gens.count(k) for k in set(gens)} == {1: 1, 2: 2, 3: 4, 4: 8}
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -133,7 +156,7 @@ def test_full_pipeline_tiles_exactly(seed):
     gens = random_cone_gens(rng, d, 5)
     base = make_cone(gens)
     state = run_p2t(base)
-    out = refine_to_unimodular(state.triangulation).triangulation
+    out = refine_to_unimodular(state.triangulation)
     report = oracle_validate_tiling(gens, [c.generators for c in out.cones])
     assert report["volume_ok"]
     assert report["containment_ok"]
@@ -142,6 +165,6 @@ def test_full_pipeline_tiles_exactly(seed):
 
 def test_refine_keeps_trace_off_by_default():
     tri = Triangulation.trivial(make_cone([(1, 0), (1, 8)]))
-    result = refine_to_unimodular(tri)
+    out = refine_to_unimodular(tri)
     # Without history the created list is just the final tiling.
-    assert result.triangulation.all_created == result.triangulation.cones
+    assert out.all_created == out.cones

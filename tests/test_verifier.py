@@ -66,7 +66,7 @@ def test_max_dilation_examples():
 def test_max_dilation_full_pipeline_mu5():
     base = make_cone([(1, 0), (1, 5)])
     state = run_p2t(base)
-    tri = refine_to_unimodular(state.triangulation).triangulation
+    tri = refine_to_unimodular(state.triangulation)
     assert max_dilation(base, tri.cones) == 1
 
 
@@ -191,7 +191,7 @@ def test_newest_labels_cover_every_trace_vector(d, bound):
 def test_certify_report_mu3():
     base = make_cone([(1, 0), (1, 3)])
     state = run_p2t(base)
-    tri = refine_to_unimodular(state.triangulation).triangulation
+    tri = refine_to_unimodular(state.triangulation)
     rep = certify(base, tri, state.trace, state.triangulation.all_created)
     assert rep.volume_ok and rep.containment_ok and rep.all_unimodular
     assert rep.phi_descent_ok and rep.label_depth_ok
@@ -205,7 +205,7 @@ def test_certify_report_mu3():
 def test_certify_flags_bad_tiling():
     base = make_cone([(1, 0), (1, 3)])
     state = run_p2t(base)
-    tri = refine_to_unimodular(state.triangulation).triangulation
+    tri = refine_to_unimodular(state.triangulation)
     from conetri.cone_geometry import Triangulation
 
     broken = Triangulation(base, tri.cones[:-1], tri.cones[:-1])
@@ -223,7 +223,7 @@ def test_certify_random_cones(seed):
     gens = random_cone_gens(rng, d, 5)
     base = make_cone(gens)
     state = run_p2t(base)
-    tri = refine_to_unimodular(state.triangulation).triangulation
+    tri = refine_to_unimodular(state.triangulation)
     rep = certify(base, tri, state.trace, state.triangulation.all_created)
     assert rep.volume_ok and rep.containment_ok and rep.all_unimodular
     assert rep.phi_descent_ok and rep.label_depth_ok
