@@ -61,13 +61,16 @@ def parse_input(text: str) -> SimplicialCone:
     with a warning on stderr.
 
     Raises:
-        ValueError: malformed JSON or wrong shapes (also the base class of
-            the dependent-generators and dimension errors).
+        ValueError: malformed or too deeply nested JSON, or wrong shapes
+            (also the base class of the dependent-generators and dimension
+            errors).
     """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"input is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError("input JSON is nested too deeply") from exc
     if not isinstance(data, dict):
         raise ValueError("input must be a JSON object")
     try:
@@ -142,16 +145,14 @@ def _report_dict(
     doc: dict[str, Any] = {
         "dimension": base.dimension,
         "base": {
-            "generators": [list(g) for g in base.generators],
+            "generators": base.generators,
             "multiplicity": mu,
         },
         "final": {
             "count": report.final_count,
             "cones": [
-                {
-                    "generators": [list(g) for g in c.generators],
-                    "multiplicity": c.multiplicity,
-                }
+                # json writes the generator tuples exactly as lists.
+                {"generators": c.generators, "multiplicity": c.multiplicity}
                 for c in final.cones
             ],
         },

@@ -27,7 +27,8 @@ from .errors import (
     PrimitivityError,
     SingularMatrixError,
 )
-# perfbench's tracer patches these names here, unused invert_unimodular too.
+# perfbench's tracer patches these names here, unused invert_unimodular and
+# nullspace_mod2 too.
 from .exact_linalg import (
     IntMatrix,
     adjugate,
@@ -159,9 +160,7 @@ class SimplicialCone:
         """det * barycentric(x), as exact integers."""
         if len(x) != self.dimension:
             raise DimensionError("point dimension mismatch")
-        return tuple(
-            sum(map(int.__mul__, row, x)) for row in self._adjugate
-        )
+        return tuple([sum(map(int.__mul__, row, x)) for row in self._adjugate])
 
     def max_label(self) -> int:
         """Newest label on the cone (-1 on a fresh base)."""
@@ -310,6 +309,39 @@ def box_coefficients(cone: SimplicialCone, x: Sequence[int], p: int) -> tuple[in
     return tuple(z)
 
 
+def kernel_masks_mod2(gens: Sequence[Sequence[int]]) -> list[int]:
+    """Basis of the mod-2 kernel of the generators, as subset bitmasks.
+
+    Generator i is bit d-1-i of a mask. Each generator's parity vector is
+    packed into an int and reduced against the pivots found so far, while
+    its mask records which generators the reduced vector combines; one that
+    reduces to 0 is a kernel element. The pivots are the greedy independent
+    set of generators, and a pivot mask holds bits of pivot generators only,
+    so kernel mask f is generator f plus earlier pivots. Only one kernel
+    vector has that support, so the masks are exactly nullspace_mod2's basis
+    of the generator matrix (generators as columns), in the same order.
+    """
+    d = len(gens)
+    pivots: dict[int, tuple[int, int]] = {}  # leading bit -> (parity, mask)
+    kernel: list[int] = []
+    for i, g in enumerate(gens):
+        parity = 0
+        for c in g:
+            parity = parity << 1 | (c & 1)
+        mask = 1 << (d - 1 - i)
+        while parity:
+            lead = parity.bit_length()
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = (parity, mask)
+                break
+            parity ^= pivot[0]
+            mask ^= pivot[1]
+        else:
+            kernel.append(mask)
+    return kernel
+
+
 def half_vector(cone: SimplicialCone) -> LatticeVector | None:
     """Half the sum of a nonempty generator subset that lands in the lattice.
 
@@ -318,34 +350,35 @@ def half_vector(cone: SimplicialCone) -> LatticeVector | None:
     gives a valid subset; the smallest subset is chosen (ties broken by the
     lexicographically least indicator) because the subset size is the number
     of children the subdivision at u produces.
+
+    Subsets are bitmasks: generator i is bit d-1-i, so the indicator tuple
+    (ind_0, ..., ind_{d-1}) read as a binary numeral is the mask. Two masks
+    with the same popcount compare as ints exactly as their indicator tuples
+    compare lexicographically (the first differing indicator is the highest
+    differing bit), so min by (popcount, mask) is min by
+    (sum(ind), tuple(ind)). Kernels of dimension above 12 are not
+    enumerated; the lightest vector of the basis (nullspace_mod2's basis,
+    see kernel_masks_mod2) is taken.
     """
-    kernel = nullspace_mod2(cone.matrix())
+    gens = cone.generators
+    d = len(gens)
+    kernel = kernel_masks_mod2(gens)
     if not kernel:
         return None
-    d = cone.dimension
-    r = len(kernel)
-    if r <= 12:
-        best: tuple[int, tuple[int, ...]] | None = None
-        for mask in range(1, 1 << r):
-            ind = [0] * d
-            for b in range(r):
-                if (mask >> b) & 1:
-                    vec = kernel[b]
-                    ind = [a ^ v for a, v in zip(ind, vec)]
-            key = (sum(ind), tuple(ind))
-            if best is None or key < best:
-                best = key
-        k = best[1]
+    if len(kernel) <= 12:
+        # Every nonzero kernel element, as the xor of a nonempty set of
+        # basis masks.
+        span = [0]
+        for k in kernel:
+            span += [s ^ k for s in span]
+        candidates = span[1:]
     else:
-        # Kernel too large to enumerate: settle for the lightest basis vector.
-        k = min(kernel, key=lambda vec: (sum(vec), vec))
-    acc = [0] * d
-    for i, bit in enumerate(k):
-        if bit:
-            for j, c in enumerate(cone.generators[i]):
-                acc[j] += c
+        candidates = kernel
+    best = min(candidates, key=lambda m: (m.bit_count(), m))
+    subset = [gens[i] for i in range(d) if best >> (d - 1 - i) & 1]
+    acc = [sum(col) for col in zip(*subset)]
     assert all(c % 2 == 0 for c in acc)
-    return tuple(c // 2 for c in acc)
+    return tuple([c // 2 for c in acc])
 
 
 def stellar_subdivide(
@@ -429,10 +462,10 @@ def _split_at(
                 nj = nums[j]
                 row_j = adj[j]
                 if nj == 0:
-                    rows.append(tuple(ni * a // det for a in row_j))
+                    rows.append(tuple([ni * a // det for a in row_j]))
                 else:
                     rows.append(
-                        tuple((ni * a - nj * b) // det for a, b in zip(row_j, row_i))
+                        tuple([(ni * a - nj * b) // det for a, b in zip(row_j, row_i)])
                     )
             child_adj = tuple(rows)
         dirs = (

@@ -64,6 +64,26 @@ def upper_rational(x: float) -> Fraction:
     return Fraction(math.nextafter(x, math.inf))
 
 
+def _pairwise_sum(terms: list[tuple[int, int]]) -> tuple[int, int]:
+    """Exact sum of the fractions num/den (den > 0), as a (num, den) pair.
+
+    Adjacent terms are added in rounds, halving the list each time, and
+    every partial sum is reduced by its gcd; the empty sum is (0, 1).
+    """
+    while len(terms) > 1:
+        paired = []
+        for k in range(1, len(terms), 2):
+            (an, ad), (bn, bd) = terms[k - 1], terms[k]
+            num = an * bd + bn * ad
+            den = ad * bd
+            g = math.gcd(num, den)
+            paired.append((num // g, den // g))
+        if len(terms) % 2:
+            paired.append(terms[-1])
+        terms = paired
+    return terms[0] if terms else (0, 1)
+
+
 def _sweep(
     base: SimplicialCone, cones: Sequence[SimplicialCone]
 ) -> tuple[bool, bool, tuple[bool, ...], Fraction]:
@@ -72,7 +92,11 @@ def _sweep(
 
     Dilations are cached as reduced integer pairs and the volume terms
     mu / prod(h) are bucketed by denominator, so the pass stays in integer
-    arithmetic; the exact fraction sum happens once per distinct product.
+    arithmetic. The buckets are then added exactly as a balanced pairwise
+    sum (_pairwise_sum), not left to right: a running total's denominator
+    grows to the lcm of every denominator seen, so each late addition of a
+    left-to-right sum would cost as much as the largest. The total is
+    compared with mu(base) exactly, as vol_n == mu(base) * vol_d.
     """
     mu_base = base.multiplicity
     sign = 1 if base.det > 0 else -1
@@ -103,10 +127,8 @@ def _sweep(
         if inside:
             # term mu/(pn/pd): numerator mu*pd against denominator pn.
             buckets[pn] = buckets.get(pn, 0) + c.multiplicity * pd
-    volume = sum(
-        (Fraction(num, den) for den, num in buckets.items()), Fraction(0)
-    )
-    volume_ok = containment_ok and volume == mu_base
+    vol_n, vol_d = _pairwise_sum([(num, den) for den, num in buckets.items()])
+    volume_ok = containment_ok and vol_n == mu_base * vol_d
     unimodular_flags = tuple(c.multiplicity == 1 for c in cones)
     return volume_ok, containment_ok, unimodular_flags, Fraction(worst_n, worst_d)
 

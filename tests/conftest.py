@@ -105,6 +105,31 @@ def oracle_validate_tiling(base_gens, cone_gens_list) -> dict:
     }
 
 
+def even_subsets(gens) -> list[tuple[int, ...]]:
+    """Indicator tuples of the nonempty generator subsets whose sum is even
+    in every coordinate, by brute force over all 2**d tuples."""
+    d = len(gens)
+    found = []
+    for ind in itertools.product((0, 1), repeat=d):
+        if not any(ind):
+            continue
+        total = [sum(g[j] for g, b in zip(gens, ind) if b) for j in range(d)]
+        if all(c % 2 == 0 for c in total):
+            found.append(ind)
+    return found
+
+
+def oracle_half_vector(gens):
+    """Half the sum of the smallest even subset, ties broken by the least
+    indicator tuple; None when no subset is even."""
+    subsets = even_subsets(gens)
+    if not subsets:
+        return None
+    best = min(subsets, key=lambda ind: (sum(ind), ind))
+    total = [sum(g[j] for g, b in zip(gens, best) if b) for j in range(len(gens))]
+    return tuple(c // 2 for c in total)
+
+
 def oracle_dilation(base_gens, x) -> Fraction:
     return sum(oracle_barycentric(base_gens, x))
 

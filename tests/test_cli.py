@@ -265,3 +265,10 @@ def test_main_random_huge_mu_is_an_error_before_phase_1(memory_cap):
         preexec_fn=memory_cap,
     )
     assert_error_exit(out)
+
+
+def test_main_run_deeply_nested_json_is_an_error(tmp_path):
+    # json.loads raises RecursionError, not JSONDecodeError, on this.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
+    assert_error_exit(run_cli("run", path))

@@ -14,6 +14,7 @@ from conetri.cone_geometry import (
     contains,
     dilation,
     half_vector,
+    kernel_masks_mod2,
     make_cone,
     order_p_element,
     par_normalize,
@@ -28,9 +29,16 @@ from conetri.errors import (
     PrimitivityError,
     SingularMatrixError,
 )
+from conetri.exact_linalg import nullspace_mod2
 from conetri.number_theory import factorize
 
-from conftest import oracle_barycentric, oracle_dilation, perm_det
+from conftest import (
+    even_subsets,
+    oracle_barycentric,
+    oracle_dilation,
+    oracle_half_vector,
+    perm_det,
+)
 
 
 def random_cone_gens(rng, d, bound):
@@ -279,6 +287,56 @@ def test_half_vector_properties(seed):
         lam = oracle_barycentric(gens, u)
         assert set(lam) <= {Fraction(0), Fraction(1, 2)}
         assert sum(lam) > 0
+
+
+def parity_pattern_cone(rng, d):
+    """A cone whose generators are P + 2*A for a 0/1 matrix P of random
+    rank mod 2, so the mod-2 kernel has any dimension from 0 to d."""
+    while True:
+        rank = rng.randint(0, d)
+        basis = [[rng.randint(0, 1) for _ in range(d)] for _ in range(rank)]
+        gens = []
+        for _ in range(d):
+            row = [0] * d
+            for b in basis:
+                if rng.randint(0, 1):
+                    row = [x ^ y for x, y in zip(row, b)]
+            gens.append(tuple(p + 2 * rng.randint(-2, 2) for p in row))
+        try:
+            return SimplicialCone(gens, tuple(range(-1, -d - 1, -1)))
+        except SingularMatrixError:
+            continue
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_half_vector_matches_oracle(d):
+    rng = random.Random(1000 + d)
+    kernel_dims = set()
+    for _ in range(60):
+        c = parity_pattern_cone(rng, d)
+        assert half_vector(c) == oracle_half_vector(c.generators)
+        kernel_dims.add((len(even_subsets(c.generators)) + 1).bit_length() - 1)
+    assert {1, 2} <= kernel_dims
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_kernel_masks_are_the_nullspace_mod2_basis(d):
+    rng = random.Random(1000 + d)
+    for _ in range(60):
+        c = parity_pattern_cone(rng, d)
+        as_tuples = [
+            tuple(m >> (d - 1 - i) & 1 for i in range(d))
+            for m in kernel_masks_mod2(c.generators)
+        ]
+        assert as_tuples == nullspace_mod2(c.matrix())
+
+
+def test_half_vector_large_kernel_takes_the_lightest_basis_vector():
+    # 2*I in d = 13: the mod-2 kernel is everything, too large to enumerate.
+    d = 13
+    gens = [tuple(2 if i == j else 0 for j in range(d)) for i in range(d)]
+    c = SimplicialCone(gens, tuple(range(-1, -d - 1, -1)))
+    assert half_vector(c) == (0,) * (d - 1) + (1,)
 
 
 def test_direct_cone_allows_nonprimitive():

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conetri.cone_geometry import SimplicialCone, dilation, make_cone
+from conetri.cone_geometry import (
+    SimplicialCone,
+    dilation,
+    make_cone,
+    stellar_subdivide,
+)
 from conetri.errors import PhaseOrderError
 from conetri.number_theory import factorize, phi
 from conetri.p2t_engine import TraceEvent, run_p2t
@@ -23,7 +28,7 @@ from conetri.verifier import (
     verify_triangulation,
 )
 
-from conftest import oracle_dilation, staircase_cones
+from conftest import oracle_dilation, oracle_validate_tiling, staircase_cones
 from test_cone_geometry import random_cone_gens
 
 
@@ -242,3 +247,76 @@ def test_certify_random_cones(seed):
         for s, vec in zip(c.labels, c.generators):
             if s < 0:
                 assert oracle_dilation(gens, vec) <= 1
+
+
+def fan(rays):
+    """The 2d cones between consecutive rays."""
+    return [(a, b) for a, b in zip(rays, rays[1:])]
+
+
+def stellar_chain(base_gens, picks):
+    """A tiling of the base built by stellar subdivisions: each pick
+    (cone index, generator slots) splits that cone at the sum of the
+    generators in those slots."""
+    cones = [make_cone(base_gens)]
+    for index, slots in picks:
+        cone = cones.pop(index)
+        x = [sum(cone.generators[i][j] for i in slots) for j in range(len(base_gens))]
+        cones.extend(stellar_subdivide(cone, x))
+    return [c.generators for c in cones]
+
+
+def volume_buckets(base_gens, cone_gens_list) -> int:
+    """Distinct products of the dilation numerators over the cones: the
+    number of distinct denominators among the volume terms."""
+    return len(
+        {
+            math.prod(oracle_dilation(base_gens, g).numerator for g in gens)
+            for gens in cone_gens_list
+        }
+    )
+
+
+UNIT = ((1, 0), (0, 1))
+TWO_BUCKETS = fan([(1, 0), (2, 1), (1, 1), (1, 2), (0, 1)])
+THREE_BUCKETS = fan([(1, 0), (2, 1), (1, 1), (0, 1)])
+BASE_3D = ((1, 0, 0), (1, 3, 0), (1, 1, 4))
+CHAIN_3D = stellar_chain(
+    BASE_3D, [(0, (0, 1, 2)), (1, (0, 1)), (3, (0, 2)), (0, (1, 2)), (2, (0, 1, 2))]
+)
+
+VOLUME_CASES = [
+    ("empty", UNIT, []),
+    ("base itself", UNIT, [UNIT]),
+    ("staircase", ((1, 0), (1, 3)), staircase_cones(3)),
+    ("two buckets", UNIT, TWO_BUCKETS),
+    ("three buckets", UNIT, THREE_BUCKETS),
+    ("stellar chain", BASE_3D, CHAIN_3D),
+    ("one dropped", UNIT, THREE_BUCKETS[:1] + THREE_BUCKETS[2:]),
+    ("one doubled", UNIT, THREE_BUCKETS + THREE_BUCKETS[1:2]),
+    ("chain, one dropped", BASE_3D, CHAIN_3D[1:]),
+    ("chain, one doubled", BASE_3D, CHAIN_3D + CHAIN_3D[-1:]),
+]
+
+
+@pytest.mark.parametrize(
+    "base_gens, cone_gens_list",
+    [case[1:] for case in VOLUME_CASES],
+    ids=[case[0] for case in VOLUME_CASES],
+)
+def test_volume_identity_matches_oracle(base_gens, cone_gens_list):
+    base = make_cone(base_gens)
+    cones = [SimplicialCone(g, tuple(range(-1, -len(g) - 1, -1))) for g in cone_gens_list]
+    vol, _, _ = verify_triangulation(base, cones)
+    assert vol == oracle_validate_tiling(base_gens, cone_gens_list)["volume_ok"]
+
+
+def test_volume_cases_cover_bucket_counts():
+    counts = {name: volume_buckets(b, cs) for name, b, cs in VOLUME_CASES}
+    assert counts["empty"] == 0
+    assert counts["base itself"] == counts["staircase"] == 1
+    assert counts["two buckets"] == 2
+    assert counts["three buckets"] == 3
+    assert counts["stellar chain"] % 2 == 1 and counts["stellar chain"] > 3
+    good = [n for n, b, cs in VOLUME_CASES if oracle_validate_tiling(b, cs)["volume_ok"]]
+    assert good == ["base itself", "staircase", "two buckets", "three buckets", "stellar chain"]
