@@ -21,7 +21,6 @@ from .cone_geometry import (
     half_vector,
     make_cone,
     order_p_element,
-    par_normalize,
     stellar_subdivide,
 )
 from .errors import (
@@ -65,7 +64,6 @@ from .verifier import (
     certify,
     final_bounds,
     max_dilation,
-    verify_triangulation,
 )
 
 __all__ = [
@@ -105,7 +103,6 @@ __all__ = [
     "odd_adjust",
     "order_p_element",
     "p_max",
-    "par_normalize",
     "phi",
     "prime_pi",
     "refine_isolated",
@@ -113,7 +110,6 @@ __all__ = [
     "rosser_bound",
     "run_p2t",
     "stellar_subdivide",
-    "verify_triangulation",
 ]
 
 __version__ = "0.1.0"

@@ -394,7 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--isolated-cones",
         action="store_true",
         help="refine each power-of-two cone against itself and add the "
-        "per-cone generation length certificate",
+        "per-cone generation length certificate; the output is not a "
+        "face-to-face triangulation, and no certificate detects this",
     )
     p_run.set_defaults(func=_cmd_run)
 

@@ -11,12 +11,18 @@ sits on one of its own generators.
 All coordinate computations are exact. Barycentric coordinates come from the
 cached adjugate of the generator matrix, so containment tests and child
 multiplicities are pure integer arithmetic.
+
+A cone stores no ray directions. A stellar subdivision puts its vector into
+every live cone that contains it, so each ray of a tiling the engine keeps
+carries exactly one generator vector, and the engine's ray index
+(p2t_engine._Engine) is keyed by the generator vectors themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
@@ -79,7 +85,6 @@ class SimplicialCone:
         "uid",
         "det",
         "_adj",
-        "_dirs",
     )
 
     def __init__(
@@ -99,7 +104,6 @@ class SimplicialCone:
         self.labels = tuple(labels)
         self.uid = uid
         self._adj = None
-        self._dirs = None
         if det is None:
             det = determinant(self.matrix())
         if det == 0:
@@ -113,18 +117,16 @@ class SimplicialCone:
         labels: tuple[int, ...],
         uid: int,
         det: int,
-        adj: IntMatrix | None = None,
-        dirs: tuple[LatticeVector, ...] | None = None,
+        adj: IntMatrix | None,
     ) -> "SimplicialCone":
-        """Trusted constructor for subdivision children: no validation, and
-        optionally precomputed cached properties."""
+        """Trusted constructor for subdivision children: no validation; adj
+        is the adjugate if already known, else None for the lazy path."""
         cone = cls.__new__(cls)
         cone.generators = generators
         cone.labels = labels
         cone.uid = uid
         cone.det = det
         cone._adj = adj
-        cone._dirs = dirs
         return cone
 
     @property
@@ -146,15 +148,6 @@ class SimplicialCone:
             adj = adjugate(self.matrix())
             self._adj = adj
         return adj
-
-    @property
-    def ray_directions(self) -> tuple[LatticeVector, ...]:
-        """Primitive direction of each generator, in slot order."""
-        dirs = self._dirs
-        if dirs is None:
-            dirs = tuple(primitive_direction(g) for g in self.generators)
-            self._dirs = dirs
-        return dirs
 
     def coeff_numerators(self, x: Sequence[int]) -> tuple[int, ...]:
         """det * barycentric(x), as exact integers."""
@@ -230,23 +223,9 @@ def cone_sign_checked(cone: SimplicialCone, x: Sequence[int]) -> tuple[int, ...]
     return nums
 
 
-def par_normalize(cone: SimplicialCone, x: Sequence[int]) -> LatticeVector:
-    """Reduce x modulo the generator lattice into the half-open box.
-
-    The result y has barycentric coordinates in [0, 1) and x - y is an
-    integer combination of the generators.
-    """
-    nums = cone.coeff_numerators(x)
-    floors = [n // cone.det for n in nums]
-    result = list(x)
-    for f, g in zip(floors, cone.generators):
-        if f:
-            for i, c in enumerate(g):
-                result[i] -= f * c
-    return tuple(result)
-
-
-def order_p_element(cone: SimplicialCone, p: int) -> LatticeVector:
+def order_p_element(
+    cone: SimplicialCone, p: int
+) -> tuple[LatticeVector, tuple[int, ...]]:
     """A lattice point of order exactly p in the box group of the cone.
 
     Read off the Smith normal form L @ M @ R = diag(s_1..s_d) of the
@@ -263,8 +242,9 @@ def order_p_element(cone: SimplicialCone, p: int) -> LatticeVector:
         p: a prime divisor of the multiplicity.
 
     Returns:
-        x with p*x in the generator lattice, x not in it, and barycentric
-        coordinates in [0, 1).
+        (x, z): x with p*x in the generator lattice, x not in it, and
+        barycentric coordinates in [0, 1); z its box coefficients, each in
+        [0, p) and in slot order, so x == (1/p) * sum z_j * g_j.
 
     Raises:
         DivisibilityError: if p does not divide the multiplicity.
@@ -277,9 +257,9 @@ def order_p_element(cone: SimplicialCone, p: int) -> LatticeVector:
     # The largest elementary divisor is a multiple of every prime divisor
     # of the multiplicity, p included.
     assert diag[-1] % p == 0
-    z = [row[-1] % p for row in rmat]
+    z = tuple([row[-1] % p for row in rmat])
     assert any(z), "order-p element collapsed to the lattice"
-    return _combine(cone, z, p)
+    return _combine(cone, z, p), z
 
 
 def _combine(cone: SimplicialCone, z: Iterable[int], p: int) -> LatticeVector:
@@ -291,22 +271,6 @@ def _combine(cone: SimplicialCone, z: Iterable[int], p: int) -> LatticeVector:
                 acc[i] += zi * c
     assert all(c % p == 0 for c in acc)
     return tuple(c // p for c in acc)
-
-
-def box_coefficients(cone: SimplicialCone, x: Sequence[int], p: int) -> tuple[int, ...]:
-    """Integers z with x == (1/p) * sum z_i * g_i, each in [0, p).
-
-    Raises:
-        DivisibilityError: if p * x is not in the generator lattice.
-    """
-    nums = cone.coeff_numerators(x)
-    z = []
-    for n in nums:
-        num = p * n
-        if num % cone.det:
-            raise DivisibilityError(f"{tuple(x)} has no order-{p} representation")
-        z.append((num // cone.det) % p)
-    return tuple(z)
 
 
 def kernel_masks_mod2(gens: Sequence[Sequence[int]]) -> list[int]:
@@ -398,7 +362,8 @@ def stellar_subdivide(
     Args:
         cone: the cone to subdivide.
         x: nonzero lattice point inside the cone.
-        uid_source: iterator yielding uids for the children.
+        uid_source: iterator yielding uids for the children; every child
+            gets uid 0 when it is None.
 
     Raises:
         ValueError: if x is the zero vector.
@@ -413,6 +378,8 @@ def stellar_subdivide(
     if len(positive) == 1 and nums[positive[0]] == cone.det:
         # x is exactly the stored generator on that ray: nothing to split.
         return [cone]
+    if uid_source is None:
+        uid_source = repeat(0)
     return _split_at(cone, x, nums, positive, cone.max_label() + 1, uid_source)
 
 
@@ -422,8 +389,7 @@ def _split_at(
     nums: tuple[int, ...],
     positive: list[int],
     new_label: int,
-    uid_source: Iterator[int] | None,
-    x_dir: LatticeVector | None = None,
+    uid_source: Iterator[int],
 ) -> list[SimplicialCone]:
     """Build the children of a subdivision whose numerators are known.
 
@@ -435,14 +401,11 @@ def _split_at(
     det = cone.det
     gens = cone.generators
     labels = cone.labels
-    parent_dirs = cone._dirs
-    if parent_dirs is not None and x_dir is None:
-        x_dir = primitive_direction(x)
     children = []
     for i in positive:
         child_gens = gens[:i] + (x,) + gens[i + 1 :]
         child_labels = labels[:i] + (new_label,) + labels[i + 1 :]
-        uid = next(uid_source) if uid_source is not None else 0
+        uid = next(uid_source)
         ni = nums[i]
         if ni == 1 or ni == -1:
             # Unimodular child: it is never subdivided again, so its
@@ -468,15 +431,8 @@ def _split_at(
                         tuple([(ni * a - nj * b) // det for a, b in zip(row_j, row_i)])
                     )
             child_adj = tuple(rows)
-        dirs = (
-            parent_dirs[:i] + (x_dir,) + parent_dirs[i + 1 :]
-            if parent_dirs is not None
-            else None
-        )
         children.append(
-            SimplicialCone._child(
-                child_gens, child_labels, uid, ni, child_adj, dirs
-            )
+            SimplicialCone._child(child_gens, child_labels, uid, ni, child_adj)
         )
     return children
 

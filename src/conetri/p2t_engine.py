@@ -29,9 +29,7 @@ from .cone_geometry import (
     Triangulation,
     _combine,
     _split_at,
-    box_coefficients,
     order_p_element,
-    primitive_direction,
 )
 from .errors import SearchExhaustedError
 from .number_theory import (
@@ -119,8 +117,7 @@ def find_x(cone: SimplicialCone, p: int) -> tuple[LatticeVector, tuple[int, ...]
     """
     d = cone.dimension
     order_slots = sorted(range(d), key=lambda s: cone.labels[s], reverse=True)
-    x0 = order_p_element(cone, p)
-    z0 = box_coefficients(cone, x0, p)
+    _, z0 = order_p_element(cone, p)
     q = min(protected_count(p), d)
     for mult in range(1, p):
         z_storage = tuple((mult * z) % p for z in z0)
@@ -160,6 +157,22 @@ class _Engine:
     Each phase runs its own loop: it pops uids off the FIFO `pending`,
     subdivides through subdivide_all, and decides which children to add
     back and what to record about them.
+
+    The ray index maps each generator vector to the uids of the live cones
+    that hold it. It is keyed by the vector, not by its primitive direction,
+    because every ray of the live tiling carries exactly one generator
+    vector. The starting cones must have this property: one cone has it,
+    and so does any set of cones from an earlier engine's tiling.
+    subdivide_all keeps it. Say x lies on a ray R, and a live cone C has a
+    generator y on R. Then x is a positive multiple of y, so C contains x,
+    and cones_containing returns C: the tiling is face-to-face, so C has
+    every ray of x's minimal face in the producer, and by induction the same
+    vectors on them. C's numerators of x are zero but in y's slot. If
+    x == y the split is a no-op and C keeps y; otherwise C's only child
+    replaces y by x. Either way every live cone with a generator on R holds
+    x there afterwards, and no other ray gains a vector. Primitivity plays
+    no part, and the generators are not all primitive: order-p and halving
+    points are often multiples of a lattice vector.
     """
 
     def __init__(self, cones: Iterable[SimplicialCone], next_uid: int):
@@ -173,17 +186,17 @@ class _Engine:
     def add(self, cone: SimplicialCone) -> None:
         """Make a cone live: index its rays and queue it."""
         self.cones[cone.uid] = cone
-        for key in cone.ray_directions:
-            self.ray_index.setdefault(key, set()).add(cone.uid)
+        for g in cone.generators:
+            self.ray_index.setdefault(g, set()).add(cone.uid)
         self.pending.append(cone.uid)
 
     def _remove(self, cone: SimplicialCone) -> None:
         del self.cones[cone.uid]
-        for key in cone.ray_directions:
-            bucket = self.ray_index[key]
+        for g in cone.generators:
+            bucket = self.ray_index[g]
             bucket.discard(cone.uid)
             if not bucket:
-                del self.ray_index[key]
+                del self.ray_index[g]
 
     def cones_containing(
         self, x: LatticeVector, producer: SimplicialCone
@@ -192,18 +205,19 @@ class _Engine:
 
         The minimal face of x is spanned by the producer's generators with
         positive coordinate; in a conforming tiling only cones sharing all
-        those rays can contain x, so the ray index narrows the scan. The
-        exact containment check still runs on every candidate, and the
-        coefficient numerators it computes are returned for reuse.
+        those rays can contain x, and each ray carries one generator vector
+        (see the class docstring), so the candidates are the intersection of
+        those generators' buckets. The exact containment check still runs on
+        every candidate, and the coefficient numerators it computes are
+        returned for reuse.
         """
         nums_p = producer.coeff_numerators(x)
         if all(nums_p):
             # Interior point: no other cone of the tiling can contain it.
             return [(producer, nums_p)]
-        support = [
-            dirn for dirn, n in zip(producer.ray_directions, nums_p) if n != 0
-        ]
-        candidates = set.intersection(*(self.ray_index[dirn] for dirn in support))
+        candidates = set.intersection(
+            *(self.ray_index[g] for g, n in zip(producer.generators, nums_p) if n)
+        )
         out = []
         for uid in sorted(candidates):
             cone = self.cones[uid]
@@ -222,7 +236,6 @@ class _Engine:
         not added, as (parent, numerators, new_label, children) rows.
         """
         rows = []
-        x_dir = primitive_direction(x)
         for parent, nums in self.cones_containing(x, producer):
             positive = [i for i, n in enumerate(nums) if n != 0]
             if len(positive) == 1 and nums[positive[0]] == parent.det:
@@ -230,7 +243,7 @@ class _Engine:
                 continue
             new_label = parent.max_label() + 1
             children = _split_at(
-                parent, x, nums, positive, new_label, self.uid_source, x_dir
+                parent, x, nums, positive, new_label, self.uid_source
             )
             self._remove(parent)
             rows.append((parent, nums, new_label, children))

@@ -42,7 +42,9 @@ def refine_to_unimodular(tri: Triangulation) -> Triangulation:
     therefore go straight to `final` and never enter the engine's live set.
 
     Args:
-        tri: tiling whose cones all have power-of-two multiplicity.
+        tri: tiling whose cones all have power-of-two multiplicity, with one
+            generator vector on each ray (run_p2t's tilings have this; see
+            _Engine).
 
     Returns:
         A triangulation of the same base by unimodular cones; its

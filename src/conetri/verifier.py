@@ -133,20 +133,6 @@ def _sweep(
     return volume_ok, containment_ok, unimodular_flags, Fraction(worst_n, worst_d)
 
 
-def verify_triangulation(
-    base: SimplicialCone, cones: Sequence[SimplicialCone]
-) -> tuple[bool, bool, tuple[bool, ...]]:
-    """Check tiling certificates for a set of cones against a base.
-
-    Returns:
-        (volume_ok, containment_ok, unimodular_flags): the cross-section
-        volume identity, generator containment of every cone in the base,
-        and a per-cone multiplicity == 1 flag.
-    """
-    volume_ok, containment_ok, unimodular_flags, _ = _sweep(base, cones)
-    return volume_ok, containment_ok, unimodular_flags
-
-
 def max_dilation(base: SimplicialCone, cones: Sequence[SimplicialCone]) -> Fraction:
     """Largest dilation of any generator of a unimodular tiling.
 

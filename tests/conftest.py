@@ -10,6 +10,7 @@ the package itself.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -102,6 +103,58 @@ def oracle_validate_tiling(base_gens, cone_gens_list) -> dict:
         "containment_ok": containment_ok,
         "volume_ok": containment_ok and volume == base_mu,
         "all_unimodular": all_unimodular,
+    }
+
+
+def oracle_facet_matching(base_gens, cone_gens_list) -> dict:
+    """Face-to-face check of a tiling by counting facets.
+
+    A facet of a cone is the set of rays of all its generators but one,
+    keyed by their sorted primitive directions; its side is the sign of the
+    determinant of those directions followed by the dropped generator. A
+    facet lies on the base boundary when one base coordinate vanishes on
+    all its rays. In a face-to-face tiling every interior facet belongs to
+    exactly two cones, one on each side, and every boundary facet to exactly
+    one cone.
+
+    Returns dict with:
+      interior_bad: interior facets not held by one cone on each side;
+      boundary_bad: boundary facets not held by exactly one cone;
+      face_to_face_ok: both are empty.
+    """
+    d = len(base_gens)
+
+    def direction(g):
+        content = 0
+        for c in g:
+            content = math.gcd(content, c)
+        return tuple(c // content for c in g)
+
+    sides: dict[tuple, list[int]] = {}
+    for gens in cone_gens_list:
+        rays = [direction(g) for g in gens]
+        for i in range(d):
+            facet = tuple(sorted(rays[:i] + rays[i + 1 :]))
+            side = perm_det(list(facet) + [rays[i]])
+            sides.setdefault(facet, []).append(1 if side > 0 else -1)
+    coords: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
+    interior_bad, boundary_bad = [], []
+    for facet, signs in sides.items():
+        for r in facet:
+            if r not in coords:
+                coords[r] = oracle_barycentric(base_gens, r)
+        on_boundary = any(
+            all(coords[r][j] == 0 for r in facet) for j in range(d)
+        )
+        if on_boundary:
+            if len(signs) != 1:
+                boundary_bad.append(facet)
+        elif sorted(signs) != [-1, 1]:
+            interior_bad.append(facet)
+    return {
+        "interior_bad": interior_bad,
+        "boundary_bad": boundary_bad,
+        "face_to_face_ok": not interior_bad and not boundary_bad,
     }
 
 

@@ -34,11 +34,11 @@ from conetri.number_theory import (
 from conetri.p2t_engine import run_p2t
 from conetri.pow2_refiner import refine_isolated, refine_to_unimodular
 from conetri.verifier import (
+    _sweep,
     final_bounds,
     intermediate_mu_ceiling,
     max_dilation,
     upper_rational,
-    verify_triangulation,
 )
 
 from conftest import oracle_validate_tiling, staircase_cones
@@ -114,7 +114,7 @@ def campaign():
                         stats["xi_violations"] += 1
 
             tri = refine_to_unimodular(state.triangulation)
-            vol, cont, flags = verify_triangulation(base, tri.cones)
+            vol, cont, flags, _ = _sweep(base, tri.cones)
             if not (vol and cont and all(flags)):
                 stats["tiling_failures"] += 1
 

@@ -17,7 +17,6 @@ from conetri.cone_geometry import (
     kernel_masks_mod2,
     make_cone,
     order_p_element,
-    par_normalize,
     primitive_direction,
     stellar_subdivide,
     vector_content,
@@ -102,35 +101,12 @@ def test_dilation_examples():
         dilation(c, (0, 1))
 
 
-def test_par_normalize_examples():
-    c = make_cone([(1, 0), (1, 3)])
-    assert par_normalize(c, (1, 0)) == (0, 0)
-    assert par_normalize(c, (1, 1)) == (1, 1)
-    assert par_normalize(c, (2, 1)) == (1, 1)
-    assert par_normalize(c, (-1, 2)) == (1, 2)
-
-
-@given(st.integers(min_value=0, max_value=10**6))
-def test_par_normalize_properties(seed):
-    rng = random.Random(seed)
-    d = rng.choice([2, 3])
-    gens = random_cone_gens(rng, d, 5)
-    c = make_cone(gens)
-    x = tuple(rng.randint(-10, 10) for _ in range(d))
-    y = par_normalize(c, x)
-    lam = oracle_barycentric(gens, y)
-    assert all(0 <= v < 1 for v in lam)
-    diff = oracle_barycentric(gens, tuple(a - b for a, b in zip(x, y)))
-    assert all(v.denominator == 1 for v in diff)
-    assert par_normalize(c, y) == y
-
-
 def test_order_p_element_examples():
     c2 = make_cone([(1, 0), (1, 2)])
-    assert order_p_element(c2, 2) == (1, 1)
+    assert order_p_element(c2, 2)[0] == (1, 1)
     c3 = make_cone([(1, 0), (1, 3)])
-    x = order_p_element(c3, 3)
-    z = tuple(v * 3 for v in barycentric(c3, x))
+    x, z = order_p_element(c3, 3)
+    assert z == tuple(v * 3 for v in barycentric(c3, x))
     assert z in {(1, 2), (2, 1)}
     unit = make_cone([(1, 0), (0, 1)])
     with pytest.raises(DivisibilityError):
@@ -149,14 +125,16 @@ def test_order_p_element_properties(seed):
     if c.multiplicity == 1:
         return
     for p, _ in factorize(c.multiplicity).factors:
-        x = order_p_element(c, p)
+        x, z = order_p_element(c, p)
         lam = oracle_barycentric(gens, x)
         assert all(0 <= v < 1 for v in lam)
         # p*x is in the generator lattice, x itself is not.
         assert all((p * v).denominator == 1 for v in lam)
         assert any(v.denominator != 1 for v in lam)
+        # z are x's box coefficients in slot order.
+        assert z == tuple(p * v for v in lam)
         # Determinism.
-        assert order_p_element(c, p) == x
+        assert order_p_element(c, p) == (x, z)
 
 
 # (generators, p, order_p_element) for seeded d = 3-5 cones, taken from the
@@ -189,7 +167,7 @@ ORDER_P_PINS = [
 
 @pytest.mark.parametrize("gens, p, want", ORDER_P_PINS)
 def test_order_p_element_pinned(gens, p, want):
-    assert order_p_element(make_cone(gens), p) == want
+    assert order_p_element(make_cone(gens), p)[0] == want
 
 
 def test_stellar_subdivide_examples():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conetri.cone_geometry import make_cone
+from conetri.cone_geometry import make_cone, vector_content
 from conetri.errors import DivisibilityError
 from conetri.number_theory import ROSSER_CONSTANT, factorize, is_prime, phi
 from conetri.p2t_engine import (
@@ -21,6 +21,7 @@ from conetri.p2t_engine import (
     protected_count,
     run_p2t,
 )
+from conetri.pow2_refiner import refine_to_unimodular
 
 from conftest import oracle_barycentric, oracle_validate_tiling, perm_det
 from test_cone_geometry import random_cone_gens
@@ -242,21 +243,51 @@ def exhaustive_cones_containing(engine, x, producer):
     return out
 
 
-@given(st.integers(min_value=0, max_value=10**6))
-@settings(max_examples=25, deadline=None)
-def test_ray_index_matches_exhaustive_scan(seed):
-    # Dual route: the ray-index candidate filter must not change the run.
-    rng = random.Random(seed)
-    d = rng.choice([2, 3])
-    gens = random_cone_gens(rng, d, 5)
-    fast = run_p2t(make_cone(gens))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_Engine, "cones_containing", exhaustive_cones_containing)
-        slow = run_p2t(make_cone(gens))
-    assert fast.trace == slow.trace
-    assert [c.generators for c in fast.triangulation.cones] == [
-        c.generators for c in slow.triangulation.cones
-    ]
+def ray_index_cases():
+    """Seeded d = 2, 3 and 4 bases with multiplicity at most 200."""
+    rng = random.Random(20261018)
+    cases = []
+    for d, bound, n in ((2, 9, 8), (3, 5, 8), (4, 3, 6)):
+        while sum(len(g) == d for g in cases) < n:
+            gens = random_cone_gens(rng, d, bound)
+            if abs(perm_det(gens)) <= 200:
+                cases.append(gens)
+    return cases
+
+
+def test_ray_index_matches_exhaustive_scan():
+    # Dual route: the ray-index candidate filter must change neither phase.
+    # The index is keyed by generator vector, not by primitive direction, so
+    # the runs must add non-primitive generators in both phases.
+    added = []
+    real_add = _Engine.add
+
+    def recording_add(self, cone):
+        added.extend(cone.generators)
+        real_add(self, cone)
+
+    nonprimitive = Counter()
+    for gens in ray_index_cases():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Engine, "add", recording_add)
+            added.clear()
+            fast = run_p2t(make_cone(gens))
+            nonprimitive["p2t"] += any(vector_content(g) > 1 for g in added)
+            added.clear()
+            fast_final = refine_to_unimodular(fast.triangulation)
+            nonprimitive["refine"] += any(vector_content(g) > 1 for g in added)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Engine, "cones_containing", exhaustive_cones_containing)
+            slow = run_p2t(make_cone(gens))
+            slow_final = refine_to_unimodular(slow.triangulation)
+        assert fast.trace == slow.trace
+        assert [c.generators for c in fast.triangulation.cones] == [
+            c.generators for c in slow.triangulation.cones
+        ]
+        assert [c.generators for c in fast_final.cones] == [
+            c.generators for c in slow_final.cones
+        ]
+    assert nonprimitive["p2t"] and nonprimitive["refine"], nonprimitive
 
 
 def test_trace_event_is_frozen():

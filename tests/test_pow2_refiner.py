@@ -21,6 +21,7 @@ from conetri.pow2_refiner import (
 from conftest import (
     canonical,
     oracle_dilation,
+    oracle_facet_matching,
     oracle_validate_tiling,
     staircase_cones,
 )
@@ -161,6 +162,21 @@ def test_full_pipeline_tiles_exactly(seed):
     assert report["volume_ok"]
     assert report["containment_ok"]
     assert report["all_unimodular"]
+
+
+def test_full_pipeline_is_face_to_face():
+    rng = random.Random(20261018)
+    checked = 0
+    for d, bound in [(3, 5)] * 6 + [(4, 3)] * 6:
+        gens = random_cone_gens(rng, d, bound)
+        base = make_cone(gens)
+        if base.multiplicity > 200:
+            continue
+        out = refine_to_unimodular(run_p2t(base).triangulation)
+        facets = oracle_facet_matching(gens, [c.generators for c in out.cones])
+        assert facets["face_to_face_ok"], (gens, facets)
+        checked += base.multiplicity > 1
+    assert checked >= 8
 
 
 def test_refine_keeps_trace_off_by_default():

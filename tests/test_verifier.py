@@ -19,16 +19,21 @@ from conetri.number_theory import factorize, phi
 from conetri.p2t_engine import TraceEvent, run_p2t
 from conetri.pow2_refiner import refine_to_unimodular
 from conetri.verifier import (
+    _sweep,
     audit_trace,
     certify,
     final_bounds,
     intermediate_mu_ceiling,
     max_dilation,
     upper_rational,
-    verify_triangulation,
 )
 
-from conftest import oracle_dilation, oracle_validate_tiling, staircase_cones
+from conftest import (
+    oracle_dilation,
+    oracle_facet_matching,
+    oracle_validate_tiling,
+    staircase_cones,
+)
 from test_cone_geometry import random_cone_gens
 
 
@@ -38,15 +43,15 @@ def cones_from_gens(gens_list):
 
 def test_verify_triangulation_examples():
     unit = make_cone([(1, 0), (0, 1)])
-    vol, cont, flags = verify_triangulation(unit, [unit])
+    vol, cont, flags, _ = _sweep(unit, [unit])
     assert vol and cont and flags == (True,)
 
     base = make_cone([(1, 0), (1, 3)])
     steps = cones_from_gens(staircase_cones(3))
-    vol, cont, flags = verify_triangulation(base, steps)
+    vol, cont, flags, _ = _sweep(base, steps)
     assert vol and cont and all(flags)
 
-    vol, cont, flags = verify_triangulation(base, steps[:-1])
+    vol, cont, flags, _ = _sweep(base, steps[:-1])
     assert not vol
     assert cont
 
@@ -54,7 +59,7 @@ def test_verify_triangulation_examples():
 def test_verify_triangulation_flags_nonunimodular():
     base = make_cone([(1, 0), (1, 4)])
     half = cones_from_gens([((1, 0), (1, 2)), ((1, 2), (1, 4))])
-    vol, cont, flags = verify_triangulation(base, half)
+    vol, cont, flags, _ = _sweep(base, half)
     assert vol and cont
     assert flags == (False, False)
 
@@ -307,7 +312,7 @@ VOLUME_CASES = [
 def test_volume_identity_matches_oracle(base_gens, cone_gens_list):
     base = make_cone(base_gens)
     cones = [SimplicialCone(g, tuple(range(-1, -len(g) - 1, -1))) for g in cone_gens_list]
-    vol, _, _ = verify_triangulation(base, cones)
+    vol, _, _, _ = _sweep(base, cones)
     assert vol == oracle_validate_tiling(base_gens, cone_gens_list)["volume_ok"]
 
 
@@ -320,3 +325,20 @@ def test_volume_cases_cover_bucket_counts():
     assert counts["stellar chain"] % 2 == 1 and counts["stellar chain"] > 3
     good = [n for n, b, cs in VOLUME_CASES if oracle_validate_tiling(b, cs)["volume_ok"]]
     assert good == ["base itself", "staircase", "two buckets", "three buckets", "stellar chain"]
+
+
+def test_facet_oracle_sees_what_the_volume_identity_misses():
+    # Base cone((1,0),(1,4)): the staircase tiles it, while a doubled step
+    # and an uncovered strip add up to the same volume. Only the facet
+    # count tells them apart; certify has no such check yet.
+    base_gens = ((1, 0), (1, 4))
+    base = make_cone(base_gens)
+    staircase = staircase_cones(4)
+    assert oracle_facet_matching(base_gens, staircase)["face_to_face_ok"]
+    overlap = staircase_cones(3) + staircase_cones(1)
+    vol, cont, _, _ = _sweep(base, cones_from_gens(overlap))
+    assert vol and cont
+    assert oracle_validate_tiling(base_gens, overlap)["volume_ok"]
+    facets = oracle_facet_matching(base_gens, overlap)
+    assert facets["boundary_bad"] == [((1, 0),)]
+    assert facets["interior_bad"] == [((1, 1),), ((1, 3),)]
