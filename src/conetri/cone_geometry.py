@@ -8,9 +8,14 @@ one more than the largest label of the cone it splits. Labels are what the
 length certificates are stated in terms of; a cone's newest label always
 sits on one of its own generators.
 
-All coordinate computations are exact. Barycentric coordinates come from the
-cached adjugate of the generator matrix, so containment tests and child
-multiplicities are pure integer arithmetic.
+All coordinate computations are exact. A point's coordinates over a cone
+are kept as numerators over det: coeff_numerators computes them from the
+cone's adjugate, which is built on first use and cached. The subdivision
+engine never asks for one: both phases make their split points from known
+coefficients (order_p_element's z, half_vector's subset), so the producer's
+numerators are known up front, every other cone's follow from them (see
+p2t_engine._Engine.cones_containing), and a child's multiplicity is its
+parent's numerator in the replaced slot.
 
 A cone stores no ray directions. A stellar subdivision puts its vector into
 every live cone that contains it, so each ray of a tiling the engine keeps
@@ -117,16 +122,15 @@ class SimplicialCone:
         labels: tuple[int, ...],
         uid: int,
         det: int,
-        adj: IntMatrix | None,
     ) -> "SimplicialCone":
-        """Trusted constructor for subdivision children: no validation; adj
-        is the adjugate if already known, else None for the lazy path."""
+        """Trusted constructor for subdivision children: no validation; the
+        adjugate is left to the lazy path."""
         cone = cls.__new__(cls)
         cone.generators = generators
         cone.labels = labels
         cone.uid = uid
         cone.det = det
-        cone._adj = adj
+        cone._adj = None
         return cone
 
     @property
@@ -223,10 +227,9 @@ def cone_sign_checked(cone: SimplicialCone, x: Sequence[int]) -> tuple[int, ...]
     return nums
 
 
-def order_p_element(
-    cone: SimplicialCone, p: int
-) -> tuple[LatticeVector, tuple[int, ...]]:
-    """A lattice point of order exactly p in the box group of the cone.
+def order_p_element(cone: SimplicialCone, p: int) -> tuple[int, ...]:
+    """Box coefficients of a lattice point of order exactly p in the box
+    group of the cone.
 
     Read off the Smith normal form L @ M @ R = diag(s_1..s_d) of the
     generator matrix M (generators as columns), so the choice is
@@ -234,17 +237,18 @@ def order_p_element(
     (s_d / p) * L^-1[:, -1] equals (1/p) * M @ R[:, -1], that is
     (1/p) * sum_j R[j][-1] * g_j. Reducing it into the half-open box takes
     each R[j][-1] mod p, so L is never needed. R is unimodular, so R[:, -1]
-    is primitive and some z_j = R[j][-1] mod p is nonzero: x is not in the
-    generator lattice, while p * x is.
+    is primitive and some z_j = R[j][-1] mod p is nonzero: the point is not
+    in the generator lattice, while p times it is.
 
     Args:
         cone: the cone; its multiplicity must be divisible by p.
         p: a prime divisor of the multiplicity.
 
     Returns:
-        (x, z): x with p*x in the generator lattice, x not in it, and
-        barycentric coordinates in [0, 1); z its box coefficients, each in
-        [0, p) and in slot order, so x == (1/p) * sum z_j * g_j.
+        z, each entry in [0, p) and in slot order, such that the point
+        x = (1/p) * sum z_j * g_j (build it with _combine) is integral, has
+        barycentric coordinates in [0, 1), and is not in the generator
+        lattice while p*x is.
 
     Raises:
         DivisibilityError: if p does not divide the multiplicity.
@@ -259,7 +263,7 @@ def order_p_element(
     assert diag[-1] % p == 0
     z = tuple([row[-1] % p for row in rmat])
     assert any(z), "order-p element collapsed to the lattice"
-    return _combine(cone, z, p), z
+    return z
 
 
 def _combine(cone: SimplicialCone, z: Iterable[int], p: int) -> LatticeVector:
@@ -306,11 +310,17 @@ def kernel_masks_mod2(gens: Sequence[Sequence[int]]) -> list[int]:
     return kernel
 
 
-def half_vector(cone: SimplicialCone) -> LatticeVector | None:
+def half_vector(
+    cone: SimplicialCone,
+) -> tuple[LatticeVector, tuple[int, ...]] | None:
     """Half the sum of a nonempty generator subset that lands in the lattice.
 
-    Uses the mod-2 kernel of the generator matrix; returns None when the
-    multiplicity is odd (no such subset exists). Any nonzero kernel element
+    Returns (u, slots): the lattice point u = (1/2) * sum_{j in slots} g_j
+    and the subset's slot indices in increasing order, so u's barycentric
+    coordinates are 1/2 on slots and 0 elsewhere. Returns None when the
+    multiplicity is odd (no such subset exists).
+
+    Uses the mod-2 kernel of the generator matrix. Any nonzero kernel element
     gives a valid subset; the smallest subset is chosen (ties broken by the
     lexicographically least indicator) because the subset size is the number
     of children the subdivision at u produces.
@@ -339,10 +349,10 @@ def half_vector(cone: SimplicialCone) -> LatticeVector | None:
     else:
         candidates = kernel
     best = min(candidates, key=lambda m: (m.bit_count(), m))
-    subset = [gens[i] for i in range(d) if best >> (d - 1 - i) & 1]
-    acc = [sum(col) for col in zip(*subset)]
+    slots = tuple([i for i in range(d) if best >> (d - 1 - i) & 1])
+    acc = [sum(col) for col in zip(*[gens[i] for i in slots])]
     assert all(c % 2 == 0 for c in acc)
-    return tuple([c // 2 for c in acc])
+    return tuple([c // 2 for c in acc]), slots
 
 
 def stellar_subdivide(
@@ -373,68 +383,40 @@ def stellar_subdivide(
     if all(c == 0 for c in x):
         raise ValueError("cannot subdivide at the apex")
     nums = cone_sign_checked(cone, x)
-    positive = [i for i, n in enumerate(nums) if n != 0]
-    assert positive, "nonzero point with all-zero coordinates"
-    if len(positive) == 1 and nums[positive[0]] == cone.det:
+    if x in cone.generators:
         # x is exactly the stored generator on that ray: nothing to split.
         return [cone]
     if uid_source is None:
         uid_source = repeat(0)
-    return _split_at(cone, x, nums, positive, cone.max_label() + 1, uid_source)
+    return _split_at(cone, x, nums, cone.max_label() + 1, uid_source)
 
 
 def _split_at(
     cone: SimplicialCone,
     x: LatticeVector,
     nums: tuple[int, ...],
-    positive: list[int],
     new_label: int,
     uid_source: Iterator[int],
 ) -> list[SimplicialCone]:
     """Build the children of a subdivision whose numerators are known.
 
     The caller guarantees that nums == cone.coeff_numerators(x), that the
-    signs are consistent with cone.det, and that the split is not a no-op.
+    signs are consistent with cone.det, and that x is not a generator (the
+    split is not a no-op). Each slot i with nums[i] != 0 gets a child with
+    generator i replaced by x; by Cramer's rule its det is nums[i].
     """
-    d = cone.dimension
-    adj = cone._adjugate
-    det = cone.det
     gens = cone.generators
     labels = cone.labels
-    children = []
-    for i in positive:
-        child_gens = gens[:i] + (x,) + gens[i + 1 :]
-        child_labels = labels[:i] + (new_label,) + labels[i + 1 :]
-        uid = next(uid_source)
-        ni = nums[i]
-        if ni == 1 or ni == -1:
-            # Unimodular child: it is never subdivided again, so its
-            # adjugate is left to the lazy path in the rare case it is asked
-            # for.
-            child_adj = None
-        else:
-            # Cramer: replacing column i by x changes the determinant to
-            # nums[i], and the new adjugate follows by an exact rank-one
-            # update.
-            row_i = adj[i]
-            rows = []
-            for j in range(d):
-                if j == i:
-                    rows.append(row_i)
-                    continue
-                nj = nums[j]
-                row_j = adj[j]
-                if nj == 0:
-                    rows.append(tuple([ni * a // det for a in row_j]))
-                else:
-                    rows.append(
-                        tuple([(ni * a - nj * b) // det for a, b in zip(row_j, row_i)])
-                    )
-            child_adj = tuple(rows)
-        children.append(
-            SimplicialCone._child(child_gens, child_labels, uid, ni, child_adj)
+    return [
+        SimplicialCone._child(
+            gens[:i] + (x,) + gens[i + 1 :],
+            labels[:i] + (new_label,) + labels[i + 1 :],
+            next(uid_source),
+            n,
         )
-    return children
+        for i, n in enumerate(nums)
+        if n
+    ]
 
 
 @dataclass

@@ -96,7 +96,7 @@ class P2TState:
     trace: list[TraceEvent] = field(default_factory=list)
 
 
-def find_x(cone: SimplicialCone, p: int) -> tuple[LatticeVector, tuple[int, ...]]:
+def find_x(cone: SimplicialCone, p: int) -> tuple[int, ...]:
     """Search the order-p multiples for an acceptable coefficient vector.
 
     Starting from the Smith-normal-form order-p element, scan the multiples
@@ -109,25 +109,28 @@ def find_x(cone: SimplicialCone, p: int) -> tuple[LatticeVector, tuple[int, ...]
         p: odd prime.
 
     Returns:
-        (x, z) with x in the half-open box and z its coefficients listed in
-        decreasing label order: z[0] belongs to the newest label.
+        The box coefficients z of the chosen multiple, listed in decreasing
+        label order: z[0] belongs to the newest label. The point itself is
+        (1/p) * sum z_j * g_j over the generators in that order.
 
     Raises:
         SearchExhaustedError: if no multiple is acceptable.
     """
-    d = cone.dimension
-    order_slots = sorted(range(d), key=lambda s: cone.labels[s], reverse=True)
-    _, z0 = order_p_element(cone, p)
-    q = min(protected_count(p), d)
+    order_slots = _label_order(cone)
+    z0 = order_p_element(cone, p)
+    q = min(protected_count(p), cone.dimension)
     for mult in range(1, p):
-        z_storage = tuple((mult * z) % p for z in z0)
-        z_label = tuple(z_storage[s] for s in order_slots)
+        z_label = tuple((mult * z0[s]) % p for s in order_slots)
         if all(coefficient_ok_protected(z_label[i], p) for i in range(q)):
-            x = _combine(cone, z_storage, p)
-            return x, z_label
+            return z_label
     raise SearchExhaustedError(
         f"no acceptable order-{p} multiple; the counting bound is violated"
     )
+
+
+def _label_order(cone: SimplicialCone) -> list[int]:
+    """Slot indices by decreasing label: the newest label's slot first."""
+    return sorted(range(cone.dimension), key=lambda s: cone.labels[s], reverse=True)
 
 
 def adjust_coefficients(z: tuple[int, ...], p: int) -> tuple[int, ...]:
@@ -164,15 +167,13 @@ class _Engine:
     vector. The starting cones must have this property: one cone has it,
     and so does any set of cones from an earlier engine's tiling.
     subdivide_all keeps it. Say x lies on a ray R, and a live cone C has a
-    generator y on R. Then x is a positive multiple of y, so C contains x,
-    and cones_containing returns C: the tiling is face-to-face, so C has
-    every ray of x's minimal face in the producer, and by induction the same
-    vectors on them. C's numerators of x are zero but in y's slot. If
-    x == y the split is a no-op and C keeps y; otherwise C's only child
-    replaces y by x. Either way every live cone with a generator on R holds
-    x there afterwards, and no other ray gains a vector. Primitivity plays
-    no part, and the generators are not all primitive: order-p and halving
-    points are often multiples of a lattice vector.
+    generator y on R. Then x is a positive multiple of y, so the producer
+    holds y and cones_containing returns C with numerators zero but in y's
+    slot. If x == y the split is a no-op and C keeps y; otherwise C's only
+    child replaces y by x. Either way every live cone with a generator on R
+    holds x there afterwards, and no other ray gains a vector. Primitivity
+    plays no part, and the generators are not all primitive: order-p and
+    halving points are often multiples of a lattice vector.
     """
 
     def __init__(self, cones: Iterable[SimplicialCone], next_uid: int):
@@ -199,52 +200,66 @@ class _Engine:
                 del self.ray_index[g]
 
     def cones_containing(
-        self, x: LatticeVector, producer: SimplicialCone
+        self, x: LatticeVector, producer: SimplicialCone, nums_p: tuple[int, ...]
     ) -> list[tuple[SimplicialCone, tuple[int, ...]]]:
         """Live cones containing x with their numerators, in uid order.
 
-        The minimal face of x is spanned by the producer's generators with
-        positive coordinate; in a conforming tiling only cones sharing all
-        those rays can contain x, and each ray carries one generator vector
-        (see the class docstring), so the candidates are the intersection of
-        those generators' buckets. The exact containment check still runs on
-        every candidate, and the coefficient numerators it computes are
-        returned for reuse.
+        nums_p are the producer's numerators of x (det times x's barycentric
+        coordinates). No coordinates are computed, and x itself is not read:
+        the others follow from nums_p by this lemma. Let
+        x = (1/q) * sum_{g in F} c_g * g with every c_g > 0 and F a set of
+        the producer's generators. Then every cone C whose generators
+        include F contains x, with numerator det(C) * c_g / q in g's slot
+        and 0 in every other slot. Proof: C's generators are a basis, so
+        that sum, padded with zeros, is x's only expansion in them; its
+        coefficients are nonnegative, and det(C) times them is integral (it
+        is C's adjugate times x).
+
+        Here F holds the producer's generators with nonzero numerator n_g,
+        and c_g / q = n_g / det(producer); the division is asserted exact.
+        The candidates, the intersection of F's ray-index buckets, are the
+        live cones holding all of F, so each contains x and no containment
+        check runs. The lemma needs no face-to-face property; that the
+        candidates are *all* the cones containing x does: F spans x's
+        minimal face, every cone of a face-to-face tiling containing x has
+        that face, and one vector per ray (class docstring) puts F's own
+        vectors on its rays.
         """
-        nums_p = producer.coeff_numerators(x)
         if all(nums_p):
             # Interior point: no other cone of the tiling can contain it.
             return [(producer, nums_p)]
-        candidates = set.intersection(
-            *(self.ray_index[g] for g, n in zip(producer.generators, nums_p) if n)
-        )
+        det_p = producer.det
+        support = [(g, n) for g, n in zip(producer.generators, nums_p) if n]
+        candidates = set.intersection(*(self.ray_index[g] for g, _ in support))
         out = []
         for uid in sorted(candidates):
             cone = self.cones[uid]
-            nums = nums_p if cone is producer else cone.coeff_numerators(x)
-            sign = 1 if cone.det > 0 else -1
-            if all(n * sign >= 0 for n in nums):
-                out.append((cone, nums))
+            det = cone.det
+            slot = cone.generators.index
+            nums = [0] * len(nums_p)
+            for g, n in support:
+                num, rem = divmod(n * det, det_p)
+                assert rem == 0, "numerators must be integers"
+                nums[slot(g)] = num
+            out.append((cone, tuple(nums)))
         return out
 
     def subdivide_all(
-        self, x: LatticeVector, producer: SimplicialCone
+        self, x: LatticeVector, producer: SimplicialCone, nums_p: tuple[int, ...]
     ) -> list[tuple[SimplicialCone, tuple[int, ...], int, list[SimplicialCone]]]:
         """Split every live cone containing x at x.
 
+        nums_p are the producer's numerators of x (see cones_containing).
         Each split parent leaves the live set; its children are returned,
         not added, as (parent, numerators, new_label, children) rows.
         """
         rows = []
-        for parent, nums in self.cones_containing(x, producer):
-            positive = [i for i, n in enumerate(nums) if n != 0]
-            if len(positive) == 1 and nums[positive[0]] == parent.det:
+        for parent, nums in self.cones_containing(x, producer, nums_p):
+            if x in parent.generators:
                 # x is exactly the generator on that ray: nothing to split.
                 continue
             new_label = parent.max_label() + 1
-            children = _split_at(
-                parent, x, nums, positive, new_label, self.uid_source
-            )
+            children = _split_at(parent, x, nums, new_label, self.uid_source)
             self._remove(parent)
             rows.append((parent, nums, new_label, children))
         return rows
@@ -273,26 +288,19 @@ def run_p2t(base: SimplicialCone) -> P2TState:
         if cone is None or is_power_of_two(cone.multiplicity):
             continue
         p = p_max(factorize(cone.multiplicity))
-        x, z_label = find_x(cone, p)
-        z_prime_label = adjust_coefficients(z_label, p)
-        order_slots = sorted(
-            range(cone.dimension), key=lambda s: cone.labels[s], reverse=True
-        )
-        z_prime_storage = [0] * cone.dimension
-        for pos, slot in enumerate(order_slots):
-            z_prime_storage[slot] = z_prime_label[pos]
+        z_prime_label = adjust_coefficients(find_x(cone, p), p)
+        # Back from label order to slot order.
+        z_prime_storage = [
+            z for _, z in sorted(zip(_label_order(cone), z_prime_label))
+        ]
         x_prime = _combine(cone, z_prime_storage, p)
-        rows = engine.subdivide_all(x_prime, cone)
+        # x' = (1/p) * sum z'_j g_j, so its numerators are det * z'_j / p.
+        nums_p = tuple([cone.det // p * z for z in z_prime_storage])
+        rows = engine.subdivide_all(x_prime, cone, nums_p)
         assert uid not in engine.cones, "the offending cone must get subdivided"
         for parent, nums, new_label, children in rows:
-            # z' read off the parent: nums are det * (z'_i / p).
-            sign = 1 if parent.det > 0 else -1
-            mu = parent.multiplicity
-            z_prime = []
-            for n in nums:
-                num = p * n * sign
-                assert num % mu == 0
-                z_prime.append(num // mu)
+            # z' read off the parent: nums are det * (z'_i / p), exactly.
+            z_prime = [p * n // parent.det for n in nums]
             trace.append(
                 TraceEvent(
                     parent_id=parent.uid,
@@ -302,7 +310,7 @@ def run_p2t(base: SimplicialCone) -> P2TState:
                     x_prime=x_prime,
                     new_label_index=new_label,
                     children_ids=tuple(c.uid for c in children),
-                    mu_parent=mu,
+                    mu_parent=parent.multiplicity,
                     mu_children=tuple(c.multiplicity for c in children),
                 )
             )

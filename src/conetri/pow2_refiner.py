@@ -67,9 +67,13 @@ def refine_to_unimodular(tri: Triangulation) -> Triangulation:
         cone = engine.cones.get(uid)
         if cone is None:
             continue
-        u = half_vector(cone)
-        assert u is not None, "even multiplicity must yield a half vector"
-        rows = engine.subdivide_all(u, cone)
+        found = half_vector(cone)
+        assert found is not None, "even multiplicity must yield a half vector"
+        u, slots = found
+        # u = (1/2) * sum_{j in slots} g_j: its numerators are det/2 there.
+        half = cone.det // 2
+        nums_p = tuple([half if j in slots else 0 for j in range(cone.dimension)])
+        rows = engine.subdivide_all(u, cone, nums_p)
         assert uid not in engine.cones, "the offending cone must get subdivided"
         for parent, _, _, children in rows:
             for child in children:

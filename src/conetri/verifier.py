@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Sequence
 
 from .cone_geometry import LatticeVector, SimplicialCone, Triangulation, dilation
@@ -225,14 +226,18 @@ def audit_trace(
     depth_shift = 1 + 2 * eta(factorize(mu_base))
     mu_squared = mu_base * mu_base
 
+    # 4**eta(m), each multiplicity factorized once per call: a run repeats
+    # a few hundred multiplicities across tens of thousands of events.
+    four_eta_of = cache(lambda m: 4 ** eta(factorize(m)))
+
     phi_descent_ok = True
     for ev in trace:
         # phi(c) <= phi(p) - 1  <=>  2 * c**2 * 4**eta(p) <= p**2 * 4**eta(c),
         # an exact integer test.
         p = ev.mu_parent
-        four_eta_p = 4 ** eta(factorize(p))
+        four_eta_p = four_eta_of(p)
         for c in ev.mu_children:
-            if 2 * c * c * four_eta_p > p * p * 4 ** eta(factorize(c)):
+            if 2 * c * c * four_eta_p > p * p * four_eta_of(c):
                 phi_descent_ok = False
 
     label_depth_ok = True

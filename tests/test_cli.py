@@ -1,5 +1,6 @@
 """Input parsing, the pipeline front end, and CLI determinism."""
 
+import inspect
 import json
 import os
 import random
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import conetri
+import conetri.cone_geometry
 from conetri.cli import (
     RunConfig,
     main,
@@ -98,6 +100,26 @@ def test_run_pipeline_trace_output():
     assert ev["x_prime"] == [1, 1]
     assert ev["mu_parent"] == 3
     assert sorted(ev["mu_children"]) == [1, 2]
+
+
+def test_run_pipeline_computes_one_adjugate(monkeypatch):
+    # Both phases derive every containment numerator from the split point's
+    # own coefficients and build children without adjugate arithmetic; the
+    # only adjugate of a run is the base's, for the certificate sweep.
+    gens = ((1, 1, 0, -3), (-2, -3, 1, 3), (-2, -1, 0, -2), (1, -3, 1, -1))
+    real_adjugate = conetri.cone_geometry.adjugate
+    calls = []
+
+    def counting(m):
+        callers = {frame.function for frame in inspect.stack()}
+        calls.append((m, "_sweep" in callers))
+        return real_adjugate(m)
+
+    monkeypatch.setattr(conetri.cone_geometry, "adjugate", counting)
+    doc, trace = run_pipeline(RunConfig(generators=gens, keep_trace=True))
+    assert all(doc["certificates"].values())
+    assert len(trace) > 1 and doc["final"]["count"] > 19
+    assert calls == [(make_cone(gens).matrix(), True)]
 
 
 def test_run_pipeline_isolated_mode():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conetri.cone_geometry import (
     SimplicialCone,
+    _combine,
     barycentric,
     contains,
     dilation,
@@ -50,6 +51,25 @@ def random_cone_gens(rng, d, bound):
         gens = [list(primitive_direction(g)) for g in gens]
         if perm_det(gens) != 0:
             return [tuple(g) for g in gens]
+
+
+def order_p_point(cone, p):
+    """order_p_element's point, rebuilt from its box coefficients z, and z."""
+    z = order_p_element(cone, p)
+    return _combine(cone, z, p), z
+
+
+def half_point(cone):
+    """half_vector's point u, or None, after checking its slots: nonempty,
+    increasing, and summing to 2u."""
+    found = half_vector(cone)
+    if found is None:
+        return None
+    u, slots = found
+    assert slots and list(slots) == sorted(set(slots))
+    picked = [cone.generators[j] for j in slots]
+    assert tuple(map(sum, zip(*picked))) == tuple(2 * c for c in u)
+    return u
 
 
 def test_make_cone_basics():
@@ -103,9 +123,9 @@ def test_dilation_examples():
 
 def test_order_p_element_examples():
     c2 = make_cone([(1, 0), (1, 2)])
-    assert order_p_element(c2, 2)[0] == (1, 1)
+    assert order_p_point(c2, 2)[0] == (1, 1)
     c3 = make_cone([(1, 0), (1, 3)])
-    x, z = order_p_element(c3, 3)
+    x, z = order_p_point(c3, 3)
     assert z == tuple(v * 3 for v in barycentric(c3, x))
     assert z in {(1, 2), (2, 1)}
     unit = make_cone([(1, 0), (0, 1)])
@@ -125,7 +145,7 @@ def test_order_p_element_properties(seed):
     if c.multiplicity == 1:
         return
     for p, _ in factorize(c.multiplicity).factors:
-        x, z = order_p_element(c, p)
+        x, z = order_p_point(c, p)
         lam = oracle_barycentric(gens, x)
         assert all(0 <= v < 1 for v in lam)
         # p*x is in the generator lattice, x itself is not.
@@ -134,7 +154,7 @@ def test_order_p_element_properties(seed):
         # z are x's box coefficients in slot order.
         assert z == tuple(p * v for v in lam)
         # Determinism.
-        assert order_p_element(c, p) == (x, z)
+        assert order_p_point(c, p) == (x, z)
 
 
 # (generators, p, order_p_element) for seeded d = 3-5 cones, taken from the
@@ -167,7 +187,7 @@ ORDER_P_PINS = [
 
 @pytest.mark.parametrize("gens, p, want", ORDER_P_PINS)
 def test_order_p_element_pinned(gens, p, want):
-    assert order_p_element(make_cone(gens), p)[0] == want
+    assert order_p_point(make_cone(gens), p)[0] == want
 
 
 def test_stellar_subdivide_examples():
@@ -244,10 +264,11 @@ def test_stellar_subdivide_multiplicities_split(seed):
 
 
 def test_half_vector_examples():
-    assert half_vector(make_cone([(1, 0), (1, 2)])) == (1, 1)
+    assert half_vector(make_cone([(1, 0), (1, 2)])) == ((1, 1), (0, 1))
     assert half_vector(make_cone([(1, 0), (0, 1)])) is None
-    assert half_vector(make_cone([(1, 0), (1, 4)])) == (1, 2)
+    assert half_vector(make_cone([(1, 0), (1, 4)])) == ((1, 2), (0, 1))
     assert half_vector(make_cone([(1, 0), (1, 3)])) is None
+    assert half_vector(SimplicialCone([(1, 0), (0, 2)], (-1, -2)))[1] == (1,)
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -257,14 +278,17 @@ def test_half_vector_properties(seed):
     d = rng.choice([2, 3])
     gens = random_cone_gens(rng, d, 6)
     c = make_cone(gens)
-    u = half_vector(c)
+    found = half_vector(c)
     if c.multiplicity % 2 == 1:
-        assert u is None
+        assert found is None
     else:
-        assert u is not None
+        assert found is not None
+        u, slots = found
         lam = oracle_barycentric(gens, u)
         assert set(lam) <= {Fraction(0), Fraction(1, 2)}
         assert sum(lam) > 0
+        # The slots are exactly where u's coordinates are 1/2.
+        assert slots == tuple(j for j, v in enumerate(lam) if v)
 
 
 def parity_pattern_cone(rng, d):
@@ -292,7 +316,7 @@ def test_half_vector_matches_oracle(d):
     kernel_dims = set()
     for _ in range(60):
         c = parity_pattern_cone(rng, d)
-        assert half_vector(c) == oracle_half_vector(c.generators)
+        assert half_point(c) == oracle_half_vector(c.generators)
         kernel_dims.add((len(even_subsets(c.generators)) + 1).bit_length() - 1)
     assert {1, 2} <= kernel_dims
 
@@ -314,7 +338,7 @@ def test_half_vector_large_kernel_takes_the_lightest_basis_vector():
     d = 13
     gens = [tuple(2 if i == j else 0 for j in range(d)) for i in range(d)]
     c = SimplicialCone(gens, tuple(range(-1, -d - 1, -1)))
-    assert half_vector(c) == (0,) * (d - 1) + (1,)
+    assert half_vector(c) == ((0,) * (d - 1) + (1,), (d - 1,))
 
 
 def test_direct_cone_allows_nonprimitive():

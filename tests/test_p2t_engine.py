@@ -1,5 +1,6 @@
 """The power-of-two phase: coefficient rules, point search, full runs."""
 
+import functools
 import math
 import random
 from collections import Counter
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conetri.cone_geometry import make_cone, vector_content
+from conetri.cone_geometry import _combine, make_cone, vector_content
 from conetri.errors import DivisibilityError
+from conetri.exact_linalg import adjugate
 from conetri.number_theory import ROSSER_CONSTANT, factorize, is_prime, phi
 from conetri.p2t_engine import (
     TraceEvent,
@@ -65,11 +67,22 @@ def test_coefficient_ok_protected_definition(z, p):
     assert coefficient_ok_protected(z, p) == expected
 
 
+def find_point(cone, p):
+    """find_x's point, rebuilt from its coefficients, and the coefficients
+    (decreasing label order)."""
+    z = find_x(cone, p)
+    order = sorted(range(cone.dimension), key=lambda s: cone.labels[s], reverse=True)
+    z_slots = [0] * cone.dimension
+    for pos, slot in enumerate(order):
+        z_slots[slot] = z[pos]
+    return _combine(cone, z_slots, p), z
+
+
 def test_find_x_examples():
     c3 = make_cone([(1, 0), (1, 3)])
-    assert find_x(c3, 3) == ((1, 1), (2, 1))
+    assert find_point(c3, 3) == ((1, 1), (2, 1))
     c5 = make_cone([(1, 0), (1, 5)])
-    x, z = find_x(c5, 5)
+    x, z = find_point(c5, 5)
     assert (x, z) == ((1, 1), (4, 1))
     # z[0] sits on the protected (newest-label) position: 3 is rejected there.
     assert z[0] in {1, 2, 4}
@@ -91,7 +104,7 @@ def test_find_x_properties(seed):
     if not odd:
         return
     p = max(odd)
-    x, z = find_x(c, p)
+    x, z = find_point(c, p)
     lam = oracle_barycentric(gens, x)
     # x lies in the half-open box and has order exactly p.
     assert all(0 <= v < 1 for v in lam)
@@ -102,7 +115,7 @@ def test_find_x_properties(seed):
     assert z == tuple(int(p * v) for v in lam)
     q = min(protected_count(p), d)
     assert all(coefficient_ok_protected(z[j], p) for j in range(q))
-    assert find_x(c, p) == (x, z)
+    assert find_point(c, p) == (x, z)
 
 
 def test_adjust_coefficients_examples():
@@ -231,34 +244,50 @@ def test_run_p2t_random_campaign(seed):
         assert cone.max_label() <= phi_base - 1 + 1e-6 or cone is base
 
 
-def exhaustive_cones_containing(engine, x, producer):
-    """Reference for _Engine.cones_containing: test every live cone."""
-    out = []
-    for uid in sorted(engine.cones):
-        cone = engine.cones[uid]
-        nums = cone.coeff_numerators(x)
-        sign = 1 if cone.det > 0 else -1
-        if all(n * sign >= 0 for n in nums):
-            out.append((cone, nums))
-    return out
+def exhaustive_cones_containing():
+    """Reference for _Engine.cones_containing: test every live cone, with
+    numerators from a fresh adjugate of its generator matrix rather than
+    derived from nums_p. Each generator tuple's adjugate is computed once
+    per reference."""
+    fresh_adjugate = functools.cache(lambda gens: adjugate(tuple(zip(*gens))))
+
+    def scan(engine, x, producer, nums_p):
+        out = []
+        for uid in sorted(engine.cones):
+            cone = engine.cones[uid]
+            adj = fresh_adjugate(cone.generators)
+            nums = tuple(sum(a * c for a, c in zip(row, x)) for row in adj)
+            if cone is producer:
+                assert nums == nums_p
+            sign = 1 if cone.det > 0 else -1
+            if all(n * sign >= 0 for n in nums):
+                out.append((cone, nums))
+        return out
+
+    return scan
 
 
 def ray_index_cases():
-    """Seeded d = 2, 3 and 4 bases with multiplicity at most 200."""
+    """Seeded d = 2 to 5 bases with multiplicity at most 200 (60 at d = 5)."""
     rng = random.Random(20261018)
     cases = []
-    for d, bound, n in ((2, 9, 8), (3, 5, 8), (4, 3, 6)):
+    for d, bound, n, cap in ((2, 9, 8, 200), (3, 5, 8, 200), (4, 3, 6, 200), (5, 2, 4, 60)):
         while sum(len(g) == d for g in cases) < n:
             gens = random_cone_gens(rng, d, bound)
-            if abs(perm_det(gens)) <= 200:
+            if abs(perm_det(gens)) <= cap:
                 cases.append(gens)
     return cases
 
 
+def snapshot(cones):
+    return [(c.generators, c.det, c.labels) for c in cones]
+
+
 def test_ray_index_matches_exhaustive_scan():
-    # Dual route: the ray-index candidate filter must change neither phase.
-    # The index is keyed by generator vector, not by primitive direction, so
-    # the runs must add non-primitive generators in both phases.
+    # Dual route: the ray-index candidates with derived numerators must
+    # change neither phase. The index is keyed by generator vector, not by
+    # primitive direction, so the runs must add non-primitive generators in
+    # both phases.
     added = []
     real_add = _Engine.add
 
@@ -277,16 +306,12 @@ def test_ray_index_matches_exhaustive_scan():
             fast_final = refine_to_unimodular(fast.triangulation)
             nonprimitive["refine"] += any(vector_content(g) > 1 for g in added)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_Engine, "cones_containing", exhaustive_cones_containing)
+            mp.setattr(_Engine, "cones_containing", exhaustive_cones_containing())
             slow = run_p2t(make_cone(gens))
             slow_final = refine_to_unimodular(slow.triangulation)
         assert fast.trace == slow.trace
-        assert [c.generators for c in fast.triangulation.cones] == [
-            c.generators for c in slow.triangulation.cones
-        ]
-        assert [c.generators for c in fast_final.cones] == [
-            c.generators for c in slow_final.cones
-        ]
+        assert snapshot(fast.triangulation.cones) == snapshot(slow.triangulation.cones)
+        assert snapshot(fast_final.cones) == snapshot(slow_final.cones)
     assert nonprimitive["p2t"] and nonprimitive["refine"], nonprimitive
 
 
