@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import random
 import sys
@@ -182,6 +183,14 @@ def _report_dict(
 def run_pipeline(cfg: RunConfig) -> tuple[dict[str, Any], list[dict[str, Any]]]:
     """Run both phases on one cone and certify the outcome.
 
+    The cyclic garbage collector is paused for the call. A run makes no
+    reference cycles (tests/test_cli.py checks that gc.collect() finds
+    nothing after runs with the collector off), so reference counting
+    frees all of its garbage, and a collector pass would only walk the
+    live cones: a run ending in 147,021 cones made about 1,400 passes,
+    six of them over every live object. The collector is re-enabled on the
+    way out, also on an exception, if it was on when the call began.
+
     Returns:
         (report, trace): the report document and, when cfg.keep_trace, the
         subdivision events as JSON-ready dicts.
@@ -191,6 +200,16 @@ def run_pipeline(cfg: RunConfig) -> tuple[dict[str, Any], list[dict[str, Any]]]:
             float (mu >= ~2**44). It is computed before phase 1, so such a
             cone fails at once instead of after an endless run.
     """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run_phases(cfg)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _run_phases(cfg: RunConfig) -> tuple[dict[str, Any], list[dict[str, Any]]]:
     base = make_cone(cfg.generators)
     mu_ceiling = intermediate_mu_ceiling(base.multiplicity)
     state = run_p2t(base)

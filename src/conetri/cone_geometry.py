@@ -339,16 +339,18 @@ def half_vector(
     kernel = kernel_masks_mod2(gens)
     if not kernel:
         return None
-    if len(kernel) <= 12:
+    if len(kernel) == 1:
+        # The usual case: the only nonzero kernel element.
+        best = kernel[0]
+    elif len(kernel) <= 12:
         # Every nonzero kernel element, as the xor of a nonempty set of
         # basis masks.
         span = [0]
         for k in kernel:
             span += [s ^ k for s in span]
-        candidates = span[1:]
+        best = min(span[1:], key=lambda m: (m.bit_count(), m))
     else:
-        candidates = kernel
-    best = min(candidates, key=lambda m: (m.bit_count(), m))
+        best = min(kernel, key=lambda m: (m.bit_count(), m))
     slots = tuple([i for i in range(d) if best >> (d - 1 - i) & 1])
     acc = [sum(col) for col in zip(*[gens[i] for i in slots])]
     assert all(c % 2 == 0 for c in acc)

@@ -75,13 +75,44 @@ def determinant(m: Sequence[Sequence[int]]) -> int:
 def adjugate(m: Sequence[Sequence[int]]) -> IntMatrix:
     """Adjugate matrix: adjugate(m) @ m == determinant(m) * identity.
 
-    Computed from cofactors; exact for any square integer matrix, including
-    singular ones.
+    Fraction-free (Bareiss) Gauss-Jordan elimination on [m | I]. Step k
+    clears column k in every other row, dividing by the previous pivot.
+    After step k every entry is, up to sign, a minor of [m | I] with k + 1
+    rows, so the divisions are exact. At the end the left block is p * I
+    and the right block is E with E @ m == p * I, where p == sign * det(m)
+    and sign is the parity of the row swaps; so E == sign * adjugate(m).
+    A singular m leaves a column with no pivot, and its adjugate is built
+    from cofactors.
     """
     a = _as_rows(m)
     n = _require_square(a)
     if n == 1:
         return ((1,),)
+    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if rows[k][k] == 0:
+            pivot_row = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if pivot_row is None:
+                return _cofactor_adjugate(a)
+            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+            sign = -sign
+        rk = rows[k]
+        pivot = rk[k]
+        for i in range(n):
+            if i != k:
+                ri = rows[i]
+                f = ri[k]
+                rows[i] = [(pivot * x - f * y) // prev for x, y in zip(ri, rk)]
+        prev = pivot
+    return tuple(tuple([sign * x for x in row[n:]]) for row in rows)
+
+
+def _cofactor_adjugate(a: list[list[int]]) -> IntMatrix:
+    """Adjugate from the d**2 cofactor determinants; exact for any square
+    integer matrix, singular ones included."""
+    n = len(a)
     adj = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):

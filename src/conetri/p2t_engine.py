@@ -186,10 +186,16 @@ class _Engine:
 
     def add(self, cone: SimplicialCone) -> None:
         """Make a cone live: index its rays and queue it."""
-        self.cones[cone.uid] = cone
+        uid = cone.uid
+        self.cones[uid] = cone
+        index = self.ray_index
         for g in cone.generators:
-            self.ray_index.setdefault(g, set()).add(cone.uid)
-        self.pending.append(cone.uid)
+            bucket = index.get(g)
+            if bucket is None:
+                index[g] = {uid}
+            else:
+                bucket.add(uid)
+        self.pending.append(uid)
 
     def _remove(self, cone: SimplicialCone) -> None:
         del self.cones[cone.uid]

@@ -76,11 +76,14 @@ def refine_to_unimodular(tri: Triangulation) -> Triangulation:
         rows = engine.subdivide_all(u, cone, nums_p)
         assert uid not in engine.cones, "the offending cone must get subdivided"
         for parent, _, _, children in rows:
+            # Every child of a halving has exactly half its parent's det,
+            # so a row's children are all final or all live.
             for child in children:
-                assert 2 * child.multiplicity == parent.multiplicity
-                if child.multiplicity == 1:
-                    final.append(child)
-                else:
+                assert 2 * child.det == parent.det
+            if parent.det in (2, -2):
+                final.extend(children)
+            else:
+                for child in children:
                     engine.add(child)
     return Triangulation(tri.base, final, final)
 

@@ -89,49 +89,45 @@ def _sweep(
     base: SimplicialCone, cones: Sequence[SimplicialCone]
 ) -> tuple[bool, bool, tuple[bool, ...], Fraction]:
     """One pass over all generators: containment, volume identity, worst
-    dilation. Each generator's coordinates are computed exactly once.
+    dilation. Each distinct generator's coordinates are computed once.
 
-    Dilations are cached as reduced integer pairs and the volume terms
-    mu / prod(h) are bucketed by denominator, so the pass stays in integer
-    arithmetic. The buckets are then added exactly as a balanced pairwise
+    Everything is kept in integer numerators over D = |det(base)|. A
+    generator g's numerators are sign(det) * adj(base) @ g: g lies in the
+    base when none is negative, and their sum s_g is D times g's dilation.
+    A cone C's volume term mu(C) / prod(s_g / D) is then
+    D**d * mu(C) / prod(s_g), so the terms mu(C) are bucketed by the
+    integer prod(s_g). The buckets are added exactly as a balanced pairwise
     sum (_pairwise_sum), not left to right: a running total's denominator
     grows to the lcm of every denominator seen, so each late addition of a
-    left-to-right sum would cost as much as the largest. The total is
-    compared with mu(base) exactly, as vol_n == mu(base) * vol_d.
+    left-to-right sum would cost as much as the largest. The total
+    vol_n / vol_d is compared with mu(base) = D exactly, as
+    vol_n * D**d == D * vol_d. The worst dilation is the largest s_g over D,
+    taken over the generators found inside the base.
     """
     mu_base = base.multiplicity
     sign = 1 if base.det > 0 else -1
     containment_ok = True
-    worst_n, worst_d = 0, 1
-    dil_cache: dict[tuple[int, ...], tuple[int, int]] = {}
+    scaled: dict[tuple[int, ...], int] = {}
     buckets: dict[int, int] = {}
     for c in cones:
-        pn = 1
-        pd = 1
-        inside = True
+        prod = 1
         for g in c.generators:
-            h = dil_cache.get(g)
-            if h is None:
+            s = scaled.get(g)
+            if s is None:
                 nums = base.coeff_numerators(g)
                 if any(n * sign < 0 for n in nums):
                     containment_ok = False
-                    inside = False
                     break
-                frac = Fraction(sum(nums), base.det)
-                h = (frac.numerator, frac.denominator)
-                dil_cache[g] = h
-            hn, hd = h
-            pn *= hn
-            pd *= hd
-            if hn * worst_d > worst_n * hd:
-                worst_n, worst_d = hn, hd
-        if inside:
-            # term mu/(pn/pd): numerator mu*pd against denominator pn.
-            buckets[pn] = buckets.get(pn, 0) + c.multiplicity * pd
+                s = sign * sum(nums)
+                scaled[g] = s
+            prod *= s
+        else:
+            buckets[prod] = buckets.get(prod, 0) + abs(c.det)
     vol_n, vol_d = _pairwise_sum([(num, den) for den, num in buckets.items()])
-    volume_ok = containment_ok and vol_n == mu_base * vol_d
-    unimodular_flags = tuple(c.multiplicity == 1 for c in cones)
-    return volume_ok, containment_ok, unimodular_flags, Fraction(worst_n, worst_d)
+    volume_ok = containment_ok and vol_n * mu_base**base.dimension == mu_base * vol_d
+    unimodular_flags = tuple(abs(c.det) == 1 for c in cones)
+    worst = Fraction(max(scaled.values(), default=0), mu_base)
+    return volume_ok, containment_ok, unimodular_flags, worst
 
 
 def max_dilation(base: SimplicialCone, cones: Sequence[SimplicialCone]) -> Fraction:

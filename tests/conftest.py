@@ -42,6 +42,24 @@ def perm_det(m) -> int:
     return total
 
 
+def cofactor_adjugate(m) -> tuple[tuple[int, ...], ...]:
+    """Adjugate as the transposed matrix of cofactors, each by perm_det;
+    exact for any square matrix, singular ones included."""
+    n = len(m)
+    if n == 1:
+        return ((1,),)
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [
+                [m[r][c] for c in range(n) if c != j]
+                for r in range(n)
+                if r != i
+            ]
+            adj[j][i] = (-1) ** (i + j) * perm_det(minor)
+    return tuple(tuple(row) for row in adj)
+
+
 def mat_vec(m, v) -> tuple[int, ...]:
     return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
 

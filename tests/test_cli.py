@@ -1,5 +1,6 @@
 """Input parsing, the pipeline front end, and CLI determinism."""
 
+import gc
 import inspect
 import json
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import conetri
+import conetri.cli
 import conetri.cone_geometry
 from conetri.cli import (
     RunConfig,
@@ -145,6 +147,63 @@ def test_run_pipeline_isolated_mode_is_not_face_to_face():
     doc, _ = run_pipeline(RunConfig(generators=gens))
     cones = [c["generators"] for c in doc["final"]["cones"]]
     assert oracle_facet_matching(gens, cones)["face_to_face_ok"]
+
+
+@pytest.fixture
+def keep_collector_state():
+    """Put the cyclic collector back as it was, whatever the test did."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def test_run_pipeline_leaves_no_cyclic_garbage(keep_collector_state):
+    # run_pipeline pauses the cyclic collector, which is only sound if a run
+    # makes no reference cycles: with the collector off throughout, a full
+    # collection afterwards must find nothing unreachable. The OverflowError
+    # exit is covered too.
+    gc.disable()
+    gc.collect()
+    rng = random.Random(8)
+    for d, bound in ((2, 9), (3, 5), (4, 3)):
+        for _ in range(4):
+            cone = random_cone(d, bound, rng)
+            doc, _ = run_pipeline(RunConfig(generators=cone.generators, keep_trace=True))
+            assert all(doc["certificates"].values())
+    with pytest.raises(OverflowError):
+        run_pipeline(RunConfig(generators=((1, 0), (1, 10**37 + 1))))
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize(
+    "gens, during",
+    [(((1, 0), (1, 3)), [False]), (((1, 0), (1, 10**37 + 1)), [])],
+    ids=["returns", "overflow"],
+)
+def test_run_pipeline_restores_the_collector(
+    monkeypatch, keep_collector_state, enabled, gens, during
+):
+    # The collector is off while the phases run and afterwards is as the
+    # caller left it, whether the run returns or raises.
+    seen = []
+    real_run_p2t = conetri.cli.run_p2t
+
+    def spy(base):
+        seen.append(gc.isenabled())
+        return real_run_p2t(base)
+
+    monkeypatch.setattr(conetri.cli, "run_p2t", spy)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        run_pipeline(RunConfig(generators=gens))
+    except OverflowError:
+        pass
+    assert gc.isenabled() == enabled
+    assert seen == during
 
 
 def write_cone(tmp_path, name, payload):

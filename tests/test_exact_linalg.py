@@ -1,5 +1,7 @@
 """Exact linear algebra against independent oracles."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,7 @@ from conetri.exact_linalg import (
     nullspace_mod2,
     smith_normal_form,
 )
-from conftest import mat_mul, mat_vec, perm_det
+from conftest import cofactor_adjugate, mat_mul, mat_vec, perm_det
 
 entries = st.integers(min_value=-9, max_value=9)
 
@@ -127,6 +129,41 @@ def test_adjugate_identity(m):
     assert prod == tuple(
         tuple(det if i == j else 0 for j in range(3)) for i in range(3)
     )
+
+
+def seeded_matrices(rng, n):
+    """Random n x n matrices of several kinds: dense, sparse (so pivots
+    must be searched for), singular, unimodular, and the reversal
+    permutation (its first pivot is 0)."""
+    dense = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    sparse = [[rng.choice((0, 0, 0, rng.randint(-5, 5))) for _ in range(n)] for _ in range(n)]
+    repeated = [list(row) for row in dense]
+    repeated[-1] = list(repeated[0])
+    zero_col = [row[:1] + [0] + row[2:] for row in dense]
+    # Unimodular: the identity under random row additions and swaps.
+    unimodular = [list(row) for row in identity(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        if rng.random() < 0.3:
+            unimodular[i], unimodular[j] = unimodular[j], unimodular[i]
+        else:
+            q = rng.randint(-2, 2)
+            unimodular[i] = [a + q * b for a, b in zip(unimodular[i], unimodular[j])]
+    reversal = [list(row) for row in identity(n)][::-1]
+    return [dense, sparse, repeated, zero_col, unimodular, reversal]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_adjugate_matches_cofactor_oracle(n):
+    rng = random.Random(600 + n)
+    singular = unimodular = 0
+    for _ in range(8):
+        for m in seeded_matrices(rng, n):
+            det = perm_det(m)
+            singular += det == 0
+            unimodular += abs(det) == 1
+            assert adjugate(m) == cofactor_adjugate(m)
+    assert singular >= 16 and unimodular >= 16
 
 
 def test_invert_unimodular():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conetri.cli import RunConfig, run_pipeline
 from conetri.cone_geometry import (
     SimplicialCone,
     dilation,
@@ -242,11 +243,15 @@ def test_certify_random_cones(seed):
     assert rep.max_dilation <= upper_rational(rep.final_bound_thm)
     if rep.final_bound_cor is not None:
         assert rep.max_dilation <= upper_rational(rep.final_bound_cor)
-    # Oracle agreement on the worst stretch.
+    # Oracle agreement on the worst stretch, also against the same cone
+    # with its orientation flipped: one of the two bases has det < 0.
     worst = max(
         oracle_dilation(gens, g) for c in tri.cones for g in c.generators
     )
     assert rep.max_dilation == worst
+    flipped = make_cone(swap_first_two(gens))
+    assert flipped.det == -base.det
+    assert _sweep(flipped, tri.cones)[3] == worst
     # Negative labels are original base generators: dilation exactly 1.
     for c in tri.cones:
         for s, vec in zip(c.labels, c.generators):
@@ -304,6 +309,23 @@ VOLUME_CASES = [
 ]
 
 
+def swap_first_two(gens):
+    """The same generators with the first two swapped: the same cone, with
+    the sign of its det flipped."""
+    return (gens[1], gens[0]) + tuple(gens[2:])
+
+
+def assert_sweep_ignores_orientation(base_gens, cone_gens_list):
+    # _sweep reads everything off sign(det) * adj(base) @ g; flipping the
+    # base's orientation negates det and adj together, so all four results
+    # must stay the same.
+    cones = [SimplicialCone(g, tuple(range(-1, -len(g) - 1, -1))) for g in cone_gens_list]
+    base = make_cone(base_gens)
+    flipped = make_cone(swap_first_two(base_gens))
+    assert flipped.det == -base.det
+    assert _sweep(flipped, cones) == _sweep(base, cones)
+
+
 @pytest.mark.parametrize(
     "base_gens, cone_gens_list",
     [case[1:] for case in VOLUME_CASES],
@@ -314,6 +336,19 @@ def test_volume_identity_matches_oracle(base_gens, cone_gens_list):
     cones = [SimplicialCone(g, tuple(range(-1, -len(g) - 1, -1))) for g in cone_gens_list]
     vol, _, _, _ = _sweep(base, cones)
     assert vol == oracle_validate_tiling(base_gens, cone_gens_list)["volume_ok"]
+    assert_sweep_ignores_orientation(base_gens, cone_gens_list)
+
+
+def test_sweep_ignores_base_orientation_on_the_counterexamples():
+    # The two tilings that pass every certificate without being face to
+    # face: a doubled step with an uncovered strip, and the --isolated-cones
+    # output on a mu-19 d=4 cone (see test_cli).
+    overlap = staircase_cones(3) + staircase_cones(1)
+    assert_sweep_ignores_orientation(((1, 0), (1, 4)), overlap)
+    gens = ((1, 1, 0, -3), (-2, -3, 1, 3), (-2, -1, 0, -2), (1, -3, 1, -1))
+    doc, _ = run_pipeline(RunConfig(generators=gens, isolated_cones=True))
+    isolated = [c["generators"] for c in doc["final"]["cones"]]
+    assert_sweep_ignores_orientation(gens, isolated)
 
 
 def test_volume_cases_cover_bucket_counts():
