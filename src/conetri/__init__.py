@@ -55,7 +55,6 @@ from .p2t_engine import (
 from .pow2_refiner import (
     hk_bound,
     hk_exact,
-    refine_isolated,
     refine_to_unimodular,
 )
 from .verifier import (
@@ -63,7 +62,6 @@ from .verifier import (
     audit_trace,
     certify,
     final_bounds,
-    max_dilation,
 )
 
 __all__ = [
@@ -99,13 +97,11 @@ __all__ = [
     "hk_exact",
     "is_prime",
     "make_cone",
-    "max_dilation",
     "odd_adjust",
     "order_p_element",
     "p_max",
     "phi",
     "prime_pi",
-    "refine_isolated",
     "refine_to_unimodular",
     "rosser_bound",
     "run_p2t",

@@ -10,7 +10,8 @@ Input files describe one cone:
 
 Reports are deterministic: the same input (or the same seed) produces byte
 identical output. Exit status is 0 for a fully certified run, 2 when some
-certificate fails, and 1 for unusable input.
+certificate fails, and 1 for unusable input or output that cannot be
+written (a bad trace path, a full disk, a closed pipe).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import contextlib
 import gc
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -34,14 +36,12 @@ from .cone_geometry import (
 )
 from .errors import ConetriError
 from .p2t_engine import run_p2t
-from .pow2_refiner import hk_bound, refine_isolated, refine_to_unimodular
+from .pow2_refiner import refine_to_unimodular
 from .verifier import (
     CertificateReport,
     certify,
     final_bounds,
     intermediate_mu_ceiling,
-    max_dilation,
-    upper_rational,
 )
 
 
@@ -51,7 +51,6 @@ class RunConfig:
 
     generators: tuple[tuple[int, ...], ...]
     keep_trace: bool = False
-    isolated_cones: bool = False
 
 
 def parse_input(text: str) -> SimplicialCone:
@@ -140,10 +139,9 @@ def _report_dict(
     final: Triangulation,
     report: CertificateReport,
     mu_ceiling: float,
-    hk_ok: bool | None = None,
 ) -> dict[str, Any]:
     mu = base.multiplicity
-    doc: dict[str, Any] = {
+    return {
         "dimension": base.dimension,
         "base": {
             "generators": base.generators,
@@ -175,9 +173,6 @@ def _report_dict(
             "final_bound_ok": report.final_bound_ok,
         },
     }
-    if hk_ok is not None:
-        doc["certificates"]["hk_ok"] = hk_ok
-    return doc
 
 
 def run_pipeline(cfg: RunConfig) -> tuple[dict[str, Any], list[dict[str, Any]]]:
@@ -213,29 +208,14 @@ def _run_phases(cfg: RunConfig) -> tuple[dict[str, Any], list[dict[str, Any]]]:
     base = make_cone(cfg.generators)
     mu_ceiling = intermediate_mu_ceiling(base.multiplicity)
     state = run_p2t(base)
-    hk_ok: bool | None = None
-    if cfg.isolated_cones:
-        final_cones: list[SimplicialCone] = []
-        hk_ok = True
-        for cone in state.triangulation.cones:
-            refined = refine_isolated(cone)
-            ell = cone.multiplicity.bit_length() - 1
-            ceiling = upper_rational(hk_bound(cone.dimension, ell))
-            final_cones.extend(refined.cones)
-            if max_dilation(refined.base, refined.cones) > ceiling:
-                hk_ok = False
-        final = Triangulation(
-            base, final_cones, list(state.triangulation.all_created)
-        )
-    else:
-        final = refine_to_unimodular(state.triangulation)
+    final = refine_to_unimodular(state.triangulation)
     report = certify(
         base,
         final,
         trace=state.trace,
         p2t_created=state.triangulation.all_created,
     )
-    doc = _report_dict(base, final, report, mu_ceiling, hk_ok)
+    doc = _report_dict(base, final, report, mu_ceiling)
     trace_doc = []
     if cfg.keep_trace:
         for ev in state.trace:
@@ -292,29 +272,26 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except (ValueError, ConetriError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    cfg = RunConfig(
-        generators=cone.generators,
-        keep_trace=args.trace is not None,
-        isolated_cones=args.isolated_cones,
-    )
-    # Open the trace file before the run, so a bad path fails at once.
+    cfg = RunConfig(generators=cone.generators, keep_trace=args.trace is not None)
+    # The trace file is opened before the run, so a bad path fails at once.
+    # A full disk may only show when the file is closed, so the close is
+    # covered too.
     try:
-        sink = (
+        with (
             open(args.trace, "w", encoding="utf-8")
             if args.trace is not None
             else contextlib.nullcontext()
-        )
+        ) as fh:
+            try:
+                doc, trace_doc = run_pipeline(cfg)
+            except OverflowError:
+                return _overflow_error(cone.multiplicity)
+            if fh is not None:
+                json.dump(trace_doc, fh, indent=2)
+                fh.write("\n")
     except OSError as exc:
         print(f"error: cannot write {args.trace}: {exc}", file=sys.stderr)
         return 1
-    with sink as fh:
-        try:
-            doc, trace_doc = run_pipeline(cfg)
-        except OverflowError:
-            return _overflow_error(cone.multiplicity)
-        if fh is not None:
-            json.dump(trace_doc, fh, indent=2)
-            fh.write("\n")
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     else:
@@ -409,13 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument("--trace", help="write the subdivision trace to this file")
     p_run.add_argument("--format", choices=("json", "text"), default="json")
-    p_run.add_argument(
-        "--isolated-cones",
-        action="store_true",
-        help="refine each power-of-two cone against itself and add the "
-        "per-cone generation length certificate; the output is not a "
-        "face-to-face triangulation, and no certificate detects this",
-    )
     p_run.set_defaults(func=_cmd_run)
 
     p_rand = sub.add_parser("random", help="run a seeded random campaign")
@@ -436,7 +406,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        # A closed pipe may only show when the buffer is flushed.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (say, `| head`). As the Python docs advise,
+        # point stdout at devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

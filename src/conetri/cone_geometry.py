@@ -78,7 +78,8 @@ class SimplicialCone:
 
     Construct base cones through make_cone; children come out of
     stellar_subdivide. Direct construction skips the primitivity check,
-    which intermediate cones are allowed to fail.
+    which intermediate cones are allowed to fail. A directly built cone has
+    uid 0; the subdivision engine numbers the children it makes.
 
     Slots keep the per-cone footprint small; refinement runs routinely
     hold hundreds of thousands of cones at once.
@@ -92,13 +93,7 @@ class SimplicialCone:
         "_adj",
     )
 
-    def __init__(
-        self,
-        generators: Sequence[Sequence[int]],
-        labels: Sequence[int],
-        uid: int = 0,
-        det: int | None = None,
-    ):
+    def __init__(self, generators: Sequence[Sequence[int]], labels: Sequence[int]):
         gens = tuple(tuple(int(c) for c in g) for g in generators)
         d = len(gens)
         if d == 0 or any(len(g) != d for g in gens):
@@ -107,10 +102,9 @@ class SimplicialCone:
             raise DimensionError("one label per generator")
         self.generators = gens
         self.labels = tuple(labels)
-        self.uid = uid
+        self.uid = 0
         self._adj = None
-        if det is None:
-            det = determinant(self.matrix())
+        det = determinant(self.matrix())
         if det == 0:
             raise SingularMatrixError("generators are linearly dependent")
         self.det = det
@@ -190,7 +184,7 @@ def make_cone(generators: Sequence[Sequence[int]]) -> SimplicialCone:
         if vector_content(g) != 1:
             raise PrimitivityError(f"generator {g} is not primitive")
     labels = tuple(-(i + 1) for i in range(len(gens)))
-    return SimplicialCone(gens, labels, uid=0)
+    return SimplicialCone(gens, labels)
 
 
 def barycentric(cone: SimplicialCone, x: Sequence[int]) -> tuple[Fraction, ...]:

@@ -36,6 +36,7 @@ from .number_theory import (
     ROSSER_CONSTANT,
     factorize,
     is_prime,
+    odd_adjust,
     p_max,
 )
 
@@ -140,8 +141,6 @@ def adjust_coefficients(z: tuple[int, ...], p: int) -> tuple[int, ...]:
     positions are copied verbatim; an unprotected z_j that is prime, above
     p/2 and not 2 becomes z_j + k*p == 2**s * t per odd_adjust.
     """
-    from .number_theory import odd_adjust
-
     q = min(protected_count(p), len(z))
     out = list(z)
     for j in range(q, len(z)):

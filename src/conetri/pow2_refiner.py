@@ -12,25 +12,11 @@ h_k <= (d/2) * (3/2)**(k-1).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
-from .cone_geometry import (
-    SimplicialCone,
-    Triangulation,
-    half_vector,
-)
+from .cone_geometry import Triangulation, half_vector
 from .errors import PhaseOrderError
 from .p2t_engine import _Engine, is_power_of_two
-
-
-def refine_isolated(cone: SimplicialCone) -> Triangulation:
-    """Refine a single power-of-two cone against itself, with fresh labels.
-
-    The cone is rebuilt as its own base (labels -1..-d), so the dilations in
-    the result are measured relative to the cone's own basic simplex.
-    """
-    labels = tuple(-(i + 1) for i in range(cone.dimension))
-    fresh = SimplicialCone(cone.generators, labels, uid=0, det=cone.det)
-    return refine_to_unimodular(Triangulation.trivial(fresh))
 
 
 def refine_to_unimodular(tri: Triangulation) -> Triangulation:
@@ -95,9 +81,7 @@ def hk_bound(d: int, k: int) -> float:
     return (d / 2.0) * 1.5 ** (k - 1)
 
 
-_hk_cache: dict[tuple[int, int], Fraction] = {}
-
-
+@cache
 def hk_exact(d: int, k: int) -> Fraction:
     """The recurrence h_k = (h_{k-1} + ... + h_{k-d}) / 2 with h_{<=0} = 1.
 
@@ -105,9 +89,4 @@ def hk_exact(d: int, k: int) -> Fraction:
     """
     if k <= 0:
         return Fraction(1)
-    key = (d, k)
-    if key not in _hk_cache:
-        _hk_cache[key] = sum(
-            (hk_exact(d, k - i) for i in range(1, d + 1)), Fraction(0)
-        ) / 2
-    return _hk_cache[key]
+    return sum((hk_exact(d, k - i) for i in range(1, d + 1)), Fraction(0)) / 2

@@ -27,7 +27,6 @@ from functools import cache
 from typing import Iterable, Sequence
 
 from .cone_geometry import LatticeVector, SimplicialCone, Triangulation, dilation
-from .errors import PhaseOrderError
 from .number_theory import eta, factorize, phi
 from .p2t_engine import TraceEvent
 
@@ -128,30 +127,6 @@ def _sweep(
     unimodular_flags = tuple(abs(c.det) == 1 for c in cones)
     worst = Fraction(max(scaled.values(), default=0), mu_base)
     return volume_ok, containment_ok, unimodular_flags, worst
-
-
-def max_dilation(base: SimplicialCone, cones: Sequence[SimplicialCone]) -> Fraction:
-    """Largest dilation of any generator of a unimodular tiling.
-
-    Raises:
-        PhaseOrderError: if some cone is not unimodular yet.
-    """
-    for c in cones:
-        if c.multiplicity != 1:
-            raise PhaseOrderError(
-                f"cone {c.uid} still has multiplicity {c.multiplicity}"
-            )
-    worst = Fraction(0)
-    dil_cache: dict[tuple[int, ...], Fraction] = {}
-    for c in cones:
-        for g in c.generators:
-            h = dil_cache.get(g)
-            if h is None:
-                h = dilation(base, g)
-                dil_cache[g] = h
-            if h > worst:
-                worst = h
-    return worst
 
 
 def intermediate_mu_ceiling(mu: int) -> float:

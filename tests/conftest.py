@@ -215,6 +215,27 @@ def canonical(cones) -> list:
     return sorted(tuple(sorted(c.generators)) for c in cones)
 
 
+def isolated_tiling(gens):
+    """Phase 1, then each of its cones refined to unimodular on its own.
+
+    The cones cover the base exactly, but neighbours may halve a shared face
+    at different points, so the result need not be face to face: a negative
+    control for face-to-face checks.
+
+    Returns:
+        (base, state, final): the base cone, phase 1's P2TState and the
+        Triangulation of the base by all the refined cones.
+    """
+    from conetri import Triangulation, make_cone, refine_to_unimodular, run_p2t
+
+    base = make_cone(gens)
+    state = run_p2t(base)
+    cones = []
+    for cone in state.triangulation.cones:
+        cones.extend(refine_to_unimodular(Triangulation.trivial(cone)).cones)
+    return base, state, Triangulation(base, cones, cones)
+
+
 @pytest.fixture(scope="session")
 def pipeline():
     """Run both phases plus certification on a generator list."""

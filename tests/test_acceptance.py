@@ -23,7 +23,7 @@ from fractions import Fraction
 import pytest
 
 from conetri.cli import RunConfig, random_cone, run_pipeline
-from conetri.cone_geometry import dilation, make_cone
+from conetri.cone_geometry import Triangulation, dilation, make_cone
 from conetri.number_theory import (
     factorize,
     odd_adjust,
@@ -32,12 +32,10 @@ from conetri.number_theory import (
     rosser_bound,
 )
 from conetri.p2t_engine import run_p2t
-from conetri.pow2_refiner import refine_isolated, refine_to_unimodular
+from conetri.pow2_refiner import refine_to_unimodular
 from conetri.verifier import (
     _sweep,
     final_bounds,
-    intermediate_mu_ceiling,
-    max_dilation,
     upper_rational,
 )
 
@@ -114,11 +112,10 @@ def campaign():
                         stats["xi_violations"] += 1
 
             tri = refine_to_unimodular(state.triangulation)
-            vol, cont, flags, _ = _sweep(base, tri.cones)
+            vol, cont, flags, worst = _sweep(base, tri.cones)
             if not (vol and cont and all(flags)):
                 stats["tiling_failures"] += 1
 
-            worst = max_dilation(base, tri.cones)
             thm, cor = final_bounds(mu_base, base.dimension)
             if worst > upper_rational(thm):
                 stats["bound_violations"] += 1
@@ -182,7 +179,7 @@ def test_criterion_05_final_bound(campaign, capsys):
     base = make_cone([(1, 0), (1, 3)])
     state = run_p2t(base)
     tri = refine_to_unimodular(state.triangulation)
-    assert max_dilation(base, tri.cones) == 1
+    assert _sweep(base, tri.cones)[3] == 1
     _, cor = final_bounds(3, 2)
     assert 66 < cor < 67
 
@@ -206,8 +203,8 @@ def test_criterion_06_isolated_power_of_two(capsys):
         accepted += 1
         l = mu.bit_length() - 1
         seen_l.add(l)
-        tri = refine_isolated(cone)
-        worst = max_dilation(tri.base, tri.cones)
+        tri = refine_to_unimodular(Triangulation.trivial(cone))
+        worst = _sweep(cone, tri.cones)[3]
         if worst > Fraction(d, 2) * Fraction(3, 2) ** l:
             violations += 1
     ok = violations == 0
@@ -307,10 +304,6 @@ PINNED_DIGESTS = {
     ),
     "campaign-4-0": (
         "8907a9351e6bd0a5d25e0281f29a82f2c49d0b1ca3bbf24270d037040c1b9de7",
-        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
-    ),
-    "campaign-4-0-isolated": (
-        "d8215b0431c1a48ddf4c23b2c45764d48798276b68766c2345f7269c71143682",
         "cb0ac055bd770f15698e9c9ba1b04d73e991876c402ae721bd414d1851b44b06",
     ),
 }
@@ -327,10 +320,7 @@ def test_criterion_10_byte_determinism(capsys):
         "mu15": RunConfig(
             generators=((1, 0, 0), (1, 3, 0), (2, 1, 5)), keep_trace=True
         ),
-        "campaign-4-0": RunConfig(generators=d4),
-        "campaign-4-0-isolated": RunConfig(
-            generators=d4, keep_trace=True, isolated_cones=True
-        ),
+        "campaign-4-0": RunConfig(generators=d4, keep_trace=True),
     }
     mismatched = []
     for name, cfg in configs.items():

@@ -1,5 +1,6 @@
 """Input parsing, the pipeline front end, and CLI determinism."""
 
+import dataclasses
 import gc
 import inspect
 import json
@@ -23,9 +24,13 @@ from conetri.cli import (
 )
 from conetri.cone_geometry import make_cone, vector_content
 from conetri.errors import SingularMatrixError
-from conetri.verifier import _sweep
+from conetri.verifier import _sweep, certify
 
-from conftest import oracle_facet_matching, perm_det
+from conftest import isolated_tiling, oracle_facet_matching, perm_det
+
+# A mu-19 d=4 cone whose phase 1 cones, refined each on its own, leave 12
+# interior facets unmatched.
+MU19 = ((1, 1, 0, -3), (-2, -3, 1, 3), (-2, -1, 0, -2), (1, -3, 1, -1))
 
 
 def test_parse_input_valid():
@@ -83,7 +88,6 @@ def test_run_pipeline_report_mu3():
     assert doc["final"]["count"] == 3
     assert doc["max_dilation"] == "1/1"
     assert all(doc["certificates"].values())
-    assert "hk_ok" not in doc["certificates"]
     assert trace == []
 
     # Round trip: the emitted tiling re-verifies against the base.
@@ -104,11 +108,41 @@ def test_run_pipeline_trace_output():
     assert sorted(ev["mu_children"]) == [1, 2]
 
 
+def test_run_config_has_no_options_beyond_the_trace():
+    assert [f.name for f in dataclasses.fields(RunConfig)] == [
+        "generators",
+        "keep_trace",
+    ]
+
+
+@pytest.mark.parametrize(
+    "gens, count",
+    [(((1, 0), (1, 3)), 3), (((1, 0), (1, 4)), 4), (MU19, None)],
+    ids=["mu3", "mu4", "mu19"],
+)
+def test_run_pipeline_report_has_the_eight_certificates(gens, count):
+    # One phase 2, one report shape: exactly these keys, in this order.
+    doc, _ = run_pipeline(RunConfig(generators=gens))
+    assert list(doc["certificates"]) == [
+        "volume_ok",
+        "containment_ok",
+        "all_unimodular",
+        "phi_descent_ok",
+        "label_depth_ok",
+        "mu_bound_ok",
+        "xi_length_ok",
+        "final_bound_ok",
+    ]
+    assert all(doc["certificates"].values())
+    if count is not None:
+        assert doc["final"]["count"] == count
+
+
 def test_run_pipeline_computes_one_adjugate(monkeypatch):
     # Both phases derive every containment numerator from the split point's
     # own coefficients and build children without adjugate arithmetic; the
     # only adjugate of a run is the base's, for the certificate sweep.
-    gens = ((1, 1, 0, -3), (-2, -3, 1, 3), (-2, -1, 0, -2), (1, -3, 1, -1))
+    gens = MU19
     real_adjugate = conetri.cone_geometry.adjugate
     calls = []
 
@@ -124,24 +158,17 @@ def test_run_pipeline_computes_one_adjugate(monkeypatch):
     assert calls == [(make_cone(gens).matrix(), True)]
 
 
-def test_run_pipeline_isolated_mode():
-    cfg = RunConfig(generators=((1, 0), (1, 4)), isolated_cones=True)
-    doc, _ = run_pipeline(cfg)
-    assert doc["certificates"]["hk_ok"] is True
-    assert doc["final"]["count"] == 4
-    assert all(doc["certificates"].values())
-
-
-def test_run_pipeline_isolated_mode_is_not_face_to_face():
+def test_isolated_tiling_is_not_face_to_face():
     # A known gap: refining each phase 1 cone on its own leaves facets
     # that only one cone holds inside the base, and no certificate sees it.
-    # The default pipeline tiles the same cone face to face.
-    gens = ((1, 1, 0, -3), (-2, -3, 1, 3), (-2, -1, 0, -2), (1, -3, 1, -1))
-    doc, _ = run_pipeline(RunConfig(generators=gens, isolated_cones=True))
-    assert doc["base"]["multiplicity"] == 19
-    assert all(doc["certificates"].values())
-    cones = [c["generators"] for c in doc["final"]["cones"]]
-    facets = oracle_facet_matching(gens, cones)
+    # The pipeline tiles the same cone face to face.
+    gens = MU19
+    base, state, final = isolated_tiling(gens)
+    assert base.multiplicity == 19
+    report = certify(base, final, state.trace, state.triangulation.all_created)
+    flags = [v for v in vars(report).values() if isinstance(v, bool)]
+    assert len(flags) == 8 and all(flags)
+    facets = oracle_facet_matching(gens, [c.generators for c in final.cones])
     assert len(facets["interior_bad"]) == 12
     assert facets["boundary_bad"] == []
     doc, _ = run_pipeline(RunConfig(generators=gens))
@@ -282,12 +309,12 @@ def test_main_bounds(capsys):
     assert main(["bounds", "--mu", "0", "--dim", "3"]) == 1
 
 
-def run_cli(*args, preexec_fn=None):
+def run_cli(*args, preexec_fn=None, stdout=subprocess.PIPE):
     src = Path(conetri.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.run(
         [sys.executable, "-m", "conetri.cli", *map(str, args)],
-        capture_output=True, text=True, env=env, timeout=60,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
         preexec_fn=preexec_fn,
     )
 
@@ -370,3 +397,44 @@ def test_main_run_deeply_nested_json_is_an_error(tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
     assert_error_exit(run_cli("run", path))
+
+
+def test_main_run_rejects_the_isolated_cones_flag(tmp_path, capsys):
+    path = write_cone(
+        tmp_path, "cone.json", {"dimension": 2, "generators": [[1, 0], [1, 4]]}
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(["run", path, "--isolated-cones"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage:")
+    assert "unrecognized arguments: --isolated-cones" in captured.err
+    assert captured.out == ""
+
+
+def test_main_random_into_a_closed_pipe_exits_1_quietly():
+    # As in `conetri random ... | head -1`, the reader is gone before the
+    # summary is written; a pipe whose read end is closed makes that certain.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = run_cli(
+            "random", "--dim", 3, "--bound", 5, "--count", 3, "--seed", 1,
+            stdout=write_end,
+        )
+    finally:
+        os.close(write_end)
+    assert out.returncode == 1
+    assert out.stderr == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_main_run_trace_on_a_full_device_is_an_error(tmp_path):
+    # Writes to /dev/full fail with ENOSPC, here only when the buffered
+    # trace is flushed as the file closes.
+    path = write_cone(
+        tmp_path, "cone.json", {"dimension": 2, "generators": [[1, 0], [1, 3]]}
+    )
+    out = run_cli("run", path, "--trace", "/dev/full")
+    assert_error_exit(out)
+    assert out.stderr.startswith("error: cannot write /dev/full:")

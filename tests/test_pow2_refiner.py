@@ -11,12 +11,7 @@ from conetri import pow2_refiner
 from conetri.cone_geometry import Triangulation, half_vector, make_cone
 from conetri.errors import PhaseOrderError
 from conetri.p2t_engine import run_p2t
-from conetri.pow2_refiner import (
-    hk_bound,
-    hk_exact,
-    refine_isolated,
-    refine_to_unimodular,
-)
+from conetri.pow2_refiner import hk_bound, hk_exact, refine_to_unimodular
 
 from conftest import (
     canonical,
@@ -126,7 +121,7 @@ def test_refine_isolated_generations(seed):
     l = mu.bit_length() - 1
     with pytest.MonkeyPatch.context() as mp:
         halvings = record_halvings(mp, mu)
-        tri = refine_isolated(cone)
+        tri = refine_to_unimodular(Triangulation.trivial(cone))
     assert all(c.multiplicity == 1 for c in tri.cones)
     # Every branch halves l times: no point lies deeper than generation l.
     assert all(1 <= k <= l for _, k in halvings)
@@ -141,7 +136,7 @@ def test_refine_isolated_generations(seed):
 
 def test_refine_isolated_mu16_chain(monkeypatch):
     halvings = record_halvings(monkeypatch, 16)
-    tri = refine_isolated(make_cone([(1, 0), (1, 16)]))
+    tri = refine_to_unimodular(Triangulation.trivial(make_cone([(1, 0), (1, 16)])))
     assert len(tri.cones) == 16
     # A balanced binary tree: 2**(k-1) splits at generation k, so every
     # final cone sits at depth 4.

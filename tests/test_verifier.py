@@ -8,14 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conetri.cli import RunConfig, run_pipeline
 from conetri.cone_geometry import (
     SimplicialCone,
     dilation,
     make_cone,
     stellar_subdivide,
 )
-from conetri.errors import PhaseOrderError
 from conetri.number_theory import factorize, phi
 from conetri.p2t_engine import TraceEvent, run_p2t
 from conetri.pow2_refiner import refine_to_unimodular
@@ -25,11 +23,11 @@ from conetri.verifier import (
     certify,
     final_bounds,
     intermediate_mu_ceiling,
-    max_dilation,
     upper_rational,
 )
 
 from conftest import (
+    isolated_tiling,
     oracle_dilation,
     oracle_facet_matching,
     oracle_validate_tiling,
@@ -66,19 +64,20 @@ def test_verify_triangulation_flags_nonunimodular():
 
 
 def test_max_dilation_examples():
+    # _sweep's fourth result is the worst dilation of any generator.
     base = make_cone([(1, 0), (1, 3)])
-    assert max_dilation(base, cones_from_gens(staircase_cones(3))) == 1
+    assert _sweep(base, cones_from_gens(staircase_cones(3)))[3] == 1
     unit = make_cone([(1, 0), (0, 1)])
-    assert max_dilation(unit, [unit]) == 1
-    with pytest.raises(PhaseOrderError):
-        max_dilation(base, [base])
+    assert _sweep(unit, [unit])[3] == 1
+    # The fan's ray (2, 1) sits at dilation 3 over the unit cone.
+    assert _sweep(unit, cones_from_gens(THREE_BUCKETS))[3] == 3
 
 
 def test_max_dilation_full_pipeline_mu5():
     base = make_cone([(1, 0), (1, 5)])
     state = run_p2t(base)
     tri = refine_to_unimodular(state.triangulation)
-    assert max_dilation(base, tri.cones) == 1
+    assert _sweep(base, tri.cones)[3] == 1
 
 
 def test_final_bounds_examples():
@@ -341,14 +340,13 @@ def test_volume_identity_matches_oracle(base_gens, cone_gens_list):
 
 def test_sweep_ignores_base_orientation_on_the_counterexamples():
     # The two tilings that pass every certificate without being face to
-    # face: a doubled step with an uncovered strip, and the --isolated-cones
-    # output on a mu-19 d=4 cone (see test_cli).
+    # face: a doubled step with an uncovered strip, and the isolated
+    # refinement of a mu-19 d=4 cone (see test_cli).
     overlap = staircase_cones(3) + staircase_cones(1)
     assert_sweep_ignores_orientation(((1, 0), (1, 4)), overlap)
     gens = ((1, 1, 0, -3), (-2, -3, 1, 3), (-2, -1, 0, -2), (1, -3, 1, -1))
-    doc, _ = run_pipeline(RunConfig(generators=gens, isolated_cones=True))
-    isolated = [c["generators"] for c in doc["final"]["cones"]]
-    assert_sweep_ignores_orientation(gens, isolated)
+    _, _, final = isolated_tiling(gens)
+    assert_sweep_ignores_orientation(gens, [c.generators for c in final.cones])
 
 
 def test_volume_cases_cover_bucket_counts():
