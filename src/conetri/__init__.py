@@ -15,13 +15,10 @@ from .cone_geometry import (
     LatticeVector,
     SimplicialCone,
     Triangulation,
-    barycentric,
-    contains,
     dilation,
     half_vector,
     make_cone,
     order_p_element,
-    stellar_subdivide,
 )
 from .errors import (
     ConetriError,
@@ -83,10 +80,8 @@ __all__ = [
     "Triangulation",
     "adjust_coefficients",
     "audit_trace",
-    "barycentric",
     "certify",
     "coefficient_ok_protected",
-    "contains",
     "dilation",
     "eta",
     "factorize",
@@ -105,7 +100,6 @@ __all__ = [
     "refine_to_unimodular",
     "rosser_bound",
     "run_p2t",
-    "stellar_subdivide",
 ]
 
 __version__ = "0.1.0"

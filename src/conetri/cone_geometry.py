@@ -8,12 +8,12 @@ one more than the largest label of the cone it splits. Labels are what the
 length certificates are stated in terms of; a cone's newest label always
 sits on one of its own generators.
 
-All coordinate computations are exact. A point's coordinates over a cone
-are kept as numerators over det: coeff_numerators computes them from the
-cone's adjugate, which is built on first use and cached. The subdivision
-engine never asks for one: both phases make their split points from known
-coefficients (order_p_element's z, half_vector's subset), so the producer's
-numerators are known up front, every other cone's follow from them (see
+All coordinate computations are exact, and the base is the only cone whose
+coordinates are computed: the verifier measures every generator against it
+through coordinate_rows. The subdivision engine computes none. Both phases
+make their split points from known coefficients (order_p_element's z,
+half_vector's subset), so the producer's numerators (det times the
+coordinates) are known up front, every other cone's follow from them (see
 p2t_engine._Engine.cones_containing), and a child's multiplicity is its
 parent's numerator in the replaced slot.
 
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
@@ -77,7 +76,7 @@ class SimplicialCone:
     """An ordered simplicial lattice cone with one label per generator.
 
     Construct base cones through make_cone; children come out of
-    stellar_subdivide. Direct construction skips the primitivity check,
+    _split_at. Direct construction skips the primitivity check,
     which intermediate cones are allowed to fail. A directly built cone has
     uid 0; the subdivision engine numbers the children it makes.
 
@@ -90,7 +89,6 @@ class SimplicialCone:
         "labels",
         "uid",
         "det",
-        "_adj",
     )
 
     def __init__(self, generators: Sequence[Sequence[int]], labels: Sequence[int]):
@@ -103,7 +101,6 @@ class SimplicialCone:
         self.generators = gens
         self.labels = tuple(labels)
         self.uid = 0
-        self._adj = None
         det = determinant(self.matrix())
         if det == 0:
             raise SingularMatrixError("generators are linearly dependent")
@@ -117,14 +114,12 @@ class SimplicialCone:
         uid: int,
         det: int,
     ) -> "SimplicialCone":
-        """Trusted constructor for subdivision children: no validation; the
-        adjugate is left to the lazy path."""
+        """Trusted constructor for subdivision children: no validation."""
         cone = cls.__new__(cls)
         cone.generators = generators
         cone.labels = labels
         cone.uid = uid
         cone.det = det
-        cone._adj = None
         return cone
 
     @property
@@ -138,20 +133,6 @@ class SimplicialCone:
     def matrix(self) -> IntMatrix:
         """Generator matrix with the generators as columns."""
         return tuple(zip(*self.generators))
-
-    @property
-    def _adjugate(self) -> IntMatrix:
-        adj = self._adj
-        if adj is None:
-            adj = adjugate(self.matrix())
-            self._adj = adj
-        return adj
-
-    def coeff_numerators(self, x: Sequence[int]) -> tuple[int, ...]:
-        """det * barycentric(x), as exact integers."""
-        if len(x) != self.dimension:
-            raise DimensionError("point dimension mismatch")
-        return tuple([sum(map(int.__mul__, row, x)) for row in self._adjugate])
 
     def max_label(self) -> int:
         """Newest label on the cone (-1 on a fresh base)."""
@@ -187,16 +168,13 @@ def make_cone(generators: Sequence[Sequence[int]]) -> SimplicialCone:
     return SimplicialCone(gens, labels)
 
 
-def barycentric(cone: SimplicialCone, x: Sequence[int]) -> tuple[Fraction, ...]:
-    """Coordinates of x in the generator basis, as exact Fractions."""
-    nums = cone.coeff_numerators(x)
-    return tuple(Fraction(n, cone.det) for n in nums)
-
-
-def contains(cone: SimplicialCone, x: Sequence[int]) -> bool:
-    """Whether x lies in the closed cone."""
+def coordinate_rows(cone: SimplicialCone) -> IntMatrix:
+    """sign(det) * adjugate of the generator matrix: row i dotted with x is
+    |det| times x's i-th barycentric coordinate, so x lies in the closed
+    cone exactly when no row gives a negative value."""
     sign = 1 if cone.det > 0 else -1
-    return all(n * sign >= 0 for n in cone.coeff_numerators(x))
+    adj = adjugate(cone.matrix())
+    return tuple(tuple([sign * a for a in row]) for row in adj)
 
 
 def dilation(base: SimplicialCone, x: Sequence[int]) -> DilationFactor:
@@ -206,19 +184,15 @@ def dilation(base: SimplicialCone, x: Sequence[int]) -> DilationFactor:
     measures how far out x sits: dilation(v_i) == 1, dilation(0) == 0.
 
     Raises:
+        DimensionError: if x has the wrong length.
         ContainmentError: if x is not in the cone.
     """
-    nums = cone_sign_checked(base, x)
-    return Fraction(sum(nums), base.det)
-
-
-def cone_sign_checked(cone: SimplicialCone, x: Sequence[int]) -> tuple[int, ...]:
-    """coeff_numerators, raising ContainmentError on any negative coordinate."""
-    nums = cone.coeff_numerators(x)
-    sign = 1 if cone.det > 0 else -1
-    if any(n * sign < 0 for n in nums):
+    if len(x) != base.dimension:
+        raise DimensionError("point dimension mismatch")
+    nums = [sum(map(int.__mul__, row, x)) for row in coordinate_rows(base)]
+    if any(n < 0 for n in nums):
         raise ContainmentError(f"{tuple(x)} lies outside the cone")
-    return nums
+    return Fraction(sum(nums), base.multiplicity)
 
 
 def order_p_element(cone: SimplicialCone, p: int) -> tuple[int, ...]:
@@ -351,42 +325,6 @@ def half_vector(
     return tuple([c // 2 for c in acc]), slots
 
 
-def stellar_subdivide(
-    cone: SimplicialCone,
-    x: Sequence[int],
-    uid_source: Iterator[int] | None = None,
-) -> list[SimplicialCone]:
-    """Split a cone at an interior or boundary lattice point.
-
-    One child per generator with positive barycentric coordinate; in child i
-    the generator g_i is replaced by x and its slot gets the label
-    max_label() + 1. Child multiplicities are lambda_i * mu, exact integers.
-
-    If x equals a stored generator the subdivision does nothing and the cone
-    itself is returned unchanged (the single "child" would be the parent).
-
-    Args:
-        cone: the cone to subdivide.
-        x: nonzero lattice point inside the cone.
-        uid_source: iterator yielding uids for the children; every child
-            gets uid 0 when it is None.
-
-    Raises:
-        ValueError: if x is the zero vector.
-        ContainmentError: if x lies outside the cone.
-    """
-    x = tuple(int(c) for c in x)
-    if all(c == 0 for c in x):
-        raise ValueError("cannot subdivide at the apex")
-    nums = cone_sign_checked(cone, x)
-    if x in cone.generators:
-        # x is exactly the stored generator on that ray: nothing to split.
-        return [cone]
-    if uid_source is None:
-        uid_source = repeat(0)
-    return _split_at(cone, x, nums, cone.max_label() + 1, uid_source)
-
-
 def _split_at(
     cone: SimplicialCone,
     x: LatticeVector,
@@ -396,10 +334,11 @@ def _split_at(
 ) -> list[SimplicialCone]:
     """Build the children of a subdivision whose numerators are known.
 
-    The caller guarantees that nums == cone.coeff_numerators(x), that the
-    signs are consistent with cone.det, and that x is not a generator (the
-    split is not a no-op). Each slot i with nums[i] != 0 gets a child with
-    generator i replaced by x; by Cramer's rule its det is nums[i].
+    The caller guarantees that nums are det times x's coordinates over the
+    cone (so of det's sign) and that x is not one of its generators (see
+    p2t_engine._Engine.subdivide_all). Each slot i with nums[i] != 0 gets a
+    child with generator i replaced by x; by Cramer's rule its det is
+    nums[i].
     """
     gens = cone.generators
     labels = cone.labels
@@ -438,6 +377,3 @@ class Triangulation:
 
     def max_uid(self) -> int:
         return max(c.uid for c in self.all_created)
-
-    def multiplicities(self) -> list[int]:
-        return [c.multiplicity for c in self.cones]

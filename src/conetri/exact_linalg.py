@@ -81,13 +81,11 @@ def adjugate(m: Sequence[Sequence[int]]) -> IntMatrix:
     rows, so the divisions are exact. At the end the left block is p * I
     and the right block is E with E @ m == p * I, where p == sign * det(m)
     and sign is the parity of the row swaps; so E == sign * adjugate(m).
-    A singular m leaves a column with no pivot, and its adjugate is built
-    from cofactors.
+    A singular m leaves a column with no pivot and raises
+    SingularMatrixError; every caller passes a cone's nonsingular matrix.
     """
     a = _as_rows(m)
     n = _require_square(a)
-    if n == 1:
-        return ((1,),)
     rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
     sign = 1
     prev = 1
@@ -95,7 +93,7 @@ def adjugate(m: Sequence[Sequence[int]]) -> IntMatrix:
         if rows[k][k] == 0:
             pivot_row = next((i for i in range(k + 1, n) if rows[i][k]), None)
             if pivot_row is None:
-                return _cofactor_adjugate(a)
+                raise SingularMatrixError("matrix has rank below its size")
             rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
             sign = -sign
         rk = rows[k]
@@ -107,25 +105,6 @@ def adjugate(m: Sequence[Sequence[int]]) -> IntMatrix:
                 rows[i] = [(pivot * x - f * y) // prev for x, y in zip(ri, rk)]
         prev = pivot
     return tuple(tuple([sign * x for x in row[n:]]) for row in rows)
-
-
-def _cofactor_adjugate(a: list[list[int]]) -> IntMatrix:
-    """Adjugate from the d**2 cofactor determinants; exact for any square
-    integer matrix, singular ones included."""
-    n = len(a)
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [a[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            cof = determinant(minor)
-            if (i + j) % 2:
-                cof = -cof
-            adj[j][i] = cof
-    return tuple(tuple(row) for row in adj)
 
 
 def invert_unimodular(m: Sequence[Sequence[int]]) -> IntMatrix:

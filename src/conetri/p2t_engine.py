@@ -168,11 +168,11 @@ class _Engine:
     subdivide_all keeps it. Say x lies on a ray R, and a live cone C has a
     generator y on R. Then x is a positive multiple of y, so the producer
     holds y and cones_containing returns C with numerators zero but in y's
-    slot. If x == y the split is a no-op and C keeps y; otherwise C's only
-    child replaces y by x. Either way every live cone with a generator on R
-    holds x there afterwards, and no other ray gains a vector. Primitivity
-    plays no part, and the generators are not all primitive: order-p and
-    halving points are often multiples of a lattice vector.
+    slot. x is never y itself (see subdivide_all), so C's only child
+    replaces y by x. Every live cone with a generator on R holds x there
+    afterwards, and no other ray gains a vector. Primitivity plays no part,
+    and the generators are not all primitive: order-p and halving points
+    are often multiples of a lattice vector.
     """
 
     def __init__(self, cones: Iterable[SimplicialCone], next_uid: int):
@@ -257,12 +257,17 @@ class _Engine:
         nums_p are the producer's numerators of x (see cones_containing).
         Each split parent leaves the live set; its children are returned,
         not added, as (parent, numerators, new_label, children) rows.
+
+        No split is a no-op: x is never one of a candidate's generators. By
+        the cones_containing lemma, x equals a candidate's generator h only
+        if F == {h} and c_h / q == 1. Phase 2 splits at half a generator
+        sum, so c / q == 1/2. Phase 1 splits at x' = (1/p) * sum z'_g * g,
+        so c_h / q == 1 would need z'_h == p; but every nonzero z'_g is
+        nonzero mod p, because adjust_coefficients only adds multiples of
+        p to a residue in (0, p).
         """
         rows = []
         for parent, nums in self.cones_containing(x, producer, nums_p):
-            if x in parent.generators:
-                # x is exactly the generator on that ray: nothing to split.
-                continue
             new_label = parent.max_label() + 1
             children = _split_at(parent, x, nums, new_label, self.uid_source)
             self._remove(parent)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, Sequence
 
-from .cone_geometry import LatticeVector, SimplicialCone, Triangulation, dilation
+from .cone_geometry import LatticeVector, SimplicialCone, Triangulation, coordinate_rows
 from .number_theory import eta, factorize, phi
 from .p2t_engine import TraceEvent
 
@@ -91,38 +91,37 @@ def _sweep(
     dilation. Each distinct generator's coordinates are computed once.
 
     Everything is kept in integer numerators over D = |det(base)|. A
-    generator g's numerators are sign(det) * adj(base) @ g: g lies in the
+    generator g's numerators are coordinate_rows(base) @ g: g lies in the
     base when none is negative, and their sum s_g is D times g's dilation.
     A cone C's volume term mu(C) / prod(s_g / D) is then
-    D**d * mu(C) / prod(s_g), so the terms mu(C) are bucketed by the
-    integer prod(s_g). The buckets are added exactly as a balanced pairwise
-    sum (_pairwise_sum), not left to right: a running total's denominator
-    grows to the lcm of every denominator seen, so each late addition of a
-    left-to-right sum would cost as much as the largest. The total
-    vol_n / vol_d is compared with mu(base) = D exactly, as
-    vol_n * D**d == D * vol_d. The worst dilation is the largest s_g over D,
-    taken over the generators found inside the base.
+    D**d * mu(C) / prod(s_g), and the terms mu(C) / prod(s_g) are added
+    exactly as a balanced pairwise sum (_pairwise_sum), not left to right:
+    a running total's denominator grows to the lcm of every denominator
+    seen, so each late addition of a left-to-right sum would cost as much
+    as the largest. The total vol_n / vol_d is compared with mu(base) = D
+    exactly, as vol_n * D**d == D * vol_d. The worst dilation is the
+    largest s_g over D, taken over the generators found inside the base.
     """
     mu_base = base.multiplicity
-    sign = 1 if base.det > 0 else -1
+    rows = coordinate_rows(base)
     containment_ok = True
     scaled: dict[tuple[int, ...], int] = {}
-    buckets: dict[int, int] = {}
+    terms: list[tuple[int, int]] = []
     for c in cones:
         prod = 1
         for g in c.generators:
             s = scaled.get(g)
             if s is None:
-                nums = base.coeff_numerators(g)
-                if any(n * sign < 0 for n in nums):
+                nums = [sum(map(int.__mul__, row, g)) for row in rows]
+                if any(n < 0 for n in nums):
                     containment_ok = False
                     break
-                s = sign * sum(nums)
+                s = sum(nums)
                 scaled[g] = s
             prod *= s
         else:
-            buckets[prod] = buckets.get(prod, 0) + abs(c.det)
-    vol_n, vol_d = _pairwise_sum([(num, den) for den, num in buckets.items()])
+            terms.append((abs(c.det), prod))
+    vol_n, vol_d = _pairwise_sum(terms)
     volume_ok = containment_ok and vol_n * mu_base**base.dimension == mu_base * vol_d
     unimodular_flags = tuple(abs(c.det) == 1 for c in cones)
     worst = Fraction(max(scaled.values(), default=0), mu_base)
@@ -182,9 +181,10 @@ def audit_trace(
         tested exactly as 2**(s + 1 + 2*eta(mu)) <= mu**2;
       * multiplicity ceiling: every created cone obeys intermediate_mu_ceiling;
       * label length: the vector of every nonnegative label s carried by
-        any created cone has dilation at most (d/2) * mu(base) * 4**s,
-        compared exactly. all_created must be the full creation history for
-        the coverage argument (newest label per cone) to be exhaustive.
+        any created cone lies in the base with dilation at most
+        (d/2) * mu(base) * 4**s, compared exactly. all_created must be the
+        full creation history for the coverage argument (newest label per
+        cone) to be exhaustive.
 
     Returns:
         (phi_descent_ok, label_depth_ok, mu_bound_ok, xi_length_ok).
@@ -220,9 +220,12 @@ def audit_trace(
     # where it is their largest label; it never changes vector afterwards.
     # Auditing each created cone's newest label, read off its own
     # generators, therefore covers every (label, vector) pair carried by
-    # any created cone.
+    # any created cone. A vector inside the base has dilation n / mu for the
+    # sum n of its numerators over coordinate_rows, so the bound is the
+    # integer test 2 * n <= d * mu**2 * 4**s; a vector outside fails.
+    rows = coordinate_rows(base)
+    d_mu_squared = d * mu_squared
     dil_cache: dict[tuple[LatticeVector, int], bool] = {}
-    half_d_mu = Fraction(d * mu_base, 2)
     for cone in all_created:
         s = cone.max_label()
         if 1 << (s + depth_shift) > mu_squared:
@@ -235,8 +238,8 @@ def audit_trace(
         key = (vec, s)
         ok = dil_cache.get(key)
         if ok is None:
-            # Exact comparison: (d/2) * mu * 4**s is rational.
-            ok = dilation(base, vec) <= half_d_mu * 4**s
+            nums = [sum(map(int.__mul__, row, vec)) for row in rows]
+            ok = min(nums) >= 0 and 2 * sum(nums) <= d_mu_squared * 4**s
             dil_cache[key] = ok
         if not ok:
             xi_length_ok = False

@@ -92,6 +92,15 @@ def oracle_barycentric(gens, x) -> tuple[Fraction, ...]:
     return frac_solve(cols, x)
 
 
+def oracle_numerators(gens, x) -> tuple[int, ...]:
+    """det times the coordinates of x in the generator basis: the numerators
+    a subdivision at x is built from, via frac_solve and perm_det."""
+    det = perm_det(gens)
+    nums = [det * v for v in oracle_barycentric(gens, x)]
+    assert all(v.denominator == 1 for v in nums)
+    return tuple(int(v) for v in nums)
+
+
 def oracle_validate_tiling(base_gens, cone_gens_list) -> dict:
     """First-principles validity check of a tiling of a cone.
 

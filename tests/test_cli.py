@@ -138,24 +138,26 @@ def test_run_pipeline_report_has_the_eight_certificates(gens, count):
         assert doc["final"]["count"] == count
 
 
-def test_run_pipeline_computes_one_adjugate(monkeypatch):
+def test_run_pipeline_computes_only_base_adjugates(monkeypatch):
     # Both phases derive every containment numerator from the split point's
-    # own coefficients and build children without adjugate arithmetic; the
-    # only adjugate of a run is the base's, for the certificate sweep.
+    # own coefficients and build children without adjugate arithmetic. The
+    # only adjugates of a run are the base's: one for the certificate sweep
+    # and one for the label-length audit.
     gens = MU19
     real_adjugate = conetri.cone_geometry.adjugate
     calls = []
 
     def counting(m):
         callers = {frame.function for frame in inspect.stack()}
-        calls.append((m, "_sweep" in callers))
+        calls.append((m, [f for f in ("_sweep", "audit_trace") if f in callers]))
         return real_adjugate(m)
 
     monkeypatch.setattr(conetri.cone_geometry, "adjugate", counting)
     doc, trace = run_pipeline(RunConfig(generators=gens, keep_trace=True))
     assert all(doc["certificates"].values())
     assert len(trace) > 1 and doc["final"]["count"] > 19
-    assert calls == [(make_cone(gens).matrix(), True)]
+    base = make_cone(gens).matrix()
+    assert calls == [(base, ["_sweep"]), (base, ["audit_trace"])]
 
 
 def test_isolated_tiling_is_not_face_to_face():

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import count
+from itertools import count, repeat
 
 import pytest
 from hypothesis import given, settings
@@ -11,15 +11,14 @@ from hypothesis import strategies as st
 from conetri.cone_geometry import (
     SimplicialCone,
     _combine,
-    barycentric,
-    contains,
+    _split_at,
+    coordinate_rows,
     dilation,
     half_vector,
     kernel_masks_mod2,
     make_cone,
     order_p_element,
     primitive_direction,
-    stellar_subdivide,
     vector_content,
 )
 from conetri.errors import (
@@ -37,6 +36,7 @@ from conftest import (
     oracle_barycentric,
     oracle_dilation,
     oracle_half_vector,
+    oracle_numerators,
     perm_det,
 )
 
@@ -92,22 +92,38 @@ def test_make_cone_rejects_bad_input():
         make_cone([(1, 0, 0), (0, 1, 0)])
 
 
+def coordinates(cone, x):
+    """x's barycentric coordinates over the cone, read off coordinate_rows."""
+    return tuple(
+        Fraction(sum(map(int.__mul__, row, x)), cone.multiplicity)
+        for row in coordinate_rows(cone)
+    )
+
+
 def test_barycentric_examples():
     c = make_cone([(1, 0), (1, 2)])
-    assert barycentric(c, (1, 1)) == (Fraction(1, 2), Fraction(1, 2))
-    assert barycentric(c, (1, 0)) == (1, 0)
-    assert barycentric(c, (2, 2)) == (1, 1)
+    assert coordinates(c, (1, 1)) == (Fraction(1, 2), Fraction(1, 2))
+    assert coordinates(c, (1, 0)) == (1, 0)
+    assert coordinates(c, (2, 2)) == (1, 1)
     c3 = make_cone([(1, 0), (1, 3)])
-    assert barycentric(c3, (1, 1)) == (Fraction(2, 3), Fraction(1, 3))
+    assert coordinates(c3, (1, 1)) == (Fraction(2, 3), Fraction(1, 3))
+    # The same cone with det < 0: the rows carry sign(det).
+    flipped = make_cone([(1, 3), (1, 0)])
+    assert flipped.det == -c3.det
+    assert coordinates(flipped, (1, 1)) == (Fraction(1, 3), Fraction(2, 3))
 
 
 def test_contains_examples():
-    c = make_cone([(1, 0), (1, 3)])
-    assert contains(c, (1, 1))
-    assert contains(c, (0, 0))
-    assert contains(c, (1, 0))
-    assert not contains(c, (-1, 0))
-    assert not contains(c, (0, 1))
+    # x lies in the closed cone exactly when no coordinate is negative.
+    def inside(cone, x):
+        return min(coordinates(cone, x)) >= 0
+
+    for c in (make_cone([(1, 0), (1, 3)]), make_cone([(1, 3), (1, 0)])):
+        assert inside(c, (1, 1))
+        assert inside(c, (0, 0))
+        assert inside(c, (1, 0))
+        assert not inside(c, (-1, 0))
+        assert not inside(c, (0, 1))
 
 
 def test_dilation_examples():
@@ -126,7 +142,7 @@ def test_order_p_element_examples():
     assert order_p_point(c2, 2)[0] == (1, 1)
     c3 = make_cone([(1, 0), (1, 3)])
     x, z = order_p_point(c3, 3)
-    assert z == tuple(v * 3 for v in barycentric(c3, x))
+    assert z == tuple(v * 3 for v in oracle_barycentric(c3.generators, x))
     assert z in {(1, 2), (2, 1)}
     unit = make_cone([(1, 0), (0, 1)])
     with pytest.raises(DivisibilityError):
@@ -190,22 +206,30 @@ def test_order_p_element_pinned(gens, p, want):
     assert order_p_point(make_cone(gens), p)[0] == want
 
 
+def split(cone, x, uid_source=None):
+    """_split_at at x, with numerators from the oracle and the next label."""
+    nums = oracle_numerators(cone.generators, x)
+    return _split_at(
+        cone, tuple(x), nums, cone.max_label() + 1, uid_source or repeat(0)
+    )
+
+
 def test_stellar_subdivide_examples():
     unit = make_cone([(1, 0), (0, 1)])
-    kids = stellar_subdivide(unit, (1, 1))
+    kids = split(unit, (1, 1))
     assert [k.generators for k in kids] == [
         ((1, 1), (0, 1)),
         ((1, 0), (1, 1)),
     ]
     assert [k.multiplicity for k in kids] == [1, 1]
     c = make_cone([(1, 0), (1, 3)])
-    kids = stellar_subdivide(c, (1, 1))
+    kids = split(c, (1, 1))
     assert sorted(k.multiplicity for k in kids) == [1, 2]
 
 
 def test_stellar_subdivide_labels():
     c = make_cone([(1, 0), (1, 3)])
-    kids = stellar_subdivide(c, (1, 1), uid_source=count(1))
+    kids = split(c, (1, 1), uid_source=count(1))
     for k in kids:
         assert k.generators[k.labels.index(0)] == (1, 1)
         assert k.max_label() == 0
@@ -214,27 +238,13 @@ def test_stellar_subdivide_labels():
     assert kids[0].uid == 1 and kids[1].uid == 2
 
 
-def test_stellar_subdivide_noop_on_generator():
-    c = make_cone([(1, 0), (1, 3)])
-    assert stellar_subdivide(c, (1, 0)) == [c]
-    assert stellar_subdivide(c, (1, 3)) == [c]
-
-
 def test_stellar_subdivide_ray_multiple_replaces():
     # A point further out on a generator ray: single child, generator swapped.
     c = make_cone([(1, 0), (1, 3)])
-    kids = stellar_subdivide(c, (2, 0))
+    kids = split(c, (2, 0))
     assert len(kids) == 1
     assert kids[0].generators == ((2, 0), (1, 3))
     assert kids[0].multiplicity == 6
-
-
-def test_stellar_subdivide_rejects_bad_points():
-    c = make_cone([(1, 0), (1, 3)])
-    with pytest.raises(ValueError):
-        stellar_subdivide(c, (0, 0))
-    with pytest.raises(ContainmentError):
-        stellar_subdivide(c, (0, 1))
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -249,18 +259,17 @@ def test_stellar_subdivide_multiplicities_split(seed):
     x = tuple(
         sum(cf * g[i] for cf, g in zip(coeffs, c.generators)) for i in range(d)
     )
-    if all(v == 0 for v in x):
+    if all(v == 0 for v in x) or x in c.generators:
         return
-    kids = stellar_subdivide(c, x)
-    if len(kids) == 1 and kids[0] is c:
-        return
+    kids = split(c, x)
     lam = oracle_barycentric(gens, x)
     expected = sorted(
         abs(v * perm_det(gens)) for v in lam if v > 0
     )
     assert sorted(k.multiplicity for k in kids) == expected
+    # Cramer's rule: each child's stored det is its own, sign included.
     for k in kids:
-        assert abs(perm_det(k.generators)) == k.multiplicity
+        assert perm_det(k.generators) == k.det
 
 
 def test_half_vector_examples():

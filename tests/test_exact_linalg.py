@@ -125,6 +125,10 @@ def test_smith_reconstruction(m):
 @given(square_matrix(3))
 def test_adjugate_identity(m):
     det = perm_det(m)
+    if det == 0:
+        with pytest.raises(SingularMatrixError):
+            adjugate(m)
+        return
     prod = mat_mul(adjugate(m), m)
     assert prod == tuple(
         tuple(det if i == j else 0 for j in range(3)) for i in range(3)
@@ -162,8 +166,18 @@ def test_adjugate_matches_cofactor_oracle(n):
             det = perm_det(m)
             singular += det == 0
             unimodular += abs(det) == 1
-            assert adjugate(m) == cofactor_adjugate(m)
+            if det == 0:
+                with pytest.raises(SingularMatrixError):
+                    adjugate(m)
+            else:
+                assert adjugate(m) == cofactor_adjugate(m)
     assert singular >= 16 and unimodular >= 16
+
+
+def test_adjugate_one_by_one():
+    assert adjugate([[5]]) == adjugate([[-3]]) == ((1,),)
+    with pytest.raises(SingularMatrixError):
+        adjugate([[0]])
 
 
 def test_invert_unimodular():

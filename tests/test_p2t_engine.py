@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conetri.cone_geometry import _combine, make_cone, vector_content
+from conetri.cone_geometry import _combine, _split_at, make_cone, vector_content
 from conetri.errors import DivisibilityError
 from conetri.exact_linalg import adjugate
 from conetri.number_theory import ROSSER_CONSTANT, factorize, is_prime, phi
@@ -313,6 +313,31 @@ def test_ray_index_matches_exhaustive_scan():
         assert snapshot(fast.triangulation.cones) == snapshot(slow.triangulation.cones)
         assert snapshot(fast_final.cones) == snapshot(slow_final.cones)
     assert nonprimitive["p2t"] and nonprimitive["refine"], nonprimitive
+
+
+def test_stored_dets_match_an_independent_determinant():
+    # The engine never recomputes a det: a child's is its parent's
+    # numerator in the replaced slot, and every certificate reads it. Check
+    # it, sign included, against perm_det on every cone phase 1 creates and
+    # every cone phase 2 outputs. Also check subdivide_all's claim that no
+    # split point is one of the split cone's generators: such a split would
+    # copy its parent.
+    real_split_at = _split_at
+    splits = Counter()
+
+    def checked_split_at(cone, x, nums, new_label, uid_source):
+        assert x not in cone.generators
+        splits[len(x)] += 1
+        return real_split_at(cone, x, nums, new_label, uid_source)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("conetri.p2t_engine._split_at", checked_split_at)
+        for gens in ray_index_cases():
+            state = run_p2t(make_cone(gens))
+            final = refine_to_unimodular(state.triangulation)
+            for c in state.triangulation.all_created + final.cones:
+                assert c.det == perm_det(c.generators)
+    assert sorted(splits) == [2, 3, 4, 5]
 
 
 def test_trace_event_is_frozen():

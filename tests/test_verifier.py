@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from conetri.cone_geometry import (
     SimplicialCone,
+    Triangulation,
     dilation,
     make_cone,
-    stellar_subdivide,
 )
 from conetri.number_theory import factorize, phi
 from conetri.p2t_engine import TraceEvent, run_p2t
@@ -33,7 +33,7 @@ from conftest import (
     oracle_validate_tiling,
     staircase_cones,
 )
-from test_cone_geometry import random_cone_gens
+from test_cone_geometry import random_cone_gens, split
 
 
 def cones_from_gens(gens_list):
@@ -178,6 +178,21 @@ def test_audit_trace_negative_controls():
     _, depth_ok, mu_ok, xi_ok = audit_trace(base, [], [long0])
     assert depth_ok and mu_ok
     assert not xi_ok
+    # Exactly at the bound passes.
+    at_bound = fake_cone(((3, 0), (1, 3)), (0, -2))
+    assert dilation(base, (3, 0)) == 3
+    assert audit_trace(base, [], [at_bound])[3]
+
+
+def test_audit_trace_fails_a_label_vector_outside_the_base():
+    # The newest-label vector (-1, 1) lies outside the base: the length
+    # certificate fails instead of raising ContainmentError.
+    base = make_cone([(1, 0), (0, 1)])
+    outside = SimplicialCone([(-1, 1), (0, 1)], (0, -2))
+    created = [base, outside]
+    assert audit_trace(base, [], created)[3] is False
+    report = certify(base, Triangulation.trivial(base), [], created)
+    assert not report.xi_length_ok
 
 
 @pytest.mark.parametrize("d,bound", [(2, 9), (3, 5), (4, 3)])
@@ -216,8 +231,6 @@ def test_certify_flags_bad_tiling():
     base = make_cone([(1, 0), (1, 3)])
     state = run_p2t(base)
     tri = refine_to_unimodular(state.triangulation)
-    from conetri.cone_geometry import Triangulation
-
     broken = Triangulation(base, tri.cones[:-1], tri.cones[:-1])
     rep = certify(base, broken)
     assert not rep.volume_ok
@@ -266,12 +279,12 @@ def fan(rays):
 def stellar_chain(base_gens, picks):
     """A tiling of the base built by stellar subdivisions: each pick
     (cone index, generator slots) splits that cone at the sum of the
-    generators in those slots."""
+    generators in those slots, with numerators from the oracle."""
     cones = [make_cone(base_gens)]
     for index, slots in picks:
         cone = cones.pop(index)
         x = [sum(cone.generators[i][j] for i in slots) for j in range(len(base_gens))]
-        cones.extend(stellar_subdivide(cone, x))
+        cones.extend(split(cone, x))
     return [c.generators for c in cones]
 
 
