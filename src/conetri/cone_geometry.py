@@ -371,9 +371,5 @@ class Triangulation:
     cones: list[SimplicialCone] = field(default_factory=list)
     all_created: list[SimplicialCone] = field(default_factory=list)
 
-    @staticmethod
-    def trivial(base: SimplicialCone) -> "Triangulation":
-        return Triangulation(base, [base], [base])
-
     def max_uid(self) -> int:
         return max(c.uid for c in self.all_created)

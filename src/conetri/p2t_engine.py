@@ -157,22 +157,24 @@ class _Engine:
     """Live cones of one subdivision phase, with a ray index over them.
 
     Each phase runs its own loop: it pops uids off the FIFO `pending`,
-    subdivides through subdivide_all, and decides which children to add
-    back and what to record about them.
+    splits the live cones containing its point (phase 1 through
+    subdivide_all, phase 2 in refine_to_unimodular), and decides which
+    children to add back and what to record about them.
 
     The ray index maps each generator vector to the uids of the live cones
     that hold it. It is keyed by the vector, not by its primitive direction,
     because every ray of the live tiling carries exactly one generator
     vector. The starting cones must have this property: one cone has it,
-    and so does any set of cones from an earlier engine's tiling.
-    subdivide_all keeps it. Say x lies on a ray R, and a live cone C has a
+    and so does any set of cones from an earlier engine's tiling. Both
+    phases keep it. Say x lies on a ray R, and a live cone C has a
     generator y on R. Then x is a positive multiple of y, so the producer
-    holds y and cones_containing returns C with numerators zero but in y's
-    slot. x is never y itself (see subdivide_all), so C's only child
-    replaces y by x. Every live cone with a generator on R holds x there
-    afterwards, and no other ray gains a vector. Primitivity plays no part,
-    and the generators are not all primitive: order-p and halving points
-    are often multiples of a lattice vector.
+    holds y, x's support is {y}, and C, a holder of y, is split with x's
+    coordinates zero but in y's slot. No split point is one of the split
+    cone's generators (see subdivide_all and refine_to_unimodular), so C's
+    only child replaces y by x. Every live cone with a generator on R holds
+    x there afterwards, and no other ray gains a vector. Primitivity plays
+    no part, and the generators are not all primitive: order-p and halving
+    points are often multiples of a lattice vector.
     """
 
     def __init__(self, cones: Iterable[SimplicialCone], next_uid: int):
@@ -196,13 +198,20 @@ class _Engine:
                 bucket.add(uid)
         self.pending.append(uid)
 
-    def _remove(self, cone: SimplicialCone) -> None:
+    def remove(self, cone: SimplicialCone) -> None:
+        """Take a cone out of the live set and the ray index."""
         del self.cones[cone.uid]
         for g in cone.generators:
             bucket = self.ray_index[g]
             bucket.discard(cone.uid)
             if not bucket:
                 del self.ray_index[g]
+
+    def holders(self, vectors: list[LatticeVector]) -> list[SimplicialCone]:
+        """Live cones whose generators include every one of `vectors`, in
+        uid order: the intersection of their ray-index buckets."""
+        uids = set.intersection(*[self.ray_index[g] for g in vectors])
+        return [self.cones[uid] for uid in sorted(uids)]
 
     def cones_containing(
         self, x: LatticeVector, producer: SimplicialCone, nums_p: tuple[int, ...]
@@ -235,10 +244,8 @@ class _Engine:
             return [(producer, nums_p)]
         det_p = producer.det
         support = [(g, n) for g, n in zip(producer.generators, nums_p) if n]
-        candidates = set.intersection(*(self.ray_index[g] for g, _ in support))
         out = []
-        for uid in sorted(candidates):
-            cone = self.cones[uid]
+        for cone in self.holders([g for g, _ in support]):
             det = cone.det
             slot = cone.generators.index
             nums = [0] * len(nums_p)
@@ -252,7 +259,7 @@ class _Engine:
     def subdivide_all(
         self, x: LatticeVector, producer: SimplicialCone, nums_p: tuple[int, ...]
     ) -> list[tuple[SimplicialCone, tuple[int, ...], int, list[SimplicialCone]]]:
-        """Split every live cone containing x at x.
+        """Split every live cone containing x at x: phase 1's split path.
 
         nums_p are the producer's numerators of x (see cones_containing).
         Each split parent leaves the live set; its children are returned,
@@ -260,17 +267,16 @@ class _Engine:
 
         No split is a no-op: x is never one of a candidate's generators. By
         the cones_containing lemma, x equals a candidate's generator h only
-        if F == {h} and c_h / q == 1. Phase 2 splits at half a generator
-        sum, so c / q == 1/2. Phase 1 splits at x' = (1/p) * sum z'_g * g,
-        so c_h / q == 1 would need z'_h == p; but every nonzero z'_g is
-        nonzero mod p, because adjust_coefficients only adds multiples of
-        p to a residue in (0, p).
+        if F == {h} and c_h / q == 1. Phase 1 splits at
+        x' = (1/p) * sum z'_g * g, so c_h / q == 1 would need z'_h == p; but
+        every nonzero z'_g is nonzero mod p, because adjust_coefficients
+        only adds multiples of p to a residue in (0, p).
         """
         rows = []
         for parent, nums in self.cones_containing(x, producer, nums_p):
             new_label = parent.max_label() + 1
             children = _split_at(parent, x, nums, new_label, self.uid_source)
-            self._remove(parent)
+            self.remove(parent)
             rows.append((parent, nums, new_label, children))
         return rows
 

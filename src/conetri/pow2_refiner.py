@@ -14,13 +14,24 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from .cone_geometry import Triangulation, half_vector
+from .cone_geometry import SimplicialCone, Triangulation, half_vector
 from .errors import PhaseOrderError
 from .p2t_engine import _Engine, is_power_of_two
 
 
 def refine_to_unimodular(tri: Triangulation) -> Triangulation:
     """Subdivide every power-of-two cone of a tiling down to multiplicity 1.
+
+    Each round pops the oldest live cone and halves it at
+    u = (1/2) * sum_{g in S} g for a subset S of its generators
+    (half_vector). By the lemma of _Engine.cones_containing, every live cone
+    holding all of S contains u, with numerators det/2 on S and 0
+    elsewhere, so its det is even; no other cone does (face to face, one
+    vector per ray). Each holder, in uid order, is replaced by one child per
+    slot of S, in slot order, with u in that slot and half its det. u has
+    coordinate 1/2, not 1, there, so it is none of the holder's generators
+    and no child copies its parent. This loop shares the engine's state
+    with phase 1 but not phase 1's split path (_Engine.subdivide_all).
 
     A halving point is half the sum of generators shared by every cone that
     contains it, so its coordinates over a unimodular cone would be
@@ -48,29 +59,32 @@ def refine_to_unimodular(tri: Triangulation) -> Triangulation:
     engine = _Engine(
         (c for c in tri.cones if c.multiplicity != 1), tri.max_uid() + 1
     )
-    while engine.pending:
-        uid = engine.pending.popleft()
-        cone = engine.cones.get(uid)
+    live, pending = engine.cones, engine.pending
+    new_uid = engine.uid_source.__next__
+    new_child = SimplicialCone._child
+    while pending:
+        cone = live.get(pending.popleft())
         if cone is None:
             continue
         found = half_vector(cone)
         assert found is not None, "even multiplicity must yield a half vector"
         u, slots = found
-        # u = (1/2) * sum_{j in slots} g_j: its numerators are det/2 there.
-        half = cone.det // 2
-        nums_p = tuple([half if j in slots else 0 for j in range(cone.dimension)])
-        rows = engine.subdivide_all(u, cone, nums_p)
-        assert uid not in engine.cones, "the offending cone must get subdivided"
-        for parent, _, _, children in rows:
-            # Every child of a halving has exactly half its parent's det,
-            # so a row's children are all final or all live.
-            for child in children:
-                assert 2 * child.det == parent.det
-            if parent.det in (2, -2):
-                final.extend(children)
-            else:
-                for child in children:
-                    engine.add(child)
+        face = [cone.generators[j] for j in slots]
+        for parent in engine.holders(face):
+            engine.remove(parent)
+            det = parent.det
+            assert det & 1 == 0, "a cone holding S has numerators det/2 on S"
+            half = det // 2
+            keep = final.append if half == 1 or half == -1 else engine.add
+            gens = parent.generators
+            labels = parent.labels
+            new_label = parent.max_label() + 1
+            for i in sorted(map(gens.index, face)):
+                child_gens = list(gens)
+                child_gens[i] = u
+                child_labels = list(labels)
+                child_labels[i] = new_label
+                keep(new_child(tuple(child_gens), tuple(child_labels), new_uid(), half))
     return Triangulation(tri.base, final, final)
 
 

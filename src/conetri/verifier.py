@@ -23,10 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from typing import Iterable, Sequence
 
 from .cone_geometry import LatticeVector, SimplicialCone, Triangulation, coordinate_rows
+from .exact_linalg import IntMatrix
 from .number_theory import eta, factorize, phi
 from .p2t_engine import TraceEvent
 
@@ -85,17 +85,17 @@ def _pairwise_sum(terms: list[tuple[int, int]]) -> tuple[int, int]:
 
 
 def _sweep(
-    base: SimplicialCone, cones: Sequence[SimplicialCone]
+    base: SimplicialCone, rows: IntMatrix, cones: Sequence[SimplicialCone]
 ) -> tuple[bool, bool, tuple[bool, ...], Fraction]:
     """One pass over all generators: containment, volume identity, worst
     dilation. Each distinct generator's coordinates are computed once.
 
-    Everything is kept in integer numerators over D = |det(base)|. A
-    generator g's numerators are coordinate_rows(base) @ g: g lies in the
-    base when none is negative, and their sum s_g is D times g's dilation.
-    A cone C's volume term mu(C) / prod(s_g / D) is then
-    D**d * mu(C) / prod(s_g), and the terms mu(C) / prod(s_g) are added
-    exactly as a balanced pairwise sum (_pairwise_sum), not left to right:
+    rows is coordinate_rows(base). Everything is kept in integer
+    numerators over D = |det(base)|. A generator g's numerators are
+    rows @ g: g lies in the base when none is negative, and their sum s_g
+    is D times g's dilation. A cone C's volume term mu(C) / prod(s_g / D)
+    is then D**d * mu(C) / prod(s_g), and the terms mu(C) / prod(s_g) are
+    added exactly as a balanced pairwise sum (_pairwise_sum), not left to right:
     a running total's denominator grows to the lcm of every denominator
     seen, so each late addition of a left-to-right sum would cost as much
     as the largest. The total vol_n / vol_d is compared with mu(base) = D
@@ -103,7 +103,6 @@ def _sweep(
     largest s_g over D, taken over the generators found inside the base.
     """
     mu_base = base.multiplicity
-    rows = coordinate_rows(base)
     containment_ok = True
     scaled: dict[tuple[int, ...], int] = {}
     terms: list[tuple[int, int]] = []
@@ -189,6 +188,16 @@ def audit_trace(
     Returns:
         (phi_descent_ok, label_depth_ok, mu_bound_ok, xi_length_ok).
     """
+    return _audit(base, coordinate_rows(base), trace, all_created)
+
+
+def _audit(
+    base: SimplicialCone,
+    rows: IntMatrix,
+    trace: Iterable[TraceEvent],
+    all_created: Sequence[SimplicialCone],
+) -> tuple[bool, bool, bool, bool]:
+    """audit_trace with the base's coordinate_rows already computed."""
     d = base.dimension
     mu_base = base.multiplicity
     # s <= phi(mu) - 1  <=>  2**(s + 1 + 2*eta(mu)) <= mu**2. A cone's
@@ -199,16 +208,19 @@ def audit_trace(
 
     # 4**eta(m), each multiplicity factorized once per call: a run repeats
     # a few hundred multiplicities across tens of thousands of events.
-    four_eta_of = cache(lambda m: 4 ** eta(factorize(m)))
+    four_eta: dict[int, int] = {}
 
     phi_descent_ok = True
     for ev in trace:
         # phi(c) <= phi(p) - 1  <=>  2 * c**2 * 4**eta(p) <= p**2 * 4**eta(c),
         # an exact integer test.
         p = ev.mu_parent
-        four_eta_p = four_eta_of(p)
+        for m in (p, *ev.mu_children):
+            if m not in four_eta:
+                four_eta[m] = 4 ** eta(factorize(m))
+        four_eta_p = four_eta[p]
         for c in ev.mu_children:
-            if 2 * c * c * four_eta_p > p * p * four_eta_of(c):
+            if 2 * c * c * four_eta_p > p * p * four_eta[c]:
                 phi_descent_ok = False
 
     label_depth_ok = True
@@ -221,9 +233,8 @@ def audit_trace(
     # Auditing each created cone's newest label, read off its own
     # generators, therefore covers every (label, vector) pair carried by
     # any created cone. A vector inside the base has dilation n / mu for the
-    # sum n of its numerators over coordinate_rows, so the bound is the
-    # integer test 2 * n <= d * mu**2 * 4**s; a vector outside fails.
-    rows = coordinate_rows(base)
+    # sum n of its numerators over rows, so the bound is the integer test
+    # 2 * n <= d * mu**2 * 4**s; a vector outside fails.
     d_mu_squared = d * mu_squared
     dil_cache: dict[tuple[LatticeVector, int], bool] = {}
     for cone in all_created:
@@ -265,15 +276,16 @@ def certify(
         CertificateReport; final_bound_ok means the observed max dilation
         sits under the theorem bound and, when defined, the simplified one.
     """
+    rows = coordinate_rows(base)
     volume_ok, containment_ok, unimodular_flags, worst = _sweep(
-        base, final.cones
+        base, rows, final.cones
     )
     all_unimodular = all(unimodular_flags)
     if not all_unimodular:
         worst = Fraction(0)
     thm, cor = final_bounds(base.multiplicity, base.dimension)
     audit_set = p2t_created if p2t_created else [base]
-    phi_ok, depth_ok, mu_ok, xi_ok = audit_trace(base, trace, audit_set)
+    phi_ok, depth_ok, mu_ok, xi_ok = _audit(base, rows, trace, audit_set)
     bound_ok = all_unimodular and worst <= upper_rational(thm)
     if cor is not None:
         bound_ok = bound_ok and worst <= upper_rational(cor)

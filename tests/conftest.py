@@ -224,6 +224,13 @@ def canonical(cones) -> list:
     return sorted(tuple(sorted(c.generators)) for c in cones)
 
 
+def trivial_tiling(base):
+    """The tiling of a cone by itself, with itself as the whole history."""
+    from conetri import Triangulation
+
+    return Triangulation(base, [base], [base])
+
+
 def isolated_tiling(gens):
     """Phase 1, then each of its cones refined to unimodular on its own.
 
@@ -241,7 +248,7 @@ def isolated_tiling(gens):
     state = run_p2t(base)
     cones = []
     for cone in state.triangulation.cones:
-        cones.extend(refine_to_unimodular(Triangulation.trivial(cone)).cones)
+        cones.extend(refine_to_unimodular(trivial_tiling(cone)).cones)
     return base, state, Triangulation(base, cones, cones)
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 import pytest
 
 from conetri.cli import RunConfig, random_cone, run_pipeline
-from conetri.cone_geometry import Triangulation, dilation, make_cone
+from conetri.cone_geometry import coordinate_rows, dilation, make_cone
 from conetri.number_theory import (
     factorize,
     odd_adjust,
@@ -39,7 +39,7 @@ from conetri.verifier import (
     upper_rational,
 )
 
-from conftest import oracle_validate_tiling, staircase_cones
+from conftest import oracle_validate_tiling, staircase_cones, trivial_tiling
 
 CAMPAIGN_SEED = 20260819
 RUNS_PER_DIM = 125
@@ -112,7 +112,7 @@ def campaign():
                         stats["xi_violations"] += 1
 
             tri = refine_to_unimodular(state.triangulation)
-            vol, cont, flags, worst = _sweep(base, tri.cones)
+            vol, cont, flags, worst = _sweep(base, coordinate_rows(base), tri.cones)
             if not (vol and cont and all(flags)):
                 stats["tiling_failures"] += 1
 
@@ -179,7 +179,7 @@ def test_criterion_05_final_bound(campaign, capsys):
     base = make_cone([(1, 0), (1, 3)])
     state = run_p2t(base)
     tri = refine_to_unimodular(state.triangulation)
-    assert _sweep(base, tri.cones)[3] == 1
+    assert _sweep(base, coordinate_rows(base), tri.cones)[3] == 1
     _, cor = final_bounds(3, 2)
     assert 66 < cor < 67
 
@@ -203,8 +203,8 @@ def test_criterion_06_isolated_power_of_two(capsys):
         accepted += 1
         l = mu.bit_length() - 1
         seen_l.add(l)
-        tri = refine_to_unimodular(Triangulation.trivial(cone))
-        worst = _sweep(cone, tri.cones)[3]
+        tri = refine_to_unimodular(trivial_tiling(cone))
+        worst = _sweep(cone, coordinate_rows(cone), tri.cones)[3]
         if worst > Fraction(d, 2) * Fraction(3, 2) ** l:
             violations += 1
     ok = violations == 0

@@ -22,7 +22,7 @@ from conetri.cli import (
     random_cone,
     run_pipeline,
 )
-from conetri.cone_geometry import make_cone, vector_content
+from conetri.cone_geometry import coordinate_rows, make_cone, vector_content
 from conetri.errors import SingularMatrixError
 from conetri.verifier import _sweep, certify
 
@@ -93,7 +93,7 @@ def test_run_pipeline_report_mu3():
     # Round trip: the emitted tiling re-verifies against the base.
     base = make_cone(doc["base"]["generators"])
     cones = [make_cone(c["generators"]) for c in doc["final"]["cones"]]
-    vol, cont, flags, _ = _sweep(base, cones)
+    vol, cont, flags, _ = _sweep(base, coordinate_rows(base), cones)
     assert vol and cont and all(flags)
 
 
@@ -141,15 +141,16 @@ def test_run_pipeline_report_has_the_eight_certificates(gens, count):
 def test_run_pipeline_computes_only_base_adjugates(monkeypatch):
     # Both phases derive every containment numerator from the split point's
     # own coefficients and build children without adjugate arithmetic. The
-    # only adjugates of a run are the base's: one for the certificate sweep
-    # and one for the label-length audit.
+    # only adjugate of a run is the base's, which certify computes once and
+    # hands to both the certificate sweep and the label-length audit.
     gens = MU19
     real_adjugate = conetri.cone_geometry.adjugate
     calls = []
+    checks = ("certify", "_sweep", "_audit", "audit_trace")
 
     def counting(m):
         callers = {frame.function for frame in inspect.stack()}
-        calls.append((m, [f for f in ("_sweep", "audit_trace") if f in callers]))
+        calls.append((m, [f for f in checks if f in callers]))
         return real_adjugate(m)
 
     monkeypatch.setattr(conetri.cone_geometry, "adjugate", counting)
@@ -157,7 +158,7 @@ def test_run_pipeline_computes_only_base_adjugates(monkeypatch):
     assert all(doc["certificates"].values())
     assert len(trace) > 1 and doc["final"]["count"] > 19
     base = make_cone(gens).matrix()
-    assert calls == [(base, ["_sweep"]), (base, ["audit_trace"])]
+    assert calls == [(base, ["certify"])]
 
 
 def test_isolated_tiling_is_not_face_to_face():

@@ -267,6 +267,32 @@ def exhaustive_cones_containing():
     return scan
 
 
+def exhaustive_holders():
+    """Reference for _Engine.holders as phase 2 calls it: every live cone
+    containing the halving point u = (1/2) * sum(vectors), found by a fresh
+    adjugate of each live cone. Each cone found must have u's numerators
+    det/2 in the slots of `vectors` and 0 elsewhere."""
+    fresh_adjugate = functools.cache(lambda gens: adjugate(tuple(zip(*gens))))
+
+    def scan(engine, vectors):
+        total = [sum(col) for col in zip(*vectors)]
+        assert all(c % 2 == 0 for c in total)
+        u = tuple(c // 2 for c in total)
+        out = []
+        for uid in sorted(engine.cones):
+            cone = engine.cones[uid]
+            adj = fresh_adjugate(cone.generators)
+            nums = tuple(sum(a * c for a, c in zip(row, u)) for row in adj)
+            sign = 1 if cone.det > 0 else -1
+            if all(n * sign >= 0 for n in nums):
+                half = tuple(cone.det // 2 if g in vectors else 0 for g in cone.generators)
+                assert nums == half
+                out.append(cone)
+        return out
+
+    return scan
+
+
 def ray_index_cases():
     """Seeded d = 2 to 5 bases with multiplicity at most 200 (60 at d = 5)."""
     rng = random.Random(20261018)
@@ -284,8 +310,9 @@ def snapshot(cones):
 
 
 def test_ray_index_matches_exhaustive_scan():
-    # Dual route: the ray-index candidates with derived numerators must
-    # change neither phase. The index is keyed by generator vector, not by
+    # Dual route: the ray-index candidates, with derived numerators in
+    # phase 1 and as the holders of the halved face in phase 2, must change
+    # neither phase. The index is keyed by generator vector, not by
     # primitive direction, so the runs must add non-primitive generators in
     # both phases.
     added = []
@@ -308,6 +335,8 @@ def test_ray_index_matches_exhaustive_scan():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_Engine, "cones_containing", exhaustive_cones_containing())
             slow = run_p2t(make_cone(gens))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Engine, "holders", exhaustive_holders())
             slow_final = refine_to_unimodular(slow.triangulation)
         assert fast.trace == slow.trace
         assert snapshot(fast.triangulation.cones) == snapshot(slow.triangulation.cones)
@@ -317,27 +346,42 @@ def test_ray_index_matches_exhaustive_scan():
 
 def test_stored_dets_match_an_independent_determinant():
     # The engine never recomputes a det: a child's is its parent's
-    # numerator in the replaced slot, and every certificate reads it. Check
-    # it, sign included, against perm_det on every cone phase 1 creates and
-    # every cone phase 2 outputs. Also check subdivide_all's claim that no
-    # split point is one of the split cone's generators: such a split would
-    # copy its parent.
+    # numerator in the replaced slot (half its parent's in phase 2), and
+    # every certificate reads it. Check it, sign included, against perm_det
+    # on every cone phase 1 creates, every cone phase 2 splits and every
+    # cone phase 2 outputs. Also check the claim that no split point is one
+    # of the split cone's generators, for subdivide_all in phase 1 and for
+    # the halving point in phase 2: such a split would copy its parent.
     real_split_at = _split_at
+    real_holders = _Engine.holders
     splits = Counter()
+    halvings = Counter()
 
     def checked_split_at(cone, x, nums, new_label, uid_source):
         assert x not in cone.generators
         splits[len(x)] += 1
         return real_split_at(cone, x, nums, new_label, uid_source)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("conetri.p2t_engine._split_at", checked_split_at)
-        for gens in ray_index_cases():
+    def checked_holders(engine, vectors):
+        u = tuple(sum(col) // 2 for col in zip(*vectors))
+        holders = real_holders(engine, vectors)
+        for cone in holders:
+            assert u not in cone.generators
+            assert cone.det == perm_det(cone.generators)
+            halvings[len(u)] += 1
+        return holders
+
+    for gens in ray_index_cases():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("conetri.p2t_engine._split_at", checked_split_at)
             state = run_p2t(make_cone(gens))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Engine, "holders", checked_holders)
             final = refine_to_unimodular(state.triangulation)
-            for c in state.triangulation.all_created + final.cones:
-                assert c.det == perm_det(c.generators)
+        for c in state.triangulation.all_created + final.cones:
+            assert c.det == perm_det(c.generators)
     assert sorted(splits) == [2, 3, 4, 5]
+    assert sorted(halvings) == [2, 3, 4, 5]
 
 
 def test_trace_event_is_frozen():

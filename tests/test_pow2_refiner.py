@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conetri import pow2_refiner
-from conetri.cone_geometry import Triangulation, half_vector, make_cone
+from conetri.cone_geometry import half_vector, make_cone
 from conetri.errors import PhaseOrderError
 from conetri.p2t_engine import run_p2t
 from conetri.pow2_refiner import hk_bound, hk_exact, refine_to_unimodular
@@ -19,6 +19,7 @@ from conftest import (
     oracle_facet_matching,
     oracle_validate_tiling,
     staircase_cones,
+    trivial_tiling,
 )
 from test_cone_geometry import random_cone_gens
 
@@ -43,7 +44,7 @@ def record_halvings(monkeypatch, mu):
 
 
 def test_refine_mu2_splits_in_half():
-    tri = Triangulation.trivial(make_cone([(1, 0), (1, 2)]))
+    tri = trivial_tiling(make_cone([(1, 0), (1, 2)]))
     out = refine_to_unimodular(tri)
     assert canonical(out.cones) == sorted(
         [tuple(sorted(c)) for c in staircase_cones(2)]
@@ -52,12 +53,12 @@ def test_refine_mu2_splits_in_half():
 
 def test_refine_unit_cone_unchanged():
     base = make_cone([(1, 0), (0, 1)])
-    out = refine_to_unimodular(Triangulation.trivial(base))
+    out = refine_to_unimodular(trivial_tiling(base))
     assert out.cones == [base]
 
 
 def test_refine_mu4_staircase():
-    tri = Triangulation.trivial(make_cone([(1, 0), (1, 4)]))
+    tri = trivial_tiling(make_cone([(1, 0), (1, 4)]))
     out = refine_to_unimodular(tri)
     assert canonical(out.cones) == sorted(
         [tuple(sorted(c)) for c in staircase_cones(4)]
@@ -65,7 +66,7 @@ def test_refine_mu4_staircase():
 
 
 def test_refine_rejects_odd_multiplicity():
-    tri = Triangulation.trivial(make_cone([(1, 0), (1, 3)]))
+    tri = trivial_tiling(make_cone([(1, 0), (1, 3)]))
     with pytest.raises(PhaseOrderError):
         refine_to_unimodular(tri)
 
@@ -79,7 +80,7 @@ def test_half_vector_min_weight_tiebreak():
 
 
 def test_refine_events_halve_multiplicity(monkeypatch):
-    tri = Triangulation.trivial(make_cone([(1, 0), (1, 4)]))
+    tri = trivial_tiling(make_cone([(1, 0), (1, 4)]))
     halvings = record_halvings(monkeypatch, 4)
     out = refine_to_unimodular(tri)
     # Three halvings: 4 -> (2, 2) at generation 1, then each 2 -> (1, 1).
@@ -121,7 +122,7 @@ def test_refine_isolated_generations(seed):
     l = mu.bit_length() - 1
     with pytest.MonkeyPatch.context() as mp:
         halvings = record_halvings(mp, mu)
-        tri = refine_to_unimodular(Triangulation.trivial(cone))
+        tri = refine_to_unimodular(trivial_tiling(cone))
     assert all(c.multiplicity == 1 for c in tri.cones)
     # Every branch halves l times: no point lies deeper than generation l.
     assert all(1 <= k <= l for _, k in halvings)
@@ -136,7 +137,7 @@ def test_refine_isolated_generations(seed):
 
 def test_refine_isolated_mu16_chain(monkeypatch):
     halvings = record_halvings(monkeypatch, 16)
-    tri = refine_to_unimodular(Triangulation.trivial(make_cone([(1, 0), (1, 16)])))
+    tri = refine_to_unimodular(trivial_tiling(make_cone([(1, 0), (1, 16)])))
     assert len(tri.cones) == 16
     # A balanced binary tree: 2**(k-1) splits at generation k, so every
     # final cone sits at depth 4.
@@ -175,7 +176,7 @@ def test_full_pipeline_is_face_to_face():
 
 
 def test_refine_keeps_trace_off_by_default():
-    tri = Triangulation.trivial(make_cone([(1, 0), (1, 8)]))
+    tri = trivial_tiling(make_cone([(1, 0), (1, 8)]))
     out = refine_to_unimodular(tri)
     # Without history the created list is just the final tiling.
     assert out.all_created == out.cones

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conetri.cone_geometry import (
     SimplicialCone,
     Triangulation,
+    coordinate_rows,
     dilation,
     make_cone,
 )
@@ -32,6 +33,7 @@ from conftest import (
     oracle_facet_matching,
     oracle_validate_tiling,
     staircase_cones,
+    trivial_tiling,
 )
 from test_cone_geometry import random_cone_gens, split
 
@@ -42,15 +44,15 @@ def cones_from_gens(gens_list):
 
 def test_verify_triangulation_examples():
     unit = make_cone([(1, 0), (0, 1)])
-    vol, cont, flags, _ = _sweep(unit, [unit])
+    vol, cont, flags, _ = _sweep(unit, coordinate_rows(unit), [unit])
     assert vol and cont and flags == (True,)
 
     base = make_cone([(1, 0), (1, 3)])
     steps = cones_from_gens(staircase_cones(3))
-    vol, cont, flags, _ = _sweep(base, steps)
+    vol, cont, flags, _ = _sweep(base, coordinate_rows(base), steps)
     assert vol and cont and all(flags)
 
-    vol, cont, flags, _ = _sweep(base, steps[:-1])
+    vol, cont, flags, _ = _sweep(base, coordinate_rows(base), steps[:-1])
     assert not vol
     assert cont
 
@@ -58,7 +60,7 @@ def test_verify_triangulation_examples():
 def test_verify_triangulation_flags_nonunimodular():
     base = make_cone([(1, 0), (1, 4)])
     half = cones_from_gens([((1, 0), (1, 2)), ((1, 2), (1, 4))])
-    vol, cont, flags, _ = _sweep(base, half)
+    vol, cont, flags, _ = _sweep(base, coordinate_rows(base), half)
     assert vol and cont
     assert flags == (False, False)
 
@@ -66,18 +68,18 @@ def test_verify_triangulation_flags_nonunimodular():
 def test_max_dilation_examples():
     # _sweep's fourth result is the worst dilation of any generator.
     base = make_cone([(1, 0), (1, 3)])
-    assert _sweep(base, cones_from_gens(staircase_cones(3)))[3] == 1
+    assert _sweep(base, coordinate_rows(base), cones_from_gens(staircase_cones(3)))[3] == 1
     unit = make_cone([(1, 0), (0, 1)])
-    assert _sweep(unit, [unit])[3] == 1
+    assert _sweep(unit, coordinate_rows(unit), [unit])[3] == 1
     # The fan's ray (2, 1) sits at dilation 3 over the unit cone.
-    assert _sweep(unit, cones_from_gens(THREE_BUCKETS))[3] == 3
+    assert _sweep(unit, coordinate_rows(unit), cones_from_gens(THREE_BUCKETS))[3] == 3
 
 
 def test_max_dilation_full_pipeline_mu5():
     base = make_cone([(1, 0), (1, 5)])
     state = run_p2t(base)
     tri = refine_to_unimodular(state.triangulation)
-    assert _sweep(base, tri.cones)[3] == 1
+    assert _sweep(base, coordinate_rows(base), tri.cones)[3] == 1
 
 
 def test_final_bounds_examples():
@@ -191,7 +193,7 @@ def test_audit_trace_fails_a_label_vector_outside_the_base():
     outside = SimplicialCone([(-1, 1), (0, 1)], (0, -2))
     created = [base, outside]
     assert audit_trace(base, [], created)[3] is False
-    report = certify(base, Triangulation.trivial(base), [], created)
+    report = certify(base, trivial_tiling(base), [], created)
     assert not report.xi_length_ok
 
 
@@ -263,7 +265,7 @@ def test_certify_random_cones(seed):
     assert rep.max_dilation == worst
     flipped = make_cone(swap_first_two(gens))
     assert flipped.det == -base.det
-    assert _sweep(flipped, tri.cones)[3] == worst
+    assert _sweep(flipped, coordinate_rows(flipped), tri.cones)[3] == worst
     # Negative labels are original base generators: dilation exactly 1.
     for c in tri.cones:
         for s, vec in zip(c.labels, c.generators):
@@ -335,7 +337,7 @@ def assert_sweep_ignores_orientation(base_gens, cone_gens_list):
     base = make_cone(base_gens)
     flipped = make_cone(swap_first_two(base_gens))
     assert flipped.det == -base.det
-    assert _sweep(flipped, cones) == _sweep(base, cones)
+    assert _sweep(flipped, coordinate_rows(flipped), cones) == _sweep(base, coordinate_rows(base), cones)
 
 
 @pytest.mark.parametrize(
@@ -346,7 +348,7 @@ def assert_sweep_ignores_orientation(base_gens, cone_gens_list):
 def test_volume_identity_matches_oracle(base_gens, cone_gens_list):
     base = make_cone(base_gens)
     cones = [SimplicialCone(g, tuple(range(-1, -len(g) - 1, -1))) for g in cone_gens_list]
-    vol, _, _, _ = _sweep(base, cones)
+    vol, _, _, _ = _sweep(base, coordinate_rows(base), cones)
     assert vol == oracle_validate_tiling(base_gens, cone_gens_list)["volume_ok"]
     assert_sweep_ignores_orientation(base_gens, cone_gens_list)
 
@@ -382,7 +384,7 @@ def test_facet_oracle_sees_what_the_volume_identity_misses():
     staircase = staircase_cones(4)
     assert oracle_facet_matching(base_gens, staircase)["face_to_face_ok"]
     overlap = staircase_cones(3) + staircase_cones(1)
-    vol, cont, _, _ = _sweep(base, cones_from_gens(overlap))
+    vol, cont, _, _ = _sweep(base, coordinate_rows(base), cones_from_gens(overlap))
     assert vol and cont
     assert oracle_validate_tiling(base_gens, overlap)["volume_ok"]
     facets = oracle_facet_matching(base_gens, overlap)
