@@ -11,11 +11,9 @@ ceilings on how long the final generators can get.
 """
 
 from .cone_geometry import (
-    DilationFactor,
     LatticeVector,
     SimplicialCone,
     Triangulation,
-    dilation,
     half_vector,
     make_cone,
     order_p_element,
@@ -38,8 +36,6 @@ from .number_theory import (
     odd_adjust,
     p_max,
     phi,
-    prime_pi,
-    rosser_bound,
 )
 from .p2t_engine import (
     P2TState,
@@ -65,7 +61,6 @@ __all__ = [
     "CertificateReport",
     "ConetriError",
     "ContainmentError",
-    "DilationFactor",
     "DimensionError",
     "DivisibilityError",
     "Factorization",
@@ -82,7 +77,6 @@ __all__ = [
     "audit_trace",
     "certify",
     "coefficient_ok_protected",
-    "dilation",
     "eta",
     "factorize",
     "final_bounds",
@@ -96,9 +90,7 @@ __all__ = [
     "order_p_element",
     "p_max",
     "phi",
-    "prime_pi",
     "refine_to_unimodular",
-    "rosser_bound",
     "run_p2t",
 ]
 

@@ -26,12 +26,10 @@ carries exactly one generator vector, and the engine's ray index
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
-    ContainmentError,
     DimensionError,
     DivisibilityError,
     PrimitivityError,
@@ -49,12 +47,6 @@ from .exact_linalg import (
 )
 
 LatticeVector = tuple[int, ...]
-
-# A dilation factor is the sum of barycentric coordinates of a point with
-# respect to a cone's generators: 1 on the generators themselves, and the
-# factor by which the basic simplex must be dilated to reach the point.
-DilationFactor = Fraction
-
 
 def vector_content(v: Sequence[int]) -> int:
     """gcd of the coordinates; 0 only for the zero vector."""
@@ -175,24 +167,6 @@ def coordinate_rows(cone: SimplicialCone) -> IntMatrix:
     sign = 1 if cone.det > 0 else -1
     adj = adjugate(cone.matrix())
     return tuple(tuple([sign * a for a in row]) for row in adj)
-
-
-def dilation(base: SimplicialCone, x: Sequence[int]) -> DilationFactor:
-    """Sum of barycentric coordinates of x with respect to `base`.
-
-    This is the linear functional that is 1 on every base generator, so it
-    measures how far out x sits: dilation(v_i) == 1, dilation(0) == 0.
-
-    Raises:
-        DimensionError: if x has the wrong length.
-        ContainmentError: if x is not in the cone.
-    """
-    if len(x) != base.dimension:
-        raise DimensionError("point dimension mismatch")
-    nums = [sum(map(int.__mul__, row, x)) for row in coordinate_rows(base)]
-    if any(n < 0 for n in nums):
-        raise ContainmentError(f"{tuple(x)} lies outside the cone")
-    return Fraction(sum(nums), base.multiplicity)
 
 
 def order_p_element(cone: SimplicialCone, p: int) -> tuple[int, ...]:

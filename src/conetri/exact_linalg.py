@@ -9,6 +9,7 @@ naive elimination would produce rationals.
 
 from __future__ import annotations
 
+from operator import sub
 from typing import Sequence
 
 from .errors import DimensionError, SingularMatrixError
@@ -28,14 +29,11 @@ def _as_rows(m: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 def _require_square(rows: list[list[int]]) -> int:
+    """Size of a matrix from _as_rows, whose rows all have one width."""
     n = len(rows)
-    if any(len(r) != n for r in rows):
+    if len(rows[0]) != n:
         raise DimensionError(f"expected a square matrix, got {n}x{len(rows[0])}")
     return n
-
-
-def identity(n: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def determinant(m: Sequence[Sequence[int]]) -> int:
@@ -171,7 +169,19 @@ def smith_normal_form(
     recorded.
 
     Pivot choice is deterministic: the entry of smallest nonzero absolute
-    value in the remaining block, scanning rows first, then columns.
+    value in the remaining block, scanning rows first, then columns. Step k
+    moves it to (k, k), makes it positive, and floor-divides by it: row
+    operations reduce column k below it, column operations row k right of
+    it. While a remainder is left, the step picks a new pivot and repeats.
+    Once both are zero, if some entry of the remaining block is not a
+    multiple of the pivot, the first row holding one is added to row k and
+    the step goes on; otherwise the pivot is diag[k].
+
+    Rows and columns before k are zero off the diagonal by then, so step k
+    works on the block of rows and columns k.. alone. A column operation
+    changes only the rows whose column-k entry is nonzero: row k, and the
+    rows the row step left a remainder in. R is built column-major, so
+    each column operation on it is one list.
 
     Raises:
         DimensionError: if `m` is not square.
@@ -179,68 +189,84 @@ def smith_normal_form(
     """
     a = _as_rows(m)
     n = _require_square(a)
-    rmat = [list(row) for row in identity(n)]
-
-    def swap_cols(i: int, j: int) -> None:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in rmat:
-            row[i], row[j] = row[j], row[i]
-
-    def col_sub(j: int, k: int, q: int) -> None:
-        for row in a:
-            row[j] -= q * row[k]
-        for row in rmat:
-            row[j] -= q * row[k]
-
-    for k in range(n):
+    cols = [[0] * n for _ in range(n)]
+    for j, col in enumerate(cols):
+        col[j] = 1
+    diag = []
+    for k in range(n - 1):
+        # a is the w x w block of rows and columns k.. still to reduce; its
+        # (i, j) entry sits at (k + i, k + j) and R's column k + j goes with
+        # its column j.
+        w = n - k
         while True:
-            best: tuple[int, int] | None = None
             best_val = 0
-            for i in range(k, n):
-                for j in range(k, n):
-                    v = abs(a[i][j])
-                    if v and (best is None or v < best_val):
-                        best = (i, j)
-                        best_val = v
-            if best is None:
+            for i in range(w):
+                row = a[i]
+                for j in range(w):
+                    v = row[j]
+                    if v:
+                        if v < 0:
+                            v = -v
+                        if v < best_val or not best_val:
+                            best_val, bi, bj = v, i, j
+                if best_val == 1:
+                    # No later entry can be smaller.
+                    break
+            if not best_val:
                 raise SingularMatrixError("matrix has rank below its size")
-            bi, bj = best
-            if bi != k:
-                a[bi], a[k] = a[k], a[bi]
-            if bj != k:
-                swap_cols(bj, k)
-            if a[k][k] < 0:
-                a[k] = [-x for x in a[k]]
-            dirty = False
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    q = a[i][k] // a[k][k]
+            if bi:
+                a[bi], a[0] = a[0], a[bi]
+            if bj:
+                for row in a:
+                    row[bj], row[0] = row[0], row[bj]
+                cols[k + bj], cols[k] = cols[k], cols[k + bj]
+            r0 = a[0]
+            if r0[0] < 0:
+                a[0] = r0 = [-x for x in r0]
+            pivot = r0[0]
+            # Row step; rest collects the rows it leaves a remainder in.
+            rest = []
+            for i in range(1, w):
+                ri = a[i]
+                if ri[0]:
+                    q = ri[0] // pivot
                     if q:
-                        a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-                    if a[i][k]:
-                        dirty = True
-            for j in range(k + 1, n):
-                if a[k][j]:
-                    q = a[k][j] // a[k][k]
+                        a[i] = ri = list(map(sub, ri, map(q.__mul__, r0)))
+                    if ri[0]:
+                        rest.append(ri)
+            dirty = bool(rest)
+            # Column step: only row 0 and the rows in rest have a nonzero
+            # column 0, and on row 0 it takes v to v mod pivot.
+            ck = cols[k]
+            for j in range(1, w):
+                v = r0[j]
+                if v:
+                    q = v // pivot
                     if q:
-                        col_sub(j, k, q)
-                    if a[k][j]:
+                        r0[j] = v = v - q * pivot
+                        for row in rest:
+                            row[j] -= q * row[0]
+                        cols[k + j] = list(map(sub, cols[k + j], map(q.__mul__, ck)))
+                    if v:
                         dirty = True
             if dirty:
                 continue
-            viol = None
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    if a[i][j] % a[k][k]:
-                        viol = i
-                        break
-                if viol is not None:
-                    break
+            if pivot == 1:
+                # 1 divides every entry: no fold.
+                break
+            viol = next(
+                (i for i in range(1, w) if any(x % pivot for x in a[i])), None
+            )
             if viol is None:
                 break
-            # Fold the offending row into row k; the next elimination round
+            # Fold the offending row into row 0; the next elimination round
             # shrinks the pivot, so this terminates.
-            a[k] = [x + y for x, y in zip(a[k], a[viol])]
-    diag = tuple(a[i][i] for i in range(n))
-    return diag, tuple(tuple(row) for row in rmat)
+            a[0] = [x + y for x, y in zip(r0, a[viol])]
+        diag.append(pivot)
+        a = [row[1:] for row in a[1:]]
+    # The last block is one entry: the pivot is that entry, made positive.
+    last = a[0][0]
+    if not last:
+        raise SingularMatrixError("matrix has rank below its size")
+    diag.append(abs(last))
+    return tuple(diag), tuple(zip(*cols))

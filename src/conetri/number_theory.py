@@ -111,32 +111,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def prime_pi(x: float) -> int:
-    """Number of primes strictly below x.
-
-    Args:
-        x: positive real cutoff.
-
-    Raises:
-        ValueError: if x <= 0.
-    """
-    if x <= 0:
-        raise ValueError(f"prime_pi needs x > 0, got {x}")
-    _ensure_sieve(int(math.ceil(x)) + 1)
-    return bisect_left(_primes, x)
-
-
-def rosser_bound(x: float) -> float:
-    """Upper bound ROSSER_CONSTANT * x / ln(x) on the prime count below x.
-
-    Raises:
-        ValueError: if x <= 1 (the bound needs ln(x) > 0).
-    """
-    if x <= 1:
-        raise ValueError(f"rosser_bound needs x > 1, got {x}")
-    return ROSSER_CONSTANT * x / math.log(x)
-
-
 def odd_adjust(m: int, p: int) -> tuple[int, int, int]:
     """Rewrite an odd coefficient p/2 < m < p as 2**s * t - k*p.
 

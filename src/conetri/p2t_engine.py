@@ -21,7 +21,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .cone_geometry import (
     LatticeVector,
@@ -68,14 +68,17 @@ def coefficient_ok_protected(z: int, p: int) -> bool:
     return z == 2 and p == 3
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One stellar subdivision of one cone, with enough data to re-audit it.
 
     z are the box coefficients of the subdivision point before adjustment,
     z_prime after; both are indexed by the parent's generator slots (storage
     order). For cones other than the initiating one, z_prime is read off the
     shared face and z is its mod-p reduction.
+
+    An immutable record: a run builds one per split cone, tens of thousands
+    for a d = 5 cone, and a named tuple is built about four times faster
+    than a frozen dataclass. Events compare, hash and unpack as tuples.
     """
 
     parent_id: int
@@ -117,13 +120,15 @@ def find_x(cone: SimplicialCone, p: int) -> tuple[int, ...]:
     Raises:
         SearchExhaustedError: if no multiple is acceptable.
     """
-    order_slots = _label_order(cone)
     z0 = order_p_element(cone, p)
-    q = min(protected_count(p), cone.dimension)
+    z_label = [z0[s] for s in _label_order(cone)]
+    protected = z_label[: protected_count(p)]
     for mult in range(1, p):
-        z_label = tuple((mult * z0[s]) % p for s in order_slots)
-        if all(coefficient_ok_protected(z_label[i], p) for i in range(q)):
-            return z_label
+        for z in protected:
+            if not coefficient_ok_protected(mult * z % p, p):
+                break
+        else:
+            return tuple([mult * z % p for z in z_label])
     raise SearchExhaustedError(
         f"no acceptable order-{p} multiple; the counting bound is violated"
     )
@@ -131,7 +136,7 @@ def find_x(cone: SimplicialCone, p: int) -> tuple[int, ...]:
 
 def _label_order(cone: SimplicialCone) -> list[int]:
     """Slot indices by decreasing label: the newest label's slot first."""
-    return sorted(range(cone.dimension), key=lambda s: cone.labels[s], reverse=True)
+    return sorted(range(cone.dimension), key=cone.labels.__getitem__, reverse=True)
 
 
 def adjust_coefficients(z: tuple[int, ...], p: int) -> tuple[int, ...]:
@@ -301,33 +306,40 @@ def run_p2t(base: SimplicialCone) -> P2TState:
     while engine.pending:
         uid = engine.pending.popleft()
         cone = engine.cones.get(uid)
-        if cone is None or is_power_of_two(cone.multiplicity):
+        if cone is None:
             continue
-        p = p_max(factorize(cone.multiplicity))
+        det = cone.det
+        mu = abs(det)
+        if mu & (mu - 1) == 0:
+            continue
+        p = p_max(factorize(mu))
         z_prime_label = adjust_coefficients(find_x(cone, p), p)
         # Back from label order to slot order.
-        z_prime_storage = [
-            z for _, z in sorted(zip(_label_order(cone), z_prime_label))
-        ]
+        z_prime_storage = [0] * len(z_prime_label)
+        for s, z in zip(_label_order(cone), z_prime_label):
+            z_prime_storage[s] = z
         x_prime = _combine(cone, z_prime_storage, p)
         # x' = (1/p) * sum z'_j g_j, so its numerators are det * z'_j / p.
-        nums_p = tuple([cone.det // p * z for z in z_prime_storage])
+        scale = det // p
+        nums_p = tuple([scale * z for z in z_prime_storage])
         rows = engine.subdivide_all(x_prime, cone, nums_p)
         assert uid not in engine.cones, "the offending cone must get subdivided"
         for parent, nums, new_label, children in rows:
             # z' read off the parent: nums are det * (z'_i / p), exactly.
-            z_prime = [p * n // parent.det for n in nums]
+            det_parent = parent.det
+            z_prime = tuple([p * n // det_parent for n in nums])
+            # Fields in order: keywords would double the cost of building one.
             trace.append(
                 TraceEvent(
-                    parent_id=parent.uid,
-                    p=p,
-                    z=tuple(v % p for v in z_prime),
-                    z_prime=tuple(z_prime),
-                    x_prime=x_prime,
-                    new_label_index=new_label,
-                    children_ids=tuple(c.uid for c in children),
-                    mu_parent=parent.multiplicity,
-                    mu_children=tuple(c.multiplicity for c in children),
+                    parent.uid,
+                    p,
+                    tuple([v % p for v in z_prime]),
+                    z_prime,
+                    x_prime,
+                    new_label,
+                    tuple([c.uid for c in children]),
+                    abs(det_parent),
+                    tuple([abs(c.det) for c in children]),
                 )
             )
             for child in children:

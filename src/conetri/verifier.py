@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .cone_geometry import LatticeVector, SimplicialCone, Triangulation, coordinate_rows
@@ -223,11 +224,17 @@ def _audit(
             if 2 * c * c * four_eta_p > p * p * four_eta[c]:
                 phi_descent_ok = False
 
-    label_depth_ok = True
-    mu_bound_ok = True
-    xi_length_ok = True
+    # A cone's largest label. The depth test is monotone in it, so it runs
+    # once, on the largest of all (-1 when all_created is empty, which
+    # passes); the ceiling runs once per distinct det.
+    tops = [max(cone.labels) for cone in all_created]
+    label_depth_ok = 1 << (max(tops, default=-1) + depth_shift) <= mu_squared
     ld_base = math.log2(mu_base)
     log_ceiling = 0.5 * ld_base * (ld_base + 3.0)
+    mu_bound_ok = all(
+        math.log2(abs(det)) <= log_ceiling + PHI_SLACK
+        for det in {cone.det for cone in all_created}
+    )
     # Every nonnegative label enters existence on the cones of one event,
     # where it is their largest label; it never changes vector afterwards.
     # Auditing each created cone's newest label, read off its own
@@ -235,24 +242,16 @@ def _audit(
     # any created cone. A vector inside the base has dilation n / mu for the
     # sum n of its numerators over rows, so the bound is the integer test
     # 2 * n <= d * mu**2 * 4**s; a vector outside fails.
+    newest = {
+        (cone.generators[cone.labels.index(s)], s)
+        for cone, s in zip(all_created, tops)
+        if s >= 0
+    }
     d_mu_squared = d * mu_squared
-    dil_cache: dict[tuple[LatticeVector, int], bool] = {}
-    for cone in all_created:
-        s = cone.max_label()
-        if 1 << (s + depth_shift) > mu_squared:
-            label_depth_ok = False
-        if math.log2(cone.multiplicity) > log_ceiling + PHI_SLACK:
-            mu_bound_ok = False
-        if s < 0:
-            continue
-        vec = cone.generators[cone.labels.index(s)]
-        key = (vec, s)
-        ok = dil_cache.get(key)
-        if ok is None:
-            nums = [sum(map(int.__mul__, row, vec)) for row in rows]
-            ok = min(nums) >= 0 and 2 * sum(nums) <= d_mu_squared * 4**s
-            dil_cache[key] = ok
-        if not ok:
+    xi_length_ok = True
+    for vec, s in newest:
+        nums = [sum(map(mul, row, vec)) for row in rows]
+        if min(nums) < 0 or 2 * sum(nums) > d_mu_squared * 4**s:
             xi_length_ok = False
     return phi_descent_ok, label_depth_ok, mu_bound_ok, xi_length_ok
 

@@ -4,7 +4,10 @@ Everything in here is implemented independently of the package internals:
 determinants by permutation expansion, linear solves by plain Fraction
 elimination, matrix products by plain sums, and triangulation validity from
 first principles. Tests compare package output against these, never against
-the package itself.
+the package itself. oracle_smith_normal_form is the package's earlier
+Smith normal form, kept verbatim. dilation, prime_pi and rosser_bound are
+helpers the package never called, kept here for the tests that use them;
+dilation is built on the package's coordinate_rows.
 """
 
 from __future__ import annotations
@@ -185,6 +188,94 @@ def oracle_facet_matching(base_gens, cone_gens_list) -> dict:
     }
 
 
+def oracle_smith_normal_form(m):
+    """Smith normal form of a nonsingular square integer matrix: the
+    package's own implementation before its column operations were limited
+    to the rows they change, kept verbatim as the reference for exact
+    (diag, R) equality.
+
+    Returns (diag, R): there is a unimodular L with L @ m @ R = diag(diag),
+    R is unimodular, every diagonal entry is positive, and diag[i] divides
+    diag[i+1]. The row operations that make up L are applied to m but not
+    recorded.
+
+    Pivot choice is deterministic: the entry of smallest nonzero absolute
+    value in the remaining block, scanning rows first, then columns.
+
+    Raises:
+        SingularMatrixError: if `m` is singular.
+    """
+    from conetri.errors import SingularMatrixError
+
+    a = [list(r) for r in m]
+    n = len(a)
+    rmat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def swap_cols(i: int, j: int) -> None:
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in rmat:
+            row[i], row[j] = row[j], row[i]
+
+    def col_sub(j: int, k: int, q: int) -> None:
+        for row in a:
+            row[j] -= q * row[k]
+        for row in rmat:
+            row[j] -= q * row[k]
+
+    for k in range(n):
+        while True:
+            best: tuple[int, int] | None = None
+            best_val = 0
+            for i in range(k, n):
+                for j in range(k, n):
+                    v = abs(a[i][j])
+                    if v and (best is None or v < best_val):
+                        best = (i, j)
+                        best_val = v
+            if best is None:
+                raise SingularMatrixError("matrix has rank below its size")
+            bi, bj = best
+            if bi != k:
+                a[bi], a[k] = a[k], a[bi]
+            if bj != k:
+                swap_cols(bj, k)
+            if a[k][k] < 0:
+                a[k] = [-x for x in a[k]]
+            dirty = False
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    q = a[i][k] // a[k][k]
+                    if q:
+                        a[i] = [x - q * y for x, y in zip(a[i], a[k])]
+                    if a[i][k]:
+                        dirty = True
+            for j in range(k + 1, n):
+                if a[k][j]:
+                    q = a[k][j] // a[k][k]
+                    if q:
+                        col_sub(j, k, q)
+                    if a[k][j]:
+                        dirty = True
+            if dirty:
+                continue
+            viol = None
+            for i in range(k + 1, n):
+                for j in range(k + 1, n):
+                    if a[i][j] % a[k][k]:
+                        viol = i
+                        break
+                if viol is not None:
+                    break
+            if viol is None:
+                break
+            # Fold the offending row into row k; the next elimination round
+            # shrinks the pivot, so this terminates.
+            a[k] = [x + y for x, y in zip(a[k], a[viol])]
+    diag = tuple(a[i][i] for i in range(n))
+    return diag, tuple(tuple(row) for row in rmat)
+
+
 def even_subsets(gens) -> list[tuple[int, ...]]:
     """Indicator tuples of the nonempty generator subsets whose sum is even
     in every coordinate, by brute force over all 2**d tuples."""
@@ -212,6 +303,50 @@ def oracle_half_vector(gens):
 
 def oracle_dilation(base_gens, x) -> Fraction:
     return sum(oracle_barycentric(base_gens, x))
+
+
+def dilation(base, x) -> Fraction:
+    """Sum of barycentric coordinates of x with respect to `base`, from the
+    package's coordinate_rows: 1 on every base generator, 0 at the origin.
+
+    Raises:
+        DimensionError: if x has the wrong length.
+        ContainmentError: if x is not in the cone.
+    """
+    from conetri.cone_geometry import coordinate_rows
+    from conetri.errors import ContainmentError, DimensionError
+
+    if len(x) != base.dimension:
+        raise DimensionError("point dimension mismatch")
+    nums = [sum(map(int.__mul__, row, x)) for row in coordinate_rows(base)]
+    if any(n < 0 for n in nums):
+        raise ContainmentError(f"{tuple(x)} lies outside the cone")
+    return Fraction(sum(nums), base.multiplicity)
+
+
+def prime_pi(x: float) -> int:
+    """Number of primes strictly below x > 0, by a sieve of Eratosthenes."""
+    if x <= 0:
+        raise ValueError(f"prime_pi needs x > 0, got {x}")
+    limit = math.ceil(x) - 1  # the largest integer below x
+    if limit < 2:
+        return 0
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[0] = sieve[1] = 0
+    for n in range(2, math.isqrt(limit) + 1):
+        if sieve[n]:
+            sieve[n * n :: n] = bytearray(len(range(n * n, limit + 1, n)))
+    return sum(sieve)
+
+
+def rosser_bound(x: float) -> float:
+    """Rosser-Schoenfeld's upper bound ROSSER_CONSTANT * x / ln(x) on the
+    number of primes below x > 1."""
+    from conetri.number_theory import ROSSER_CONSTANT
+
+    if x <= 1:
+        raise ValueError(f"rosser_bound needs x > 1, got {x}")
+    return ROSSER_CONSTANT * x / math.log(x)
 
 
 def staircase_cones(n: int) -> list[tuple[tuple[int, int], ...]]:

@@ -23,13 +23,11 @@ from fractions import Fraction
 import pytest
 
 from conetri.cli import RunConfig, random_cone, run_pipeline
-from conetri.cone_geometry import coordinate_rows, dilation, make_cone
+from conetri.cone_geometry import coordinate_rows, make_cone
 from conetri.number_theory import (
     factorize,
     odd_adjust,
     phi,
-    prime_pi,
-    rosser_bound,
 )
 from conetri.p2t_engine import run_p2t
 from conetri.pow2_refiner import refine_to_unimodular
@@ -39,7 +37,14 @@ from conetri.verifier import (
     upper_rational,
 )
 
-from conftest import oracle_validate_tiling, staircase_cones, trivial_tiling
+from conftest import (
+    dilation,
+    oracle_validate_tiling,
+    prime_pi,
+    rosser_bound,
+    staircase_cones,
+    trivial_tiling,
+)
 
 CAMPAIGN_SEED = 20260819
 RUNS_PER_DIM = 125
@@ -236,7 +241,7 @@ def test_criterion_07_odd_adjust_exhaustive(capsys):
 
 
 def test_criterion_08_prime_count_bound(capsys):
-    # Independent running count against a local sieve, plus the library's
+    # Independent running count against a local sieve, plus conftest's
     # prime_pi against the bound at every integer up to a million.
     limit = 10**6
     sieve = bytearray([1]) * (limit + 1)

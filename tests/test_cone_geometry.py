@@ -13,7 +13,6 @@ from conetri.cone_geometry import (
     _combine,
     _split_at,
     coordinate_rows,
-    dilation,
     half_vector,
     kernel_masks_mod2,
     make_cone,
@@ -32,6 +31,7 @@ from conetri.exact_linalg import nullspace_mod2
 from conetri.number_theory import factorize
 
 from conftest import (
+    dilation,
     even_subsets,
     oracle_barycentric,
     oracle_dilation,

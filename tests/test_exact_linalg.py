@@ -10,14 +10,23 @@ from conetri.errors import DimensionError, SingularMatrixError
 from conetri.exact_linalg import (
     adjugate,
     determinant,
-    identity,
     invert_unimodular,
     nullspace_mod2,
     smith_normal_form,
 )
-from conftest import cofactor_adjugate, mat_mul, mat_vec, perm_det
+from conftest import (
+    cofactor_adjugate,
+    mat_mul,
+    mat_vec,
+    oracle_smith_normal_form,
+    perm_det,
+)
 
 entries = st.integers(min_value=-9, max_value=9)
+
+
+def identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def square_matrix(n):
@@ -98,6 +107,38 @@ def test_smith_examples():
 def test_smith_singular_raises():
     with pytest.raises(SingularMatrixError):
         smith_normal_form([(1, 2), (2, 4)])
+
+
+# Diagonal blocks whose Smith form needs the row-fold step: each reduction
+# round leaves them diagonal, and (2, 3) or (6, 10, 15) is no divisor
+# chain, so only a fold can reach (1, 6) or (1, 30, 30).
+FOLDING = [
+    [(2, 0), (0, 3)],
+    [(6, 0, 0), (0, 10, 0), (0, 0, 15)],
+    [(4, 0, 0, 0), (0, 6, 0, 0), (0, 0, 1, 0), (0, 0, 0, 9)],
+]
+
+
+def test_smith_matches_reference_exactly():
+    rng = random.Random(20261019)
+    cases = [list(m) for m in FOLDING]
+    for _ in range(3000):
+        d = rng.randint(2, 6)
+        bound = rng.choice((3, 10, 1000))
+        cases.append([[rng.randint(-bound, bound) for _ in range(d)] for _ in range(d)])
+    singular = 0
+    for m in cases:
+        try:
+            want = oracle_smith_normal_form(m)
+        except SingularMatrixError:
+            singular += 1
+            with pytest.raises(SingularMatrixError):
+                smith_normal_form(m)
+            continue
+        assert smith_normal_form(m) == want, m
+    assert smith_normal_form(FOLDING[0])[0] == (1, 6)
+    assert smith_normal_form(FOLDING[1])[0] == (1, 30, 30)
+    assert singular
 
 
 @given(square_matrix(3))

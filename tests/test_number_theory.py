@@ -14,9 +14,9 @@ from conetri.number_theory import (
     odd_adjust,
     p_max,
     phi,
-    prime_pi,
-    rosser_bound,
 )
+
+from conftest import prime_pi, rosser_bound
 
 
 def test_factorize_examples():

@@ -1,6 +1,8 @@
 """The power-of-two phase: coefficient rules, point search, full runs."""
 
 import functools
+import hashlib
+import json
 import math
 import random
 from collections import Counter
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from conetri.cone_geometry import _combine, _split_at, make_cone, vector_content
 from conetri.errors import DivisibilityError
-from conetri.exact_linalg import adjugate
+from conetri.exact_linalg import adjugate, smith_normal_form
 from conetri.number_theory import ROSSER_CONSTANT, factorize, is_prime, phi
 from conetri.p2t_engine import (
     TraceEvent,
@@ -25,8 +27,13 @@ from conetri.p2t_engine import (
 )
 from conetri.pow2_refiner import refine_to_unimodular
 
-from conftest import oracle_barycentric, oracle_validate_tiling, perm_det
-from test_cone_geometry import random_cone_gens
+from conftest import (
+    oracle_barycentric,
+    oracle_smith_normal_form,
+    oracle_validate_tiling,
+    perm_det,
+)
+from test_cone_geometry import ORDER_P_PINS, random_cone_gens
 
 
 def test_is_power_of_two():
@@ -388,3 +395,67 @@ def test_trace_event_is_frozen():
     ev = TraceEvent(0, 3, (2, 1), (2, 1), (1, 1), 0, (1, 2), 3, (2, 1))
     with pytest.raises(AttributeError):
         ev.p = 5
+
+
+# SHA-256 over the full phase 1 history of the d = 5 ORDER_P_PINS cones (mu
+# 2064, 17486, 552, 2070): each final cone's generators, labels, uid and
+# det, the uids of all_created, and every TraceEvent field. Criterion 10
+# pins d <= 4 only. A change here is a change of the subdivision.
+D5_HISTORY_DIGEST = "61404c7f6ff0b5c505a142fa8833d00d14133616ccc645695722959fb6d86cba"
+TRACE_FIELDS = (
+    "parent_id",
+    "p",
+    "z",
+    "z_prime",
+    "x_prime",
+    "new_label_index",
+    "children_ids",
+    "mu_parent",
+    "mu_children",
+)
+
+
+@pytest.fixture(scope="module")
+def d5_runs():
+    """run_p2t on each distinct d = 5 ORDER_P_PINS cone, recording every
+    matrix it hands to smith_normal_form: (states, matrices)."""
+    import conetri.cone_geometry as cone_geometry
+
+    bases = []
+    for gens, _, _ in ORDER_P_PINS:
+        if len(gens) == 5 and gens not in bases:
+            bases.append(gens)
+    matrices = []
+    real_snf = cone_geometry.smith_normal_form
+
+    def recording_snf(m):
+        matrices.append(m)
+        return real_snf(m)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cone_geometry, "smith_normal_form", recording_snf)
+        states = [run_p2t(make_cone(gens)) for gens in bases]
+    return states, matrices
+
+
+def test_d5_phase1_history_pinned(d5_runs):
+    states, _ = d5_runs
+    assert TRACE_FIELDS == TraceEvent._fields
+    assert [s.triangulation.base.multiplicity for s in states] == [2064, 17486, 552, 2070]
+    digest = hashlib.sha256()
+    for state in states:
+        tri = state.triangulation
+        doc = {
+            "final": [[c.generators, c.labels, c.uid, c.det] for c in tri.cones],
+            "created": [c.uid for c in tri.all_created],
+            "trace": [[getattr(ev, f) for f in TRACE_FIELDS] for ev in state.trace],
+        }
+        digest.update(json.dumps(doc).encode())
+    assert digest.hexdigest() == D5_HISTORY_DIGEST
+
+
+def test_smith_normal_form_matches_reference_on_d5_runs(d5_runs):
+    _, matrices = d5_runs
+    assert len(matrices) > 1000
+    for m in matrices:
+        assert smith_normal_form(m) == oracle_smith_normal_form(m)

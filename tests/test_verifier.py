@@ -12,7 +12,6 @@ from conetri.cone_geometry import (
     SimplicialCone,
     Triangulation,
     coordinate_rows,
-    dilation,
     make_cone,
 )
 from conetri.number_theory import factorize, phi
@@ -28,6 +27,7 @@ from conetri.verifier import (
 )
 
 from conftest import (
+    dilation,
     isolated_tiling,
     oracle_dilation,
     oracle_facet_matching,
