@@ -55,8 +55,8 @@ def main():
     show("final tiling", tri.cones)
     print()
 
-    # The certificate re-checks everything from scratch: exact volume
-    # additivity, containment, unimodularity, and the length bounds.
+    # The certificate re-checks the run: exact volume additivity,
+    # containment, unimodularity, and the length bounds.
     report = certify(
         base,
         tri,

@@ -5,9 +5,11 @@ power-of-two multiplicity, steering each step with an order-p lattice point
 whose coefficients are kept small or repaired into powers of two; the
 potential phi of every touched multiplicity drops by at least 1 per step.
 refine_to_unimodular then halves the power-of-two multiplicities down to 1
-using half-integer generator sums. certify re-checks the outcome from
-scratch: exact tiling volume, containment, the phi descent, and the proven
-ceilings on how long the final generators can get.
+using half-integer generator sums. certify re-checks the outcome: exact
+tiling volume, containment, the phi descent, and the proven ceilings on how
+long the final generators can get. It recomputes coordinates, potentials
+and dilations, but reads each cone's stored det, the trace's multiplicities
+and the phase 1 creation history as given.
 """
 
 from .cone_geometry import (
@@ -20,7 +22,6 @@ from .cone_geometry import (
 )
 from .errors import (
     ConetriError,
-    ContainmentError,
     DimensionError,
     DivisibilityError,
     PhaseOrderError,
@@ -60,7 +61,6 @@ from .verifier import (
 __all__ = [
     "CertificateReport",
     "ConetriError",
-    "ContainmentError",
     "DimensionError",
     "DivisibilityError",
     "Factorization",

@@ -35,7 +35,7 @@ from .cone_geometry import (
     vector_content,
 )
 from .errors import ConetriError
-from .p2t_engine import run_p2t
+from .p2t_engine import TraceEvent, run_p2t
 from .pow2_refiner import refine_to_unimodular
 from .verifier import (
     CertificateReport,
@@ -50,7 +50,6 @@ class RunConfig:
     """Everything one pipeline invocation depends on."""
 
     generators: tuple[tuple[int, ...], ...]
-    keep_trace: bool = False
 
 
 def parse_input(text: str) -> SimplicialCone:
@@ -175,7 +174,7 @@ def _report_dict(
     }
 
 
-def run_pipeline(cfg: RunConfig) -> tuple[dict[str, Any], list[dict[str, Any]]]:
+def run_pipeline(cfg: RunConfig) -> tuple[dict[str, Any], list[TraceEvent]]:
     """Run both phases on one cone and certify the outcome.
 
     The cyclic garbage collector is paused for the call. A run makes no
@@ -187,8 +186,8 @@ def run_pipeline(cfg: RunConfig) -> tuple[dict[str, Any], list[dict[str, Any]]]:
     way out, also on an exception, if it was on when the call began.
 
     Returns:
-        (report, trace): the report document and, when cfg.keep_trace, the
-        subdivision events as JSON-ready dicts.
+        (report, trace): the report document and phase 1's subdivision
+        events, the record certify audited.
 
     Raises:
         OverflowError: if the multiplicity ceiling of the report overflows a
@@ -204,35 +203,13 @@ def run_pipeline(cfg: RunConfig) -> tuple[dict[str, Any], list[dict[str, Any]]]:
             gc.enable()
 
 
-def _run_phases(cfg: RunConfig) -> tuple[dict[str, Any], list[dict[str, Any]]]:
+def _run_phases(cfg: RunConfig) -> tuple[dict[str, Any], list[TraceEvent]]:
     base = make_cone(cfg.generators)
     mu_ceiling = intermediate_mu_ceiling(base.multiplicity)
     state = run_p2t(base)
     final = refine_to_unimodular(state.triangulation)
-    report = certify(
-        base,
-        final,
-        trace=state.trace,
-        p2t_created=state.triangulation.all_created,
-    )
-    doc = _report_dict(base, final, report, mu_ceiling)
-    trace_doc = []
-    if cfg.keep_trace:
-        for ev in state.trace:
-            trace_doc.append(
-                {
-                    "parent_id": ev.parent_id,
-                    "p": ev.p,
-                    "z": list(ev.z),
-                    "z_prime": list(ev.z_prime),
-                    "x_prime": list(ev.x_prime),
-                    "new_label_index": ev.new_label_index,
-                    "children_ids": list(ev.children_ids),
-                    "mu_parent": ev.mu_parent,
-                    "mu_children": list(ev.mu_children),
-                }
-            )
-    return doc, trace_doc
+    report = certify(base, final, state.trace, state.triangulation.all_created)
+    return _report_dict(base, final, report, mu_ceiling), state.trace
 
 
 def _report_text(doc: dict[str, Any]) -> str:
@@ -272,7 +249,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except (ValueError, ConetriError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    cfg = RunConfig(generators=cone.generators, keep_trace=args.trace is not None)
+    cfg = RunConfig(generators=cone.generators)
     # The trace file is opened before the run, so a bad path fails at once.
     # A full disk may only show when the file is closed, so the close is
     # covered too.
@@ -283,11 +260,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             else contextlib.nullcontext()
         ) as fh:
             try:
-                doc, trace_doc = run_pipeline(cfg)
+                doc, trace = run_pipeline(cfg)
             except OverflowError:
                 return _overflow_error(cone.multiplicity)
             if fh is not None:
-                json.dump(trace_doc, fh, indent=2)
+                json.dump([ev._asdict() for ev in trace], fh, indent=2)
                 fh.write("\n")
     except OSError as exc:
         print(f"error: cannot write {args.trace}: {exc}", file=sys.stderr)

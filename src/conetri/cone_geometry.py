@@ -310,7 +310,7 @@ def _split_at(
 
     The caller guarantees that nums are det times x's coordinates over the
     cone (so of det's sign) and that x is not one of its generators (see
-    p2t_engine._Engine.subdivide_all). Each slot i with nums[i] != 0 gets a
+    p2t_engine.run_p2t). Each slot i with nums[i] != 0 gets a
     child with generator i replaced by x; by Cramer's rule its det is
     nums[i].
     """
@@ -344,6 +344,3 @@ class Triangulation:
     base: SimplicialCone
     cones: list[SimplicialCone] = field(default_factory=list)
     all_created: list[SimplicialCone] = field(default_factory=list)
-
-    def max_uid(self) -> int:
-        return max(c.uid for c in self.all_created)

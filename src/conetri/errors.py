@@ -1,7 +1,7 @@
 """Shared exception types.
 
 Everything that can go wrong by construction (bad shapes, singular input,
-points outside a cone, ...) raises one of these instead of a bare exception,
+non-primitive generators, ...) raises one of these instead of a bare exception,
 so callers can distinguish contract violations from genuine bugs.
 """
 
@@ -20,10 +20,6 @@ class SingularMatrixError(ConetriError, ValueError):
 
 class PrimitivityError(ConetriError, ValueError):
     """A base cone generator is an integer multiple of a shorter lattice vector."""
-
-
-class ContainmentError(ConetriError, ValueError):
-    """A lattice point lies outside the cone it was asked to be measured in."""
 
 
 class DivisibilityError(ConetriError, ValueError):

@@ -161,10 +161,10 @@ def adjust_coefficients(z: tuple[int, ...], p: int) -> tuple[int, ...]:
 class _Engine:
     """Live cones of one subdivision phase, with a ray index over them.
 
-    Each phase runs its own loop: it pops uids off the FIFO `pending`,
-    splits the live cones containing its point (phase 1 through
-    subdivide_all, phase 2 in refine_to_unimodular), and decides which
-    children to add back and what to record about them.
+    Each phase runs its own loop (run_p2t, refine_to_unimodular): it pops
+    uids off the FIFO `pending`, splits the live cones containing its
+    point, and decides which children to add back and what to record about
+    them.
 
     The ray index maps each generator vector to the uids of the live cones
     that hold it. It is keyed by the vector, not by its primitive direction,
@@ -175,7 +175,7 @@ class _Engine:
     generator y on R. Then x is a positive multiple of y, so the producer
     holds y, x's support is {y}, and C, a holder of y, is split with x's
     coordinates zero but in y's slot. No split point is one of the split
-    cone's generators (see subdivide_all and refine_to_unimodular), so C's
+    cone's generators (see run_p2t and refine_to_unimodular), so C's
     only child replaces y by x. Every live cone with a generator on R holds
     x there afterwards, and no other ray gains a vector. Primitivity plays
     no part, and the generators are not all primitive: order-p and halving
@@ -261,30 +261,6 @@ class _Engine:
             out.append((cone, tuple(nums)))
         return out
 
-    def subdivide_all(
-        self, x: LatticeVector, producer: SimplicialCone, nums_p: tuple[int, ...]
-    ) -> list[tuple[SimplicialCone, tuple[int, ...], int, list[SimplicialCone]]]:
-        """Split every live cone containing x at x: phase 1's split path.
-
-        nums_p are the producer's numerators of x (see cones_containing).
-        Each split parent leaves the live set; its children are returned,
-        not added, as (parent, numerators, new_label, children) rows.
-
-        No split is a no-op: x is never one of a candidate's generators. By
-        the cones_containing lemma, x equals a candidate's generator h only
-        if F == {h} and c_h / q == 1. Phase 1 splits at
-        x' = (1/p) * sum z'_g * g, so c_h / q == 1 would need z'_h == p; but
-        every nonzero z'_g is nonzero mod p, because adjust_coefficients
-        only adds multiples of p to a residue in (0, p).
-        """
-        rows = []
-        for parent, nums in self.cones_containing(x, producer, nums_p):
-            new_label = parent.max_label() + 1
-            children = _split_at(parent, x, nums, new_label, self.uid_source)
-            self.remove(parent)
-            rows.append((parent, nums, new_label, children))
-        return rows
-
 
 def run_p2t(base: SimplicialCone) -> P2TState:
     """Subdivide until every multiplicity is a power of two.
@@ -292,6 +268,15 @@ def run_p2t(base: SimplicialCone) -> P2TState:
     Cones are processed first-in first-out by uid; each round handles the
     largest prime factor p of the multiplicity of the oldest remaining
     offender and subdivides every cone containing the constructed point x'.
+    Each split parent leaves the live set, its children join it, and one
+    TraceEvent records the split: the trace is the phase's certificate,
+    which audit_trace replays and `conetri run --trace` writes out.
+
+    No split is a no-op: x' is never one of a holder's generators. By the
+    cones_containing lemma, x' equals a holder's generator h only if
+    F == {h} and c_h / q == 1. With x' = (1/p) * sum z'_g * g that would
+    need z'_h == p; but every nonzero z'_g is nonzero mod p, because
+    adjust_coefficients only adds multiples of p to a residue in (0, p).
 
     Args:
         base: the cone to triangulate (normally from make_cone).
@@ -322,9 +307,12 @@ def run_p2t(base: SimplicialCone) -> P2TState:
         # x' = (1/p) * sum z'_j g_j, so its numerators are det * z'_j / p.
         scale = det // p
         nums_p = tuple([scale * z for z in z_prime_storage])
-        rows = engine.subdivide_all(x_prime, cone, nums_p)
-        assert uid not in engine.cones, "the offending cone must get subdivided"
-        for parent, nums, new_label, children in rows:
+        # The holder list is fixed before the first split, so adding each
+        # parent's children at once leaves uids and `pending` in order.
+        for parent, nums in engine.cones_containing(x_prime, cone, nums_p):
+            engine.remove(parent)
+            new_label = parent.max_label() + 1
+            children = _split_at(parent, x_prime, nums, new_label, engine.uid_source)
             # z' read off the parent: nums are det * (z'_i / p), exactly.
             det_parent = parent.det
             z_prime = tuple([p * n // det_parent for n in nums])
@@ -345,6 +333,6 @@ def run_p2t(base: SimplicialCone) -> P2TState:
             for child in children:
                 engine.add(child)
             created.extend(children)
+        assert uid not in engine.cones, "the offending cone must get subdivided"
     tri = Triangulation(base, list(engine.cones.values()), created)
     return P2TState(triangulation=tri, trace=trace)
-

@@ -31,7 +31,7 @@ def refine_to_unimodular(tri: Triangulation) -> Triangulation:
     slot of S, in slot order, with u in that slot and half its det. u has
     coordinate 1/2, not 1, there, so it is none of the holder's generators
     and no child copies its parent. This loop shares the engine's state
-    with phase 1 but not phase 1's split path (_Engine.subdivide_all).
+    with phase 1 (run_p2t) but not its split path (_split_at).
 
     A halving point is half the sum of generators shared by every cone that
     contains it, so its coordinates over a unimodular cone would be
@@ -57,7 +57,8 @@ def refine_to_unimodular(tri: Triangulation) -> Triangulation:
             )
     final = [c for c in tri.cones if c.multiplicity == 1]
     engine = _Engine(
-        (c for c in tri.cones if c.multiplicity != 1), tri.max_uid() + 1
+        (c for c in tri.cones if c.multiplicity != 1),
+        max(c.uid for c in tri.all_created) + 1,
     )
     live, pending = engine.cones, engine.pending
     new_uid = engine.uid_source.__next__

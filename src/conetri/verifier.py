@@ -1,10 +1,12 @@
 """Independent certification of a finished triangulation run.
 
-Everything here recomputes its facts from scratch: tiling checks use exact
-rational volume bookkeeping, the audit of the subdivision trace re-derives
-potentials from fresh factorizations, and length checks compare exact
-dilations against the closed-form ceilings. The engine's own caches are
-never trusted.
+The checks recompute what they can from the generators: tiling checks use
+exact rational volume bookkeeping, the audit of the subdivision trace
+re-derives potentials from fresh factorizations, and length checks compare
+exact dilations against the closed-form ceilings. Three inputs are read as
+given, not re-derived: each cone's stored det (its multiplicity), the
+trace's mu_parent and mu_children, and the all_created history the label
+checks walk. A certificate is therefore only as sound as those records.
 
 The tiling certificate is a cross-section volume identity. Cutting the base
 cone with the affine hyperplane {dilation == 1} turns each cone D of the
@@ -112,7 +114,7 @@ def _sweep(
         for g in c.generators:
             s = scaled.get(g)
             if s is None:
-                nums = [sum(map(int.__mul__, row, g)) for row in rows]
+                nums = [sum(map(mul, row, g)) for row in rows]
                 if any(n < 0 for n in nums):
                     containment_ok = False
                     break
@@ -259,17 +261,19 @@ def _audit(
 def certify(
     base: SimplicialCone,
     final: Triangulation,
-    trace: Iterable[TraceEvent] = (),
-    p2t_created: Sequence[SimplicialCone] = (),
+    trace: Iterable[TraceEvent],
+    p2t_created: Sequence[SimplicialCone],
 ) -> CertificateReport:
     """Assemble the full certificate report for a finished run.
 
     Args:
         base: the original cone.
         final: the unimodular tiling produced by both phases.
-        trace: subdivision events of the power-of-two phase.
-        p2t_created: every cone created during the power-of-two phase
-            (the audit set for the multiplicity and label certificates).
+        trace: subdivision events of the power-of-two phase (run_p2t's
+            P2TState.trace).
+        p2t_created: every cone created during the power-of-two phase,
+            base included (its triangulation's all_created): the audit set
+            for the multiplicity and label certificates.
 
     Returns:
         CertificateReport; final_bound_ok means the observed max dilation
@@ -283,8 +287,7 @@ def certify(
     if not all_unimodular:
         worst = Fraction(0)
     thm, cor = final_bounds(base.multiplicity, base.dimension)
-    audit_set = p2t_created if p2t_created else [base]
-    phi_ok, depth_ok, mu_ok, xi_ok = _audit(base, rows, trace, audit_set)
+    phi_ok, depth_ok, mu_ok, xi_ok = _audit(base, rows, trace, p2t_created)
     bound_ok = all_unimodular and worst <= upper_rational(thm)
     if cor is not None:
         bound_ok = bound_ok and worst <= upper_rational(cor)

@@ -305,22 +305,26 @@ def oracle_dilation(base_gens, x) -> Fraction:
     return sum(oracle_barycentric(base_gens, x))
 
 
+class OutsideConeError(ValueError):
+    """dilation was asked for a point outside the cone."""
+
+
 def dilation(base, x) -> Fraction:
     """Sum of barycentric coordinates of x with respect to `base`, from the
     package's coordinate_rows: 1 on every base generator, 0 at the origin.
 
     Raises:
         DimensionError: if x has the wrong length.
-        ContainmentError: if x is not in the cone.
+        OutsideConeError: if x is not in the cone.
     """
     from conetri.cone_geometry import coordinate_rows
-    from conetri.errors import ContainmentError, DimensionError
+    from conetri.errors import DimensionError
 
     if len(x) != base.dimension:
         raise DimensionError("point dimension mismatch")
     nums = [sum(map(int.__mul__, row, x)) for row in coordinate_rows(base)]
     if any(n < 0 for n in nums):
-        raise ContainmentError(f"{tuple(x)} lies outside the cone")
+        raise OutsideConeError(f"{tuple(x)} lies outside the cone")
     return Fraction(sum(nums), base.multiplicity)
 
 

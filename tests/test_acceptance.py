@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import pytest
 
-from conetri.cli import RunConfig, random_cone, run_pipeline
+from conetri.cli import RunConfig, main, random_cone, run_pipeline
 from conetri.cone_geometry import coordinate_rows, make_cone
 from conetri.number_theory import (
     factorize,
@@ -293,11 +293,11 @@ def test_criterion_09_staircase_oracle(capsys):
     )
 
 
-# SHA-256 of json.dumps(report, indent=2) and of json.dumps(trace, indent=2)
-# for each criterion 10 config. A change here is a change of the subdivision
-# and must say so. The pins were taken in a fresh process, so matching them
-# inside a test session that has already run the pipeline also shows that a
-# run repeats itself.
+# SHA-256 of json.dumps(report, indent=2) and of json.dumps(events, indent=2),
+# events being the trace's TraceEvents as dicts, for each criterion 10
+# config. A change here is a change of the subdivision and must say so. The
+# pins were taken in a fresh process, so matching them inside a test session
+# that has already run the pipeline also shows that a run repeats itself.
 PINNED_DIGESTS = {
     "mu3": (
         "9d05489c5d89e841e6f931f25699c0b7553bd061699755c2c51f78d8040e6946",
@@ -321,16 +321,15 @@ def sha256_json(obj):
 def test_criterion_10_byte_determinism(capsys):
     d4 = campaign_cone(4, 0).generators
     configs = {
-        "mu3": RunConfig(generators=((1, 0), (1, 3)), keep_trace=True),
-        "mu15": RunConfig(
-            generators=((1, 0, 0), (1, 3, 0), (2, 1, 5)), keep_trace=True
-        ),
-        "campaign-4-0": RunConfig(generators=d4, keep_trace=True),
+        "mu3": RunConfig(generators=((1, 0), (1, 3))),
+        "mu15": RunConfig(generators=((1, 0, 0), (1, 3, 0), (2, 1, 5))),
+        "campaign-4-0": RunConfig(generators=d4),
     }
     mismatched = []
     for name, cfg in configs.items():
         doc, trace = run_pipeline(cfg)
-        if (sha256_json(doc), sha256_json(trace)) != PINNED_DIGESTS[name]:
+        events = [ev._asdict() for ev in trace]
+        if (sha256_json(doc), sha256_json(events)) != PINNED_DIGESTS[name]:
             mismatched.append(name)
     a = random_cone(4, 7, random.Random(CAMPAIGN_SEED))
     b = random_cone(4, 7, random.Random(CAMPAIGN_SEED))
@@ -339,3 +338,34 @@ def test_criterion_10_byte_determinism(capsys):
     announce(capsys, 10, "byte-identical reports", ok, detail)
     assert not mismatched
     assert a.generators == b.generators
+
+
+# SHA-256 and size of the file `conetri run <cone> --trace PATH` writes, for
+# the criterion 10 cones. Like PINNED_DIGESTS, a change here is a change of
+# the subdivision or of the trace file's layout and must say so.
+TRACE_FILE_PINS = {
+    "mu3": (297, "36666d66f97f088768737ea93420bf319fc9e1977589292d188c92514989b126"),
+    "mu15": (985, "1ed54c30b0ea904a15b2b53d76160ca0f9dfaf04653bfd43e345182b4ad43f13"),
+    "campaign-4-0": (
+        64100,
+        "0d58aa5f6faaed891045708507fb374c027bc31039075570c79e67aa13a6dc8f",
+    ),
+}
+
+
+def test_trace_file_bytes_are_pinned(tmp_path, capsys):
+    cones = {
+        "mu3": ((1, 0), (1, 3)),
+        "mu15": ((1, 0, 0), (1, 3, 0), (2, 1, 5)),
+        "campaign-4-0": campaign_cone(4, 0).generators,
+    }
+    for name, gens in cones.items():
+        cone_path = tmp_path / f"{name}.json"
+        cone_path.write_text(
+            json.dumps({"dimension": len(gens), "generators": gens}), encoding="utf-8"
+        )
+        trace_path = tmp_path / f"{name}.trace.json"
+        assert main(["run", str(cone_path), "--trace", str(trace_path)]) == 0
+        data = trace_path.read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == TRACE_FILE_PINS[name], name
+    capsys.readouterr()

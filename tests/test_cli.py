@@ -88,7 +88,7 @@ def test_run_pipeline_report_mu3():
     assert doc["final"]["count"] == 3
     assert doc["max_dilation"] == "1/1"
     assert all(doc["certificates"].values())
-    assert trace == []
+    assert len(trace) == 1 and trace[0].parent_id == 0
 
     # Round trip: the emitted tiling re-verifies against the base.
     base = make_cone(doc["base"]["generators"])
@@ -98,21 +98,19 @@ def test_run_pipeline_report_mu3():
 
 
 def test_run_pipeline_trace_output():
-    cfg = RunConfig(generators=((1, 0), (1, 3)), keep_trace=True)
-    _, trace = run_pipeline(cfg)
+    _, trace = run_pipeline(RunConfig(generators=((1, 0), (1, 3))))
     assert len(trace) == 1
     ev = trace[0]
-    assert ev["p"] == 3
-    assert ev["x_prime"] == [1, 1]
-    assert ev["mu_parent"] == 3
-    assert sorted(ev["mu_children"]) == [1, 2]
+    assert ev.p == 3
+    assert ev.x_prime == (1, 1)
+    assert ev.mu_parent == 3
+    assert sorted(ev.mu_children) == [1, 2]
 
 
 def test_run_config_has_no_options_beyond_the_trace():
-    assert [f.name for f in dataclasses.fields(RunConfig)] == [
-        "generators",
-        "keep_trace",
-    ]
+    # The trace is always returned; what a caller keeps of it is its own
+    # choice, so no option selects it.
+    assert [f.name for f in dataclasses.fields(RunConfig)] == ["generators"]
 
 
 @pytest.mark.parametrize(
@@ -154,7 +152,7 @@ def test_run_pipeline_computes_only_base_adjugates(monkeypatch):
         return real_adjugate(m)
 
     monkeypatch.setattr(conetri.cone_geometry, "adjugate", counting)
-    doc, trace = run_pipeline(RunConfig(generators=gens, keep_trace=True))
+    doc, trace = run_pipeline(RunConfig(generators=gens))
     assert all(doc["certificates"].values())
     assert len(trace) > 1 and doc["final"]["count"] > 19
     base = make_cone(gens).matrix()
@@ -201,7 +199,7 @@ def test_run_pipeline_leaves_no_cyclic_garbage(keep_collector_state):
     for d, bound in ((2, 9), (3, 5), (4, 3)):
         for _ in range(4):
             cone = random_cone(d, bound, rng)
-            doc, _ = run_pipeline(RunConfig(generators=cone.generators, keep_trace=True))
+            doc, _ = run_pipeline(RunConfig(generators=cone.generators))
             assert all(doc["certificates"].values())
     with pytest.raises(OverflowError):
         run_pipeline(RunConfig(generators=((1, 0), (1, 10**37 + 1))))

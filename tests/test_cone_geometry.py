@@ -21,7 +21,6 @@ from conetri.cone_geometry import (
     vector_content,
 )
 from conetri.errors import (
-    ContainmentError,
     DimensionError,
     DivisibilityError,
     PrimitivityError,
@@ -31,6 +30,7 @@ from conetri.exact_linalg import nullspace_mod2
 from conetri.number_theory import factorize
 
 from conftest import (
+    OutsideConeError,
     dilation,
     even_subsets,
     oracle_barycentric,
@@ -133,7 +133,7 @@ def test_dilation_examples():
     c = make_cone([(1, 0), (1, 3)])
     assert dilation(c, (1, 2)) == 1
     assert dilation(c, (2, 3)) == 2
-    with pytest.raises(ContainmentError):
+    with pytest.raises(OutsideConeError):
         dilation(c, (0, 1))
 
 

@@ -357,8 +357,9 @@ def test_stored_dets_match_an_independent_determinant():
     # every certificate reads it. Check it, sign included, against perm_det
     # on every cone phase 1 creates, every cone phase 2 splits and every
     # cone phase 2 outputs. Also check the claim that no split point is one
-    # of the split cone's generators, for subdivide_all in phase 1 and for
-    # the halving point in phase 2: such a split would copy its parent.
+    # of the split cone's generators, for run_p2t's split point in phase 1
+    # and for the halving point in phase 2: such a split would copy its
+    # parent.
     real_split_at = _split_at
     real_holders = _Engine.holders
     splits = Counter()

@@ -188,7 +188,7 @@ def test_audit_trace_negative_controls():
 
 def test_audit_trace_fails_a_label_vector_outside_the_base():
     # The newest-label vector (-1, 1) lies outside the base: the length
-    # certificate fails instead of raising ContainmentError.
+    # certificate fails instead of raising.
     base = make_cone([(1, 0), (0, 1)])
     outside = SimplicialCone([(-1, 1), (0, 1)], (0, -2))
     created = [base, outside]
@@ -234,7 +234,7 @@ def test_certify_flags_bad_tiling():
     state = run_p2t(base)
     tri = refine_to_unimodular(state.triangulation)
     broken = Triangulation(base, tri.cones[:-1], tri.cones[:-1])
-    rep = certify(base, broken)
+    rep = certify(base, broken, (), [base])
     assert not rep.volume_ok
     assert rep.containment_ok
     assert rep.final_count == 2
