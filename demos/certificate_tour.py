@@ -54,7 +54,11 @@ def main():
     print()
     print(f"max_dilation:       {report.max_dilation}")
     print(f"theorem ceiling:    {report.final_bound_thm:.4g}")
-    print(f"simplified ceiling: {report.final_bound_cor:.4g}")
+    # final_bounds has no simplified ceiling at mu = 1; the theorem's holds.
+    cor = report.final_bound_cor
+    if cor is None:
+        cor = report.final_bound_thm
+    print(f"simplified ceiling: {cor:.4g}")
     print(f"final_bound_ok:     {report.final_bound_ok}")
     print(f"slack ratio:        {report.slack_ratio:.1f}x headroom")
 

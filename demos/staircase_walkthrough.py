@@ -64,7 +64,7 @@ def main():
         state.triangulation.all_created,
     )
     print(f"certified: volume={report.volume_ok} containment={report.containment_ok}")
-    print(f"max dilation {report.max_dilation} vs bound {report.final_bound_cor:.1f}")
+    print(f"max dilation {report.max_dilation} vs bound {report.final_bound_thm:.1f}")
     expected = sorted(tuple(sorted(((1, k), (1, k + 1)))) for k in range(n))
     got = sorted(tuple(sorted(c.generators)) for c in tri.cones)
     print(f"matches the staircase: {got == expected}")

@@ -11,11 +11,12 @@ sits on one of its own generators.
 All coordinate computations are exact, and the base is the only cone whose
 coordinates are computed: the verifier measures every generator against it
 through coordinate_rows. The subdivision engine computes none. Both phases
-make their split points from known coefficients (order_p_element's z,
-half_vector's subset), so the producer's numerators (det times the
-coordinates) are known up front, every other cone's follow from them (see
-p2t_engine._Engine.cones_containing), and a child's multiplicity is its
-parent's numerator in the replaced slot.
+make their split points from known coefficients (order_p_element's z;
+half_vector's subset, with p = 2 and z_g = 1): x = (1/p) * sum z_g * g over
+generators g of the producer. Every cone holding those generators has the
+same coefficients on them (see p2t_engine._Engine.cones_containing), so its
+numerators (det times x's coordinates) are det * z_g / p, and a child's
+multiplicity is its parent's numerator in the replaced slot.
 
 A cone stores no ray directions. A stellar subdivision puts its vector into
 every live cone that contains it, so each ray of a tiling the engine keeps
@@ -67,10 +68,11 @@ def primitive_direction(v: Sequence[int]) -> LatticeVector:
 class SimplicialCone:
     """An ordered simplicial lattice cone with one label per generator.
 
-    Construct base cones through make_cone; children come out of
-    _split_at. Direct construction skips the primitivity check,
-    which intermediate cones are allowed to fail. A directly built cone has
-    uid 0; the subdivision engine numbers the children it makes.
+    The constructor only stores its four fields: det is the signed
+    determinant of the generator matrix, and uid numbers the cones of one
+    run. It checks nothing. make_cone is the one checked entry and builds
+    the base (uid 0); the subdivision engines build children whose det they
+    already know, and those generators need not be primitive.
 
     Slots keep the per-cone footprint small; refinement runs routinely
     hold hundreds of thousands of cones at once.
@@ -83,36 +85,17 @@ class SimplicialCone:
         "det",
     )
 
-    def __init__(self, generators: Sequence[Sequence[int]], labels: Sequence[int]):
-        gens = tuple(tuple(int(c) for c in g) for g in generators)
-        d = len(gens)
-        if d == 0 or any(len(g) != d for g in gens):
-            raise DimensionError("need d generators of length d")
-        if len(labels) != d:
-            raise DimensionError("one label per generator")
-        self.generators = gens
-        self.labels = tuple(labels)
-        self.uid = 0
-        det = determinant(self.matrix())
-        if det == 0:
-            raise SingularMatrixError("generators are linearly dependent")
-        self.det = det
-
-    @classmethod
-    def _child(
-        cls,
+    def __init__(
+        self,
         generators: tuple[LatticeVector, ...],
         labels: tuple[int, ...],
         uid: int,
         det: int,
-    ) -> "SimplicialCone":
-        """Trusted constructor for subdivision children: no validation."""
-        cone = cls.__new__(cls)
-        cone.generators = generators
-        cone.labels = labels
-        cone.uid = uid
-        cone.det = det
-        return cone
+    ):
+        self.generators = generators
+        self.labels = labels
+        self.uid = uid
+        self.det = det
 
     @property
     def dimension(self) -> int:
@@ -156,8 +139,11 @@ def make_cone(generators: Sequence[Sequence[int]]) -> SimplicialCone:
     for g in gens:
         if vector_content(g) != 1:
             raise PrimitivityError(f"generator {g} is not primitive")
+    det = determinant(tuple(zip(*gens)))
+    if det == 0:
+        raise SingularMatrixError("generators are linearly dependent")
     labels = tuple(-(i + 1) for i in range(len(gens)))
-    return SimplicialCone(gens, labels)
+    return SimplicialCone(gens, labels, 0, det)
 
 
 def coordinate_rows(cone: SimplicialCone) -> IntMatrix:
@@ -310,14 +296,15 @@ def _split_at(
 
     The caller guarantees that nums are det times x's coordinates over the
     cone (so of det's sign) and that x is not one of its generators (see
-    p2t_engine.run_p2t). Each slot i with nums[i] != 0 gets a
-    child with generator i replaced by x; by Cramer's rule its det is
-    nums[i].
+    p2t_engine.run_p2t, which passes det/p times the coefficients z' that
+    _Engine.cones_containing put in the cone's slots). Each slot i with
+    nums[i] != 0 gets a child with generator i replaced by x; by Cramer's
+    rule its det is nums[i].
     """
     gens = cone.generators
     labels = cone.labels
     return [
-        SimplicialCone._child(
+        SimplicialCone(
             gens[:i] + (x,) + gens[i + 1 :],
             labels[:i] + (new_label,) + labels[i + 1 :],
             next(uid_source),

@@ -7,12 +7,13 @@ controlled odd factors. Subdividing every cone that contains x' then strictly
 decreases the potential phi of each multiplicity it touches, so after
 finitely many rounds every multiplicity is a power of two.
 
-Coefficient positions are ranked by label index, newest first. The first
-floor(ln(p)/tau) positions are protected: their coefficients must already be
-harmless (small, or not an odd prime) and are never rewritten, because those
-labels carry the longest vectors. Unprotected coefficients that happen to be
-large odd primes are repaired by odd_adjust, which may push them above p but
-keeps the potential dropping.
+The coefficients z' stay in the cone's slot order from find_x to the
+trace. The slots of the floor(ln(p)/tau) newest labels are protected, because
+those labels carry the longest vectors: find_x only takes a multiple whose
+coefficients there are already harmless (small, or not an odd prime), so
+they are never rewritten. Any other coefficient that is a large odd prime is
+repaired by odd_adjust, which may push it above p but keeps the potential
+dropping.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def is_power_of_two(n: int) -> bool:
 
 
 def protected_count(p: int) -> int:
-    """How many leading (newest-label) coefficient positions are protected.
+    """How many coefficients, those of the newest labels, are protected.
 
     floor(ln(p) / tau) with tau the Rosser-Schoenfeld constant; natural log.
     """
@@ -55,7 +56,7 @@ def protected_count(p: int) -> int:
 
 
 def coefficient_ok_protected(z: int, p: int) -> bool:
-    """Whether a coefficient may sit in a protected position.
+    """Whether a coefficient may sit in a protected slot.
 
     Acceptable coefficients are the ones subdivision can afford on long
     vectors: anything that is not an odd prime exceeding p/2, plus the
@@ -73,8 +74,9 @@ class TraceEvent(NamedTuple):
 
     z are the box coefficients of the subdivision point before adjustment,
     z_prime after; both are indexed by the parent's generator slots (storage
-    order). For cones other than the initiating one, z_prime is read off the
-    shared face and z is its mod-p reduction.
+    order). For cones other than the initiating one, z_prime is the
+    initiating cone's, moved into the parent's slots (cones_containing),
+    and z is its mod-p reduction.
 
     An immutable record: a run builds one per split cone, tens of thousands
     for a d = 5 cone, and a named tuple is built about four times faster
@@ -104,8 +106,9 @@ def find_x(cone: SimplicialCone, p: int) -> tuple[int, ...]:
     """Search the order-p multiples for an acceptable coefficient vector.
 
     Starting from the Smith-normal-form order-p element, scan the multiples
-    j*x for j = 1..p-1 and return the first whose protected coefficients all
-    pass coefficient_ok_protected. A counting argument over the odd primes in
+    j*x for j = 1..p-1 and return the first whose protected coefficients,
+    those in the slots of the protected_count(p) newest labels, all pass
+    coefficient_ok_protected. A counting argument over the odd primes in
     (p/2, p) guarantees a hit, so exhaustion means a broken invariant.
 
     Args:
@@ -113,44 +116,38 @@ def find_x(cone: SimplicialCone, p: int) -> tuple[int, ...]:
         p: odd prime.
 
     Returns:
-        The box coefficients z of the chosen multiple, listed in decreasing
-        label order: z[0] belongs to the newest label. The point itself is
-        (1/p) * sum z_j * g_j over the generators in that order.
+        The box coefficients z of the chosen multiple in slot order, as
+        order_p_element gives them: the point is (1/p) * sum z_j * g_j
+        (_combine).
 
     Raises:
         SearchExhaustedError: if no multiple is acceptable.
     """
     z0 = order_p_element(cone, p)
-    z_label = [z0[s] for s in _label_order(cone)]
-    protected = z_label[: protected_count(p)]
+    newest = sorted(range(len(z0)), key=cone.labels.__getitem__, reverse=True)
+    protected = [z0[s] for s in newest[: protected_count(p)]]
     for mult in range(1, p):
         for z in protected:
             if not coefficient_ok_protected(mult * z % p, p):
                 break
         else:
-            return tuple([mult * z % p for z in z_label])
+            return tuple([mult * z % p for z in z0])
     raise SearchExhaustedError(
         f"no acceptable order-{p} multiple; the counting bound is violated"
     )
 
 
-def _label_order(cone: SimplicialCone) -> list[int]:
-    """Slot indices by decreasing label: the newest label's slot first."""
-    return sorted(range(cone.dimension), key=cone.labels.__getitem__, reverse=True)
-
-
 def adjust_coefficients(z: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Repair unprotected coefficients that are odd primes above p/2.
+    """Repair every coefficient that coefficient_ok_protected rejects.
 
-    Positions are in decreasing label order, matching find_x. Protected
-    positions are copied verbatim; an unprotected z_j that is prime, above
-    p/2 and not 2 becomes z_j + k*p == 2**s * t per odd_adjust.
+    Such a z_j is an odd prime above p/2, and it becomes
+    z_j + k*p == 2**s * t per odd_adjust; the others are copied verbatim.
+    find_x's protected coefficients pass, so they come back unchanged.
+    p is an odd prime.
     """
-    q = min(protected_count(p), len(z))
     out = list(z)
-    for j in range(q, len(z)):
-        zj = z[j]
-        if not is_prime(zj) or 2 * zj <= p or zj == 2:
+    for j, zj in enumerate(z):
+        if coefficient_ok_protected(zj, p):
             continue
         s, t, k = odd_adjust(zj, p)
         out[j] = zj + k * p
@@ -219,24 +216,24 @@ class _Engine:
         return [self.cones[uid] for uid in sorted(uids)]
 
     def cones_containing(
-        self, x: LatticeVector, producer: SimplicialCone, nums_p: tuple[int, ...]
+        self, x: LatticeVector, producer: SimplicialCone, z: tuple[int, ...]
     ) -> list[tuple[SimplicialCone, tuple[int, ...]]]:
-        """Live cones containing x with their numerators, in uid order.
+        """Live cones containing x with x's coefficients over each, in uid
+        order.
 
-        nums_p are the producer's numerators of x (det times x's barycentric
-        coordinates). No coordinates are computed, and x itself is not read:
-        the others follow from nums_p by this lemma. Let
-        x = (1/q) * sum_{g in F} c_g * g with every c_g > 0 and F a set of
+        z are x's coefficients over the producer, x = (1/p) * sum z_g * g in
+        slot order. No coordinates are computed, and x itself is not read:
+        the other cones' coefficients follow from z by this lemma. Let
+        x = (1/p) * sum_{g in F} z_g * g with every z_g > 0 and F a set of
         the producer's generators. Then every cone C whose generators
-        include F contains x, with numerator det(C) * c_g / q in g's slot
+        include F contains x, with these same coefficients z_g in F's slots
         and 0 in every other slot. Proof: C's generators are a basis, so
         that sum, padded with zeros, is x's only expansion in them; its
         coefficients are nonnegative, and det(C) times them is integral (it
         is C's adjugate times x).
 
-        Here F holds the producer's generators with nonzero numerator n_g,
-        and c_g / q = n_g / det(producer); the division is asserted exact.
-        The candidates, the intersection of F's ray-index buckets, are the
+        Here F holds the producer's generators with nonzero z_g. The
+        candidates, the intersection of F's ray-index buckets, are the
         live cones holding all of F, so each contains x and no containment
         check runs. The lemma needs no face-to-face property; that the
         candidates are *all* the cones containing x does: F spans x's
@@ -244,21 +241,17 @@ class _Engine:
         that face, and one vector per ray (class docstring) puts F's own
         vectors on its rays.
         """
-        if all(nums_p):
+        if all(z):
             # Interior point: no other cone of the tiling can contain it.
-            return [(producer, nums_p)]
-        det_p = producer.det
-        support = [(g, n) for g, n in zip(producer.generators, nums_p) if n]
+            return [(producer, z)]
+        support = [(g, c) for g, c in zip(producer.generators, z) if c]
         out = []
         for cone in self.holders([g for g, _ in support]):
-            det = cone.det
             slot = cone.generators.index
-            nums = [0] * len(nums_p)
-            for g, n in support:
-                num, rem = divmod(n * det, det_p)
-                assert rem == 0, "numerators must be integers"
-                nums[slot(g)] = num
-            out.append((cone, tuple(nums)))
+            moved = [0] * len(z)
+            for g, c in support:
+                moved[slot(g)] = c
+            out.append((cone, tuple(moved)))
         return out
 
 
@@ -273,10 +266,11 @@ def run_p2t(base: SimplicialCone) -> P2TState:
     which audit_trace replays and `conetri run --trace` writes out.
 
     No split is a no-op: x' is never one of a holder's generators. By the
-    cones_containing lemma, x' equals a holder's generator h only if
-    F == {h} and c_h / q == 1. With x' = (1/p) * sum z'_g * g that would
-    need z'_h == p; but every nonzero z'_g is nonzero mod p, because
-    adjust_coefficients only adds multiples of p to a residue in (0, p).
+    cones_containing lemma, x' = (1/p) * sum z'_g * g equals a holder's
+    generator h only if F == {h} and z'_h == p; but every nonzero z'_g is
+    nonzero mod p, because adjust_coefficients only adds multiples of p to a
+    residue in (0, p). For the same reason p divides every holder's det,
+    since det * z'_g / p is an integer.
 
     Args:
         base: the cone to triangulate (normally from make_cone).
@@ -293,36 +287,30 @@ def run_p2t(base: SimplicialCone) -> P2TState:
         cone = engine.cones.get(uid)
         if cone is None:
             continue
-        det = cone.det
-        mu = abs(det)
+        mu = abs(cone.det)
         if mu & (mu - 1) == 0:
             continue
         p = p_max(factorize(mu))
-        z_prime_label = adjust_coefficients(find_x(cone, p), p)
-        # Back from label order to slot order.
-        z_prime_storage = [0] * len(z_prime_label)
-        for s, z in zip(_label_order(cone), z_prime_label):
-            z_prime_storage[s] = z
-        x_prime = _combine(cone, z_prime_storage, p)
-        # x' = (1/p) * sum z'_j g_j, so its numerators are det * z'_j / p.
-        scale = det // p
-        nums_p = tuple([scale * z for z in z_prime_storage])
+        z_prime = adjust_coefficients(find_x(cone, p), p)
+        x_prime = _combine(cone, z_prime, p)
         # The holder list is fixed before the first split, so adding each
         # parent's children at once leaves uids and `pending` in order.
-        for parent, nums in engine.cones_containing(x_prime, cone, nums_p):
+        for parent, z in engine.cones_containing(x_prime, cone, z_prime):
             engine.remove(parent)
-            new_label = parent.max_label() + 1
-            children = _split_at(parent, x_prime, nums, new_label, engine.uid_source)
-            # z' read off the parent: nums are det * (z'_i / p), exactly.
             det_parent = parent.det
-            z_prime = tuple([p * n // det_parent for n in nums])
+            scale, rem = divmod(det_parent, p)
+            assert rem == 0, "p divides every holder's det"
+            new_label = parent.max_label() + 1
+            # x' = (1/p) * sum z_i g_i, so its numerators are det * z_i / p.
+            nums = tuple([scale * c for c in z])
+            children = _split_at(parent, x_prime, nums, new_label, engine.uid_source)
             # Fields in order: keywords would double the cost of building one.
             trace.append(
                 TraceEvent(
                     parent.uid,
                     p,
-                    tuple([v % p for v in z_prime]),
-                    z_prime,
+                    tuple([c % p for c in z]),
+                    z,
                     x_prime,
                     new_label,
                     tuple([c.uid for c in children]),

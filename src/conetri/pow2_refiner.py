@@ -24,9 +24,10 @@ def refine_to_unimodular(tri: Triangulation) -> Triangulation:
 
     Each round pops the oldest live cone and halves it at
     u = (1/2) * sum_{g in S} g for a subset S of its generators
-    (half_vector). By the lemma of _Engine.cones_containing, every live cone
-    holding all of S contains u, with numerators det/2 on S and 0
-    elsewhere, so its det is even; no other cone does (face to face, one
+    (half_vector). That is the lemma of _Engine.cones_containing with p = 2
+    and every coefficient 1: every live cone holding all of S contains u,
+    with coordinates 1/2 on S and 0 elsewhere, and det times them is
+    integral, so its det is even; no other cone does (face to face, one
     vector per ray). Each holder, in uid order, is replaced by one child per
     slot of S, in slot order, with u in that slot and half its det. u has
     coordinate 1/2, not 1, there, so it is none of the holder's generators
@@ -62,7 +63,6 @@ def refine_to_unimodular(tri: Triangulation) -> Triangulation:
     )
     live, pending = engine.cones, engine.pending
     new_uid = engine.uid_source.__next__
-    new_child = SimplicialCone._child
     while pending:
         cone = live.get(pending.popleft())
         if cone is None:
@@ -85,7 +85,7 @@ def refine_to_unimodular(tri: Triangulation) -> Triangulation:
                 child_gens[i] = u
                 child_labels = list(labels)
                 child_labels[i] = new_label
-                keep(new_child(tuple(child_gens), tuple(child_labels), new_uid(), half))
+                keep(SimplicialCone(tuple(child_gens), tuple(child_labels), new_uid(), half))
     return Triangulation(tri.base, final, final)
 
 

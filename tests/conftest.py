@@ -358,6 +358,24 @@ def staircase_cones(n: int) -> list[tuple[tuple[int, int], ...]]:
     return [((1, k), (1, k + 1)) for k in range(n)]
 
 
+def labelled_cone(gens, labels):
+    """A SimplicialCone with the given labels and uid 0, its det by perm_det.
+
+    Unlike make_cone it takes any labels and non-primitive generators.
+
+    Raises:
+        SingularMatrixError: if the generators are dependent.
+    """
+    from conetri import SimplicialCone
+    from conetri.errors import SingularMatrixError
+
+    gens = tuple(tuple(g) for g in gens)
+    det = perm_det(gens)
+    if det == 0:
+        raise SingularMatrixError("generators are linearly dependent")
+    return SimplicialCone(gens, tuple(labels), 0, det)
+
+
 def canonical(cones) -> list:
     """Order-insensitive form of a list of cones for set comparison."""
     return sorted(tuple(sorted(c.generators)) for c in cones)

@@ -33,6 +33,7 @@ from conftest import (
     OutsideConeError,
     dilation,
     even_subsets,
+    labelled_cone,
     oracle_barycentric,
     oracle_dilation,
     oracle_half_vector,
@@ -277,7 +278,7 @@ def test_half_vector_examples():
     assert half_vector(make_cone([(1, 0), (0, 1)])) is None
     assert half_vector(make_cone([(1, 0), (1, 4)])) == ((1, 2), (0, 1))
     assert half_vector(make_cone([(1, 0), (1, 3)])) is None
-    assert half_vector(SimplicialCone([(1, 0), (0, 2)], (-1, -2)))[1] == (1,)
+    assert half_vector(labelled_cone([(1, 0), (0, 2)], (-1, -2)))[1] == (1,)
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -314,7 +315,7 @@ def parity_pattern_cone(rng, d):
                     row = [x ^ y for x, y in zip(row, b)]
             gens.append(tuple(p + 2 * rng.randint(-2, 2) for p in row))
         try:
-            return SimplicialCone(gens, tuple(range(-1, -d - 1, -1)))
+            return labelled_cone(gens, tuple(range(-1, -d - 1, -1)))
         except SingularMatrixError:
             continue
 
@@ -345,11 +346,12 @@ def test_kernel_masks_are_the_nullspace_mod2_basis(d):
 def test_half_vector_large_kernel_takes_the_lightest_basis_vector():
     # 2*I in d = 13: the mod-2 kernel is everything, too large to enumerate.
     d = 13
-    gens = [tuple(2 if i == j else 0 for j in range(d)) for i in range(d)]
-    c = SimplicialCone(gens, tuple(range(-1, -d - 1, -1)))
+    gens = tuple(tuple(2 if i == j else 0 for j in range(d)) for i in range(d))
+    # det(2*I) = 2^13; perm_det would expand 13! terms.
+    c = SimplicialCone(gens, tuple(range(-1, -d - 1, -1)), 0, 2**d)
     assert half_vector(c) == ((0,) * (d - 1) + (1,), (d - 1,))
 
 
 def test_direct_cone_allows_nonprimitive():
-    c = SimplicialCone([(2, 0), (0, 1)], (-1, -2))
+    c = labelled_cone([(2, 0), (0, 1)], (-1, -2))
     assert c.multiplicity == 2

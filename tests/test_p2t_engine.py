@@ -76,13 +76,9 @@ def test_coefficient_ok_protected_definition(z, p):
 
 def find_point(cone, p):
     """find_x's point, rebuilt from its coefficients, and the coefficients
-    (decreasing label order)."""
+    (slot order)."""
     z = find_x(cone, p)
-    order = sorted(range(cone.dimension), key=lambda s: cone.labels[s], reverse=True)
-    z_slots = [0] * cone.dimension
-    for pos, slot in enumerate(order):
-        z_slots[slot] = z[pos]
-    return _combine(cone, z_slots, p), z
+    return _combine(cone, z, p), z
 
 
 def test_find_x_examples():
@@ -91,7 +87,7 @@ def test_find_x_examples():
     c5 = make_cone([(1, 0), (1, 5)])
     x, z = find_point(c5, 5)
     assert (x, z) == ((1, 1), (4, 1))
-    # z[0] sits on the protected (newest-label) position: 3 is rejected there.
+    # z[0] sits in the protected (newest-label) slot: 3 is rejected there.
     assert z[0] in {1, 2, 4}
 
 
@@ -117,31 +113,39 @@ def test_find_x_properties(seed):
     assert all(0 <= v < 1 for v in lam)
     assert all((p * v).denominator == 1 for v in lam)
     assert any(v.denominator != 1 for v in lam)
-    # Fresh cones store slots in decreasing label order already, so the
-    # returned z is just p * lam.
+    # z is in slot order, so it is p * lam. A fresh cone's labels decrease
+    # with the slot, so its first q slots are the protected ones.
     assert z == tuple(int(p * v) for v in lam)
     q = min(protected_count(p), d)
     assert all(coefficient_ok_protected(z[j], p) for j in range(q))
     assert find_point(c, p) == (x, z)
 
 
+def test_find_x_returns_slot_order():
+    # uid 2 of the mu15 run: its newest label sits in its last slot, so
+    # slot order and label order differ.
+    state = run_p2t(make_cone([(1, 0, 0), (1, 3, 0), (2, 1, 5)]))
+    cone = trace_cone_index(state)[2]
+    assert cone.generators == ((1, 0, 0), (1, 3, 0), (1, 1, 2))
+    assert cone.labels == (-1, -2, 0)
+    assert find_x(cone, 3) == (2, 1, 0)
+
+
 def test_adjust_coefficients_examples():
     assert adjust_coefficients((1, 4), 5) == (1, 4)
-    # Slot 1 is unprotected for p=7 (q=1); 5 is prime and above 7/2,
-    # so it becomes 5 + 7 = 12 = 2^2 * 3.
+    # 5 is prime and above 7/2, so it becomes 5 + 7 = 12 = 2^2 * 3.
     assert adjust_coefficients((1, 5), 7) == (1, 12)
     # z=2 is never rewritten.
     assert adjust_coefficients((2, 1), 3) == (2, 1)
     assert adjust_coefficients((2, 2, 2), 3) == (2, 2, 2)
 
 
-def test_adjust_coefficients_protects_leading_positions():
-    # q=2 for p=13: both leading slots copy verbatim even when prime > p/2.
-    assert protected_count(13) == 2
-    z = (7, 11, 7, 11)
-    out = adjust_coefficients(z, 13)
-    assert out[:2] == (7, 11)
-    assert out[2] == 7 + 13 and out[3] == 11 + 13
+def test_adjust_coefficients_repairs_any_slot():
+    # Protection is find_x's job: a rejected coefficient is repaired in
+    # whatever slot it sits, the protected_count(13) == 2 first ones too.
+    assert not coefficient_ok_protected(7, 13)
+    assert not coefficient_ok_protected(11, 13)
+    assert adjust_coefficients((7, 11, 7, 11), 13) == (20, 24, 20, 24)
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -152,10 +156,9 @@ def test_adjust_coefficients_properties(seed):
     d = rng.randint(2, 6)
     z = tuple(rng.randrange(p) for _ in range(d))
     out = adjust_coefficients(z, p)
-    q = min(protected_count(p), d)
-    assert out[:q] == z[:q]
     for zj, oj in zip(z, out):
         assert oj % p == zj % p
+        assert (oj == zj) == coefficient_ok_protected(zj, p)
         if oj == zj:
             continue
         # Rewritten entries are 2^s * t with t odd and harmless.
@@ -253,22 +256,32 @@ def test_run_p2t_random_campaign(seed):
 
 def exhaustive_cones_containing():
     """Reference for _Engine.cones_containing: test every live cone, with
-    numerators from a fresh adjugate of its generator matrix rather than
-    derived from nums_p. Each generator tuple's adjugate is computed once
-    per reference."""
+    x's coefficients over it from a fresh adjugate of its generator matrix
+    rather than moved over from the producer's z. Each generator tuple's
+    adjugate is computed once per reference."""
     fresh_adjugate = functools.cache(lambda gens: adjugate(tuple(zip(*gens))))
 
-    def scan(engine, x, producer, nums_p):
+    def scan(engine, x, producer, z):
+        # x = (1/p) * sum z_g * g over the producer fixes p.
+        px = [sum(c * g[i] for c, g in zip(z, producer.generators)) for i in range(len(x))]
+        p = next(t // xi for t, xi in zip(px, x) if xi)
+        assert px == [p * xi for xi in x]
         out = []
         for uid in sorted(engine.cones):
             cone = engine.cones[uid]
             adj = fresh_adjugate(cone.generators)
             nums = tuple(sum(a * c for a, c in zip(row, x)) for row in adj)
-            if cone is producer:
-                assert nums == nums_p
             sign = 1 if cone.det > 0 else -1
             if all(n * sign >= 0 for n in nums):
-                out.append((cone, nums))
+                # Coefficients are p times the coordinates nums / det.
+                coeffs = []
+                for n in nums:
+                    c, rem = divmod(p * n, cone.det)
+                    assert rem == 0
+                    coeffs.append(c)
+                if cone is producer:
+                    assert tuple(coeffs) == z
+                out.append((cone, tuple(coeffs)))
         return out
 
     return scan
@@ -310,6 +323,29 @@ def ray_index_cases():
             if abs(perm_det(gens)) <= cap:
                 cases.append(gens)
     return cases
+
+
+def test_find_x_protects_the_newest_labels_on_every_producer():
+    # The slots of the protected_count(p) newest labels hold acceptable
+    # coefficients, which adjust_coefficients then leaves alone.
+    checked = Counter()
+
+    def checked_find_x(cone, p):
+        z = find_x(cone, p)
+        q = protected_count(p)
+        newest = sorted(range(len(z)), key=lambda s: cone.labels[s], reverse=True)[:q]
+        out = adjust_coefficients(z, p)
+        for s in newest:
+            assert coefficient_ok_protected(z[s], p)
+            assert out[s] == z[s]
+        checked[min(q, len(z))] += 1
+        return z
+
+    for gens in ray_index_cases():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("conetri.p2t_engine.find_x", checked_find_x)
+            run_p2t(make_cone(gens))
+    assert checked[0] and checked[1] and checked[2], checked
 
 
 def snapshot(cones):

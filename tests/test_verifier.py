@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conetri.cone_geometry import (
-    SimplicialCone,
     Triangulation,
     coordinate_rows,
     make_cone,
@@ -29,6 +28,7 @@ from conetri.verifier import (
 from conftest import (
     dilation,
     isolated_tiling,
+    labelled_cone,
     oracle_dilation,
     oracle_facet_matching,
     oracle_validate_tiling,
@@ -134,10 +134,6 @@ def test_audit_trace_vacuous():
     assert audit_trace(base, [], [base]) == (True, True, True, True)
 
 
-def fake_cone(gens, labels):
-    return SimplicialCone(gens, labels)
-
-
 def test_audit_trace_negative_controls():
     base = make_cone([(1, 0), (1, 3)])
 
@@ -154,13 +150,13 @@ def test_audit_trace_negative_controls():
     assert not phi_ok
 
     # Multiplicity above the intermediate ceiling (here 2^3.63 ~ 12.4).
-    big = fake_cone(((1, 0), (13, 16)), (-1, -2))
+    big = labelled_cone(((1, 0), (13, 16)), (-1, -2))
     assert big.multiplicity == 16
     _, _, mu_ok, _ = audit_trace(base, [], [big])
     assert not mu_ok
 
     # Label index beyond the phi(mu)-1 depth budget.
-    deep = fake_cone(((1, 1), (1, 3)), (5, -2))
+    deep = labelled_cone(((1, 1), (1, 3)), (5, -2))
     _, depth_ok, _, xi_ok = audit_trace(base, [], [deep])
     assert not depth_ok
     assert xi_ok
@@ -169,19 +165,19 @@ def test_audit_trace_negative_controls():
     # label 35 is one too deep, by less than the old 1e-6 float slack.
     wide = make_cone([(1, 0), (1, 2**22 - 1)])
     assert 35 - (phi(factorize(wide.multiplicity)) - 1) < 1e-6
-    _, depth_ok, _, _ = audit_trace(wide, [], [fake_cone(((1, 0), (1, 1)), (35, -2))])
+    _, depth_ok, _, _ = audit_trace(wide, [], [labelled_cone(((1, 0), (1, 1)), (35, -2))])
     assert not depth_ok
-    _, depth_ok, _, _ = audit_trace(wide, [], [fake_cone(((1, 0), (1, 1)), (34, -2))])
+    _, depth_ok, _, _ = audit_trace(wide, [], [labelled_cone(((1, 0), (1, 1)), (34, -2))])
     assert depth_ok
 
     # Label-0 vector longer than (d/2)*mu*4^0 = 3.
-    long0 = fake_cone(((4, 0), (1, 3)), (0, -2))
+    long0 = labelled_cone(((4, 0), (1, 3)), (0, -2))
     assert dilation(base, (4, 0)) == 4
     _, depth_ok, mu_ok, xi_ok = audit_trace(base, [], [long0])
     assert depth_ok and mu_ok
     assert not xi_ok
     # Exactly at the bound passes.
-    at_bound = fake_cone(((3, 0), (1, 3)), (0, -2))
+    at_bound = labelled_cone(((3, 0), (1, 3)), (0, -2))
     assert dilation(base, (3, 0)) == 3
     assert audit_trace(base, [], [at_bound])[3]
 
@@ -190,7 +186,7 @@ def test_audit_trace_fails_a_label_vector_outside_the_base():
     # The newest-label vector (-1, 1) lies outside the base: the length
     # certificate fails instead of raising.
     base = make_cone([(1, 0), (0, 1)])
-    outside = SimplicialCone([(-1, 1), (0, 1)], (0, -2))
+    outside = labelled_cone([(-1, 1), (0, 1)], (0, -2))
     created = [base, outside]
     assert audit_trace(base, [], created)[3] is False
     report = certify(base, trivial_tiling(base), [], created)
@@ -333,7 +329,7 @@ def assert_sweep_ignores_orientation(base_gens, cone_gens_list):
     # _sweep reads everything off sign(det) * adj(base) @ g; flipping the
     # base's orientation negates det and adj together, so all four results
     # must stay the same.
-    cones = [SimplicialCone(g, tuple(range(-1, -len(g) - 1, -1))) for g in cone_gens_list]
+    cones = [labelled_cone(g, tuple(range(-1, -len(g) - 1, -1))) for g in cone_gens_list]
     base = make_cone(base_gens)
     flipped = make_cone(swap_first_two(base_gens))
     assert flipped.det == -base.det
@@ -347,7 +343,7 @@ def assert_sweep_ignores_orientation(base_gens, cone_gens_list):
 )
 def test_volume_identity_matches_oracle(base_gens, cone_gens_list):
     base = make_cone(base_gens)
-    cones = [SimplicialCone(g, tuple(range(-1, -len(g) - 1, -1))) for g in cone_gens_list]
+    cones = [labelled_cone(g, tuple(range(-1, -len(g) - 1, -1))) for g in cone_gens_list]
     vol, _, _, _ = _sweep(base, coordinate_rows(base), cones)
     assert vol == oracle_validate_tiling(base_gens, cone_gens_list)["volume_ok"]
     assert_sweep_ignores_orientation(base_gens, cone_gens_list)
