@@ -20,6 +20,8 @@ def main():
     ap.add_argument("--dim", type=int, default=3)
     ap.add_argument("--mu-max", type=int, default=32)
     args = ap.parse_args()
+    if args.dim < 2:
+        ap.error("--dim must be at least 2")
 
     print(f"d = {args.dim}")
     print(f"{'mu':>5} {'theorem':>12} {'simplified':>12} {'mu ceiling':>12}")

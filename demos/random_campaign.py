@@ -45,6 +45,10 @@ def main():
     ap.add_argument("--seed", type=int, default=2026)
     ap.add_argument("--bound", type=int, default=7, help="entry range [-B, B]")
     args = ap.parse_args()
+    if args.count < 1:
+        ap.error("--count must be at least 1")
+    if args.bound < 1:
+        ap.error("--bound must be at least 1")
 
     # Final tiling sizes grow roughly like a large multiple of the base
     # multiplicity, so high dimensions get a multiplicity cap to keep the

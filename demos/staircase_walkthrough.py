@@ -25,6 +25,8 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[1])
     ap.add_argument("-n", type=int, default=12, help="multiplicity of the base cone")
     n = ap.parse_args().n
+    if n < 1:
+        ap.error("-n must be at least 1")
 
     base = make_cone([(1, 0), (1, n)])
     print(f"base cone: {base.generators}, multiplicity {base.multiplicity}")

@@ -23,9 +23,8 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .cone_geometry import (
     SimplicialCone,
@@ -45,8 +44,7 @@ from .verifier import (
 )
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Everything one pipeline invocation depends on."""
 
     generators: tuple[tuple[int, ...], ...]

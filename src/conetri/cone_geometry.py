@@ -26,9 +26,8 @@ carries exactly one generator vector, and the engine's ray index
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DimensionError,
@@ -315,19 +314,19 @@ def _split_at(
     ]
 
 
-@dataclass
-class Triangulation:
+class Triangulation(NamedTuple):
     """A tiling of a base cone by simplicial cones, plus creation history.
 
     `cones` is the current tiling in creation order; `all_created` also keeps
-    every intermediate cone that was later subdivided away. Both start as
-    [base]. all_created is the label history: every subdivision vector is
-    the newest-label generator of the cones its split created, so each
+    every intermediate cone that was later subdivided away. Every field is
+    required: an unsplit base is Triangulation(base, [base], [base]).
+    all_created is the label history: every subdivision vector is the
+    newest-label generator of the cones its split created, so each
     (label, vector) pair can be read off those cones. Producers whose
-    intermediates nobody audits (unimodular refinement) may set
-    all_created = cones.
+    intermediates nobody audits (unimodular refinement) pass cones as
+    all_created.
     """
 
     base: SimplicialCone
-    cones: list[SimplicialCone] = field(default_factory=list)
-    all_created: list[SimplicialCone] = field(default_factory=list)
+    cones: list[SimplicialCone]
+    all_created: list[SimplicialCone]

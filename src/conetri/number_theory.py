@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Rosser-Schoenfeld: pi(x) < ROSSER_CONSTANT * x / ln(x) for x > 1.
 ROSSER_CONSTANT = 1.25506
@@ -35,8 +35,7 @@ def _ensure_sieve(limit: int) -> None:
     _sieve_limit = limit
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """A positive integer together with its sorted prime factorization."""
 
     n: int

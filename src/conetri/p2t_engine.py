@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import count
 from typing import Iterable, NamedTuple
 
@@ -78,9 +77,10 @@ class TraceEvent(NamedTuple):
     initiating cone's, moved into the parent's slots (cones_containing),
     and z is its mod-p reduction.
 
-    An immutable record: a run builds one per split cone, tens of thousands
-    for a d = 5 cone, and a named tuple is built about four times faster
-    than a frozen dataclass. Events compare, hash and unpack as tuples.
+    An immutable NamedTuple, like every record in conetri; events compare,
+    hash and unpack as tuples. A run builds one per split cone, tens of
+    thousands for a d = 5 cone, and a named tuple is built about four times
+    faster than a frozen dataclass.
     """
 
     parent_id: int
@@ -94,12 +94,11 @@ class TraceEvent(NamedTuple):
     mu_children: tuple[int, ...]
 
 
-@dataclass
-class P2TState:
+class P2TState(NamedTuple):
     """Result of the power-of-two phase."""
 
     triangulation: Triangulation
-    trace: list[TraceEvent] = field(default_factory=list)
+    trace: list[TraceEvent]
 
 
 def find_x(cone: SimplicialCone, p: int) -> tuple[int, ...]:
@@ -216,14 +215,15 @@ class _Engine:
         return [self.cones[uid] for uid in sorted(uids)]
 
     def cones_containing(
-        self, x: LatticeVector, producer: SimplicialCone, z: tuple[int, ...]
+        self, producer: SimplicialCone, z: tuple[int, ...]
     ) -> list[tuple[SimplicialCone, tuple[int, ...]]]:
-        """Live cones containing x with x's coefficients over each, in uid
-        order.
+        """Live cones containing x = (1/p) * sum z_g * g, with x's
+        coefficients over each, in uid order.
 
-        z are x's coefficients over the producer, x = (1/p) * sum z_g * g in
-        slot order. No coordinates are computed, and x itself is not read:
-        the other cones' coefficients follow from z by this lemma. Let
+        z are x's coefficients over the producer, in slot order, and p is
+        the prime they were built for. No coordinates are computed, and x
+        is not an argument: the other cones' coefficients follow from z by
+        this lemma. Let
         x = (1/p) * sum_{g in F} z_g * g with every z_g > 0 and F a set of
         the producer's generators. Then every cone C whose generators
         include F contains x, with these same coefficients z_g in F's slots
@@ -295,7 +295,7 @@ def run_p2t(base: SimplicialCone) -> P2TState:
         x_prime = _combine(cone, z_prime, p)
         # The holder list is fixed before the first split, so adding each
         # parent's children at once leaves uids and `pending` in order.
-        for parent, z in engine.cones_containing(x_prime, cone, z_prime):
+        for parent, z in engine.cones_containing(cone, z_prime):
             engine.remove(parent)
             det_parent = parent.det
             scale, rem = divmod(det_parent, p)

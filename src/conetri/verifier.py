@@ -23,10 +23,9 @@ multiplicity additivity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .cone_geometry import LatticeVector, SimplicialCone, Triangulation, coordinate_rows
 from .exact_linalg import IntMatrix
@@ -39,8 +38,7 @@ PHI_SLACK = 1e-6
 SIMPLE_EXPONENT = 5.0 + 1.5 * math.log2(1.5)
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(NamedTuple):
     """All certificates for one run, plus the bound values they sit under."""
 
     volume_ok: bool

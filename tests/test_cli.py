@@ -1,6 +1,5 @@
 """Input parsing, the pipeline front end, and CLI determinism."""
 
-import dataclasses
 import gc
 import inspect
 import json
@@ -110,7 +109,24 @@ def test_run_pipeline_trace_output():
 def test_run_config_has_no_options_beyond_the_trace():
     # The trace is always returned; what a caller keeps of it is its own
     # choice, so no option selects it.
-    assert [f.name for f in dataclasses.fields(RunConfig)] == ["generators"]
+    assert RunConfig._fields == ("generators",)
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # Every run pays the import. dataclasses alone would pull in inspect,
+    # ast, dis and tokenize; -S keeps a site .pth from preloading either.
+    src = Path(conetri.__file__).resolve().parents[1]
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import conetri, conetri.cli; "
+        "print(conetri.__file__); print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(src)],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    where, loaded = out.stdout.splitlines()
+    assert Path(where).resolve().parent == src / "conetri"
+    assert loaded == "[]"
 
 
 @pytest.mark.parametrize(
@@ -167,7 +183,7 @@ def test_isolated_tiling_is_not_face_to_face():
     base, state, final = isolated_tiling(gens)
     assert base.multiplicity == 19
     report = certify(base, final, state.trace, state.triangulation.all_created)
-    flags = [v for v in vars(report).values() if isinstance(v, bool)]
+    flags = [v for v in report._asdict().values() if isinstance(v, bool)]
     assert len(flags) == 8 and all(flags)
     facets = oracle_facet_matching(gens, [c.generators for c in final.cones])
     assert len(facets["interior_bad"]) == 12

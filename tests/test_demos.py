@@ -25,13 +25,35 @@ RUNS = [
 ]
 
 
-@pytest.mark.parametrize("name, args", RUNS)
-def test_demo_runs(name, args):
+# (name, args) runs with an argument the demo must refuse.
+BAD_RUNS = [
+    pytest.param("staircase_walkthrough.py", ["-n", "0"], id="staircase_walkthrough.py-n-0"),
+    pytest.param("bounds_landscape.py", ["--dim", "1"], id="bounds_landscape.py-dim-1"),
+    pytest.param("random_campaign.py", ["--count", "0"], id="random_campaign.py-count-0"),
+    pytest.param("random_campaign.py", ["--bound", "0"], id="random_campaign.py-bound-0"),
+]
+
+
+def run_demo(name, args):
     src = Path(conetri.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(DEMOS / name), *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+@pytest.mark.parametrize("name, args", RUNS)
+def test_demo_runs(name, args):
+    out = run_demo(name, args)
     assert out.returncode == 0, out.stderr
     assert out.stdout
+
+
+@pytest.mark.parametrize("name, args", BAD_RUNS)
+def test_demo_rejects_bad_arguments(name, args):
+    # argparse's error: exit 2 with a usage line, not a traceback.
+    out = run_demo(name, args)
+    assert out.returncode == 2, out.stderr
+    assert "error:" in out.stderr
+    assert "Traceback" not in out.stderr

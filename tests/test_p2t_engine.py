@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conetri.cone_geometry import _combine, _split_at, make_cone, vector_content
 from conetri.errors import DivisibilityError
 from conetri.exact_linalg import adjugate, smith_normal_form
-from conetri.number_theory import ROSSER_CONSTANT, factorize, is_prime, phi
+from conetri.number_theory import ROSSER_CONSTANT, factorize, is_prime, p_max, phi
 from conetri.p2t_engine import (
     TraceEvent,
     _Engine,
@@ -261,10 +261,11 @@ def exhaustive_cones_containing():
     adjugate is computed once per reference."""
     fresh_adjugate = functools.cache(lambda gens: adjugate(tuple(zip(*gens))))
 
-    def scan(engine, x, producer, z):
-        # x = (1/p) * sum z_g * g over the producer fixes p.
+    def scan(engine, producer, z):
+        # run_p2t's p and point: x = (1/p) * sum z_g * g over the producer.
+        p = p_max(factorize(producer.multiplicity))
+        x = _combine(producer, z, p)
         px = [sum(c * g[i] for c, g in zip(z, producer.generators)) for i in range(len(x))]
-        p = next(t // xi for t, xi in zip(px, x) if xi)
         assert px == [p * xi for xi in x]
         out = []
         for uid in sorted(engine.cones):
