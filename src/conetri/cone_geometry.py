@@ -161,11 +161,12 @@ def order_p_element(cone: SimplicialCone, p: int) -> tuple[int, ...]:
     Read off the Smith normal form L @ M @ R = diag(s_1..s_d) of the
     generator matrix M (generators as columns), so the choice is
     deterministic. Since M @ R = L^-1 @ diag(s), the integral point
-    (s_d / p) * L^-1[:, -1] equals (1/p) * M @ R[:, -1], that is
-    (1/p) * sum_j R[j][-1] * g_j. Reducing it into the half-open box takes
-    each R[j][-1] mod p, so L is never needed. R is unimodular, so R[:, -1]
-    is primitive and some z_j = R[j][-1] mod p is nonzero: the point is not
-    in the generator lattice, while p times it is.
+    (s_d / p) * L^-1[:, -1] equals (1/p) * M @ r for r = R[:, -1], that
+    is (1/p) * sum_j r_j * g_j. Reducing it into the half-open box takes
+    each r_j mod p, so neither L nor the rest of R is needed:
+    smith_normal_form replays its column operations on e_d to get r alone.
+    R is unimodular, so r is primitive and some z_j = r_j mod p is nonzero:
+    the point is not in the generator lattice, while p times it is.
 
     Args:
         cone: the cone; its multiplicity must be divisible by p.
@@ -184,11 +185,11 @@ def order_p_element(cone: SimplicialCone, p: int) -> tuple[int, ...]:
         raise DivisibilityError(
             f"{p} does not divide multiplicity {cone.multiplicity}"
         )
-    diag, rmat = smith_normal_form(cone.matrix())
+    diag, r = smith_normal_form(cone.matrix())
     # The largest elementary divisor is a multiple of every prime divisor
     # of the multiplicity, p included.
     assert diag[-1] % p == 0
-    z = tuple([row[-1] % p for row in rmat])
+    z = tuple([c % p for c in r])
     assert any(z), "order-p element collapsed to the lattice"
     return z
 
@@ -204,25 +205,31 @@ def _combine(cone: SimplicialCone, z: Iterable[int], p: int) -> LatticeVector:
     return tuple(c // p for c in acc)
 
 
-def kernel_masks_mod2(gens: Sequence[Sequence[int]]) -> list[int]:
+def kernel_masks_mod2(
+    gens: Sequence[LatticeVector], parities: dict[LatticeVector, int]
+) -> list[int]:
     """Basis of the mod-2 kernel of the generators, as subset bitmasks.
 
     Generator i is bit d-1-i of a mask. Each generator's parity vector is
-    packed into an int and reduced against the pivots found so far, while
-    its mask records which generators the reduced vector combines; one that
-    reduces to 0 is a kernel element. The pivots are the greedy independent
-    set of generators, and a pivot mask holds bits of pivot generators only,
-    so kernel mask f is generator f plus earlier pivots. Only one kernel
-    vector has that support, so the masks are exactly nullspace_mod2's basis
-    of the generator matrix (generators as columns), in the same order.
+    packed into an int (kept in `parities` on a miss) and reduced against
+    the pivots found so far, while its mask records which generators the
+    reduced vector combines; one that reduces to 0 is a kernel element. The
+    pivots are the greedy independent set of generators, and a pivot mask
+    holds bits of pivot generators only, so kernel mask f is generator f
+    plus earlier pivots. Only one kernel vector has that support, so the
+    masks are exactly nullspace_mod2's basis of the generator matrix
+    (generators as columns), in the same order.
     """
     d = len(gens)
     pivots: dict[int, tuple[int, int]] = {}  # leading bit -> (parity, mask)
     kernel: list[int] = []
     for i, g in enumerate(gens):
-        parity = 0
-        for c in g:
-            parity = parity << 1 | (c & 1)
+        parity = parities.get(g)
+        if parity is None:
+            parity = 0
+            for c in g:
+                parity = parity << 1 | (c & 1)
+            parities[g] = parity
         mask = 1 << (d - 1 - i)
         while parity:
             lead = parity.bit_length()
@@ -238,7 +245,7 @@ def kernel_masks_mod2(gens: Sequence[Sequence[int]]) -> list[int]:
 
 
 def half_vector(
-    cone: SimplicialCone,
+    cone: SimplicialCone, parities: dict[LatticeVector, int]
 ) -> tuple[LatticeVector, tuple[int, ...]] | None:
     """Half the sum of a nonempty generator subset that lands in the lattice.
 
@@ -259,11 +266,12 @@ def half_vector(
     differing bit), so min by (popcount, mask) is min by
     (sum(ind), tuple(ind)). Kernels of dimension above 12 are not
     enumerated; the lightest vector of the basis (nullspace_mod2's basis,
-    see kernel_masks_mod2) is taken.
+    see kernel_masks_mod2) is taken. parities maps vectors to packed parity
+    bits and is filled on a miss; refine_to_unimodular keeps one per run.
     """
     gens = cone.generators
     d = len(gens)
-    kernel = kernel_masks_mod2(gens)
+    kernel = kernel_masks_mod2(gens, parities)
     if not kernel:
         return None
     if len(kernel) == 1:

@@ -158,15 +158,13 @@ def nullspace_mod2(m: Sequence[Sequence[int]]) -> list[IntVector]:
     return basis
 
 
-def smith_normal_form(
-    m: Sequence[Sequence[int]],
-) -> tuple[tuple[int, ...], IntMatrix]:
+def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[IntVector, IntVector]:
     """Smith normal form of a nonsingular square integer matrix.
 
-    Returns (diag, R): there is a unimodular L with L @ m @ R = diag(diag),
-    R is unimodular, every diagonal entry is positive, and diag[i] divides
-    diag[i+1]. The row operations that make up L are applied to m but not
-    recorded.
+    Returns (diag, r): there are unimodular L and R with
+    L @ m @ R = diag(diag), every diagonal entry is positive, diag[i]
+    divides diag[i+1], and r is R's last column. Neither L nor R is built:
+    row operations act on m alone, and column operations are recorded.
 
     Pivot choice is deterministic: the entry of smallest nonzero absolute
     value in the remaining block, scanning rows first, then columns. Step k
@@ -180,8 +178,12 @@ def smith_normal_form(
     Rows and columns before k are zero off the diagonal by then, so step k
     works on the block of rows and columns k.. alone. A column operation
     changes only the rows whose column-k entry is nonzero: row k, and the
-    rows the row step left a remainder in. R is built column-major, so
-    each column operation on it is one list.
+    rows the row step left a remainder in.
+
+    R = E_1 @ ... @ E_m over the column operations in order, so r is
+    E_1 @ (... (E_m @ e_{n-1})): the record is replayed in reverse. A swap
+    of columns k and t swaps v[k] and v[t]; column t -= q * column k is
+    I - q * e_k e_t^T, which does v[k] -= q * v[t].
 
     Raises:
         DimensionError: if `m` is not square.
@@ -189,14 +191,11 @@ def smith_normal_form(
     """
     a = _as_rows(m)
     n = _require_square(a)
-    cols = [[0] * n for _ in range(n)]
-    for j, col in enumerate(cols):
-        col[j] = 1
+    ops: list[tuple[int, int, int]] = []  # (k, t, q); q == 0 is a swap
     diag = []
     for k in range(n - 1):
         # a is the w x w block of rows and columns k.. still to reduce; its
-        # (i, j) entry sits at (k + i, k + j) and R's column k + j goes with
-        # its column j.
+        # (i, j) entry sits at (k + i, k + j).
         w = n - k
         while True:
             best_val = 0
@@ -219,7 +218,7 @@ def smith_normal_form(
             if bj:
                 for row in a:
                     row[bj], row[0] = row[0], row[bj]
-                cols[k + bj], cols[k] = cols[k], cols[k + bj]
+                ops.append((k, k + bj, 0))
             r0 = a[0]
             if r0[0] < 0:
                 a[0] = r0 = [-x for x in r0]
@@ -237,7 +236,6 @@ def smith_normal_form(
             dirty = bool(rest)
             # Column step: only row 0 and the rows in rest have a nonzero
             # column 0, and on row 0 it takes v to v mod pivot.
-            ck = cols[k]
             for j in range(1, w):
                 v = r0[j]
                 if v:
@@ -246,7 +244,7 @@ def smith_normal_form(
                         r0[j] = v = v - q * pivot
                         for row in rest:
                             row[j] -= q * row[0]
-                        cols[k + j] = list(map(sub, cols[k + j], map(q.__mul__, ck)))
+                        ops.append((k, k + j, q))
                     if v:
                         dirty = True
             if dirty:
@@ -269,4 +267,11 @@ def smith_normal_form(
     if not last:
         raise SingularMatrixError("matrix has rank below its size")
     diag.append(abs(last))
-    return tuple(diag), tuple(zip(*cols))
+    r = [0] * n
+    r[-1] = 1
+    for k, t, q in reversed(ops):
+        if q:
+            r[k] -= q * r[t]
+        else:
+            r[k], r[t] = r[t], r[k]
+    return tuple(diag), tuple(r)

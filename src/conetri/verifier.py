@@ -87,8 +87,8 @@ def _pairwise_sum(terms: list[tuple[int, int]]) -> tuple[int, int]:
 
 def _sweep(
     base: SimplicialCone, rows: IntMatrix, cones: Sequence[SimplicialCone]
-) -> tuple[bool, bool, tuple[bool, ...], Fraction]:
-    """One pass over all generators: containment, volume identity, worst
+) -> tuple[bool, bool, bool, Fraction]:
+    """One pass: containment, volume identity, unimodularity and worst
     dilation. Each distinct generator's coordinates are computed once.
 
     rows is coordinate_rows(base). Everything is kept in integer
@@ -105,9 +105,12 @@ def _sweep(
     """
     mu_base = base.multiplicity
     containment_ok = True
+    all_unimodular = True
     scaled: dict[tuple[int, ...], int] = {}
     terms: list[tuple[int, int]] = []
     for c in cones:
+        if c.det not in (1, -1):
+            all_unimodular = False
         prod = 1
         for g in c.generators:
             s = scaled.get(g)
@@ -123,9 +126,8 @@ def _sweep(
             terms.append((abs(c.det), prod))
     vol_n, vol_d = _pairwise_sum(terms)
     volume_ok = containment_ok and vol_n * mu_base**base.dimension == mu_base * vol_d
-    unimodular_flags = tuple(abs(c.det) == 1 for c in cones)
     worst = Fraction(max(scaled.values(), default=0), mu_base)
-    return volume_ok, containment_ok, unimodular_flags, worst
+    return volume_ok, containment_ok, all_unimodular, worst
 
 
 def intermediate_mu_ceiling(mu: int) -> float:
@@ -278,10 +280,7 @@ def certify(
         sits under the theorem bound and, when defined, the simplified one.
     """
     rows = coordinate_rows(base)
-    volume_ok, containment_ok, unimodular_flags, worst = _sweep(
-        base, rows, final.cones
-    )
-    all_unimodular = all(unimodular_flags)
+    volume_ok, containment_ok, all_unimodular, worst = _sweep(base, rows, final.cones)
     if not all_unimodular:
         worst = Fraction(0)
     thm, cor = final_bounds(base.multiplicity, base.dimension)

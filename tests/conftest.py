@@ -5,9 +5,9 @@ determinants by permutation expansion, linear solves by plain Fraction
 elimination, matrix products by plain sums, and triangulation validity from
 first principles. Tests compare package output against these, never against
 the package itself. oracle_smith_normal_form is the package's earlier
-Smith normal form, kept verbatim. dilation, prime_pi and rosser_bound are
-helpers the package never called, kept here for the tests that use them;
-dilation is built on the package's coordinate_rows.
+Smith normal form, kept verbatim with its full R. dilation, prime_pi and
+rosser_bound are helpers the package never called, kept here for the tests
+that use them; dilation is built on the package's coordinate_rows.
 """
 
 from __future__ import annotations
@@ -191,8 +191,10 @@ def oracle_facet_matching(base_gens, cone_gens_list) -> dict:
 def oracle_smith_normal_form(m):
     """Smith normal form of a nonsingular square integer matrix: the
     package's own implementation before its column operations were limited
-    to the rows they change, kept verbatim as the reference for exact
-    (diag, R) equality.
+    to the rows they change, kept verbatim as the reference. It is the only
+    Smith normal form anywhere that builds all of R; the package's
+    smith_normal_form returns diag and R's last column, which must equal
+    this one's exactly.
 
     Returns (diag, R): there is a unimodular L with L @ m @ R = diag(diag),
     R is unimodular, every diagonal entry is positive, and diag[i] divides

@@ -117,8 +117,8 @@ def campaign():
                         stats["xi_violations"] += 1
 
             tri = refine_to_unimodular(state.triangulation)
-            vol, cont, flags, worst = _sweep(base, coordinate_rows(base), tri.cones)
-            if not (vol and cont and all(flags)):
+            vol, cont, unimodular, worst = _sweep(base, coordinate_rows(base), tri.cones)
+            if not (vol and cont and unimodular):
                 stats["tiling_failures"] += 1
 
             thm, cor = final_bounds(mu_base, base.dimension)

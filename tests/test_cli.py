@@ -92,8 +92,8 @@ def test_run_pipeline_report_mu3():
     # Round trip: the emitted tiling re-verifies against the base.
     base = make_cone(doc["base"]["generators"])
     cones = [make_cone(c["generators"]) for c in doc["final"]["cones"]]
-    vol, cont, flags, _ = _sweep(base, coordinate_rows(base), cones)
-    assert vol and cont and all(flags)
+    vol, cont, unimodular, _ = _sweep(base, coordinate_rows(base), cones)
+    assert vol and cont and unimodular
 
 
 def test_run_pipeline_trace_output():

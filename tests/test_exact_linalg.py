@@ -1,5 +1,6 @@
 """Exact linear algebra against independent oracles."""
 
+import math
 import random
 
 import pytest
@@ -123,19 +124,19 @@ def test_smith_matches_reference_exactly():
     rng = random.Random(20261019)
     cases = [list(m) for m in FOLDING]
     for _ in range(3000):
-        d = rng.randint(2, 6)
+        d = rng.randint(1, 6)
         bound = rng.choice((3, 10, 1000))
         cases.append([[rng.randint(-bound, bound) for _ in range(d)] for _ in range(d)])
     singular = 0
     for m in cases:
         try:
-            want = oracle_smith_normal_form(m)
+            diag, rmat = oracle_smith_normal_form(m)
         except SingularMatrixError:
             singular += 1
             with pytest.raises(SingularMatrixError):
                 smith_normal_form(m)
             continue
-        assert smith_normal_form(m) == want, m
+        assert smith_normal_form(m) == (diag, tuple(row[-1] for row in rmat)), m
     assert smith_normal_form(FOLDING[0])[0] == (1, 6)
     assert smith_normal_form(FOLDING[1])[0] == (1, 30, 30)
     assert singular
@@ -146,7 +147,7 @@ def test_smith_matches_reference_exactly():
 def test_smith_reconstruction(m):
     if perm_det(m) == 0:
         return
-    diag, rmat = smith_normal_form(m)
+    diag, r = smith_normal_form(m)
     assert all(x > 0 for x in diag)
     for a, b in zip(diag, diag[1:]):
         assert b % a == 0
@@ -154,9 +155,17 @@ def test_smith_reconstruction(m):
     for x in diag:
         prod *= x
     assert prod == abs(perm_det(m))
+    # What order_p_element relies on: m @ r is diag[-1] times an integral
+    # vector, and r is primitive.
+    assert all(x % diag[-1] == 0 for x in mat_vec(m, r))
+    assert math.gcd(*r) == 1
+    # r is the last column of the oracle's R, and that R reconstructs diag:
+    # L @ m @ R = D for a unimodular L  <=>  m @ R = L^-1 @ D, so column j
+    # of m @ R is diag[j] times column j of a unimodular matrix.
+    want_diag, rmat = oracle_smith_normal_form(m)
+    assert want_diag == diag
+    assert tuple(row[-1] for row in rmat) == r
     assert abs(perm_det(rmat)) == 1
-    # L @ m @ R = D for a unimodular L  <=>  m @ R = L^-1 @ D: column j of
-    # m @ R is diag[j] times column j of a unimodular matrix.
     mr = mat_mul(m, rmat)
     assert all(row[j] % diag[j] == 0 for row in mr for j in range(3))
     quotients = [[row[j] // diag[j] for j in range(3)] for row in mr]

@@ -44,15 +44,15 @@ def cones_from_gens(gens_list):
 
 def test_verify_triangulation_examples():
     unit = make_cone([(1, 0), (0, 1)])
-    vol, cont, flags, _ = _sweep(unit, coordinate_rows(unit), [unit])
-    assert vol and cont and flags == (True,)
+    vol, cont, unimodular, _ = _sweep(unit, coordinate_rows(unit), [unit])
+    assert vol and cont and unimodular is True
 
     base = make_cone([(1, 0), (1, 3)])
     steps = cones_from_gens(staircase_cones(3))
-    vol, cont, flags, _ = _sweep(base, coordinate_rows(base), steps)
-    assert vol and cont and all(flags)
+    vol, cont, unimodular, _ = _sweep(base, coordinate_rows(base), steps)
+    assert vol and cont and unimodular
 
-    vol, cont, flags, _ = _sweep(base, coordinate_rows(base), steps[:-1])
+    vol, cont, _, _ = _sweep(base, coordinate_rows(base), steps[:-1])
     assert not vol
     assert cont
 
@@ -60,9 +60,12 @@ def test_verify_triangulation_examples():
 def test_verify_triangulation_flags_nonunimodular():
     base = make_cone([(1, 0), (1, 4)])
     half = cones_from_gens([((1, 0), (1, 2)), ((1, 2), (1, 4))])
-    vol, cont, flags, _ = _sweep(base, coordinate_rows(base), half)
+    rows = coordinate_rows(base)
+    vol, cont, unimodular, _ = _sweep(base, rows, half)
     assert vol and cont
-    assert flags == (False, False)
+    assert unimodular is False
+    # Each cone on its own is flagged, not just the tiling as a whole.
+    assert [_sweep(base, rows, [c])[2] for c in half] == [False, False]
 
 
 def test_max_dilation_examples():
@@ -223,6 +226,21 @@ def test_certify_report_mu3():
     assert rep.final_bound_ok
     assert rep.final_count == 3
     assert rep.slack_ratio == pytest.approx(rep.final_bound_cor, rel=1e-9)
+
+
+def test_certify_unimodular_base_meets_the_bound_with_equality():
+    # mu = 1: the base is its own tiling, its generators have dilation
+    # exactly 1, and the theorem bound (d^2/4) * mu * 4**phi(1) * (3/2)**0
+    # is 1.0 at d = 2, so the bound holds with equality; the simplified
+    # bound is undefined for mu = 1.
+    base = make_cone([(1, 0), (0, 1)])
+    state = run_p2t(base)
+    tri = refine_to_unimodular(state.triangulation)
+    rep = certify(base, tri, state.trace, state.triangulation.all_created)
+    assert rep.max_dilation == 1
+    assert rep.final_bound_thm == 1.0
+    assert rep.final_bound_cor is None
+    assert rep.final_bound_ok
 
 
 def test_certify_flags_bad_tiling():
