@@ -136,12 +136,16 @@ def intermediate_mu_ceiling(mu: int) -> float:
 
     Raises:
         ValueError: if mu < 1.
-        OverflowError: if the ceiling exceeds a float (mu >= ~2**44).
+        OverflowError: if the ceiling exceeds a float (mu >= ~2**44); the
+            message names mu.
     """
     if mu < 1:
         raise ValueError(f"multiplicity must be positive, got {mu}")
     ld = math.log2(mu)
-    return 2.0 ** (0.5 * ld * (ld + 3.0))
+    try:
+        return 2.0 ** (0.5 * ld * (ld + 3.0))
+    except OverflowError:
+        raise OverflowError(f"the bounds for mu {mu} overflow a float") from None
 
 
 def final_bounds(mu: int, d: int) -> tuple[float, float | None]:
@@ -155,17 +159,22 @@ def final_bounds(mu: int, d: int) -> tuple[float, float | None]:
 
     Raises:
         ValueError: if mu < 1 or d < 2.
+        OverflowError: if d**2 exceeds a float; the message names d.
     """
     if mu < 1:
         raise ValueError(f"multiplicity must be positive, got {mu}")
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
+    try:
+        d_squared = float(d * d)
+    except OverflowError:
+        raise OverflowError(f"the bounds for dimension {d} overflow a float") from None
     ld = math.log2(mu)
     phi_mu = phi(factorize(mu))
-    thm = (d * d / 4.0) * mu * 4.0**phi_mu * 1.5 ** (0.5 * ld * (ld + 3.0))
+    thm = (d_squared / 4.0) * mu * 4.0**phi_mu * 1.5 ** (0.5 * ld * (ld + 3.0))
     if mu == 1:
         return thm, None
-    cor = (d * d / 64.0) * mu**SIMPLE_EXPONENT * 1.5 ** (0.5 * ld * ld)
+    cor = (d_squared / 64.0) * mu**SIMPLE_EXPONENT * 1.5 ** (0.5 * ld * ld)
     return thm, cor
 
 

@@ -369,3 +369,26 @@ def test_trace_file_bytes_are_pinned(tmp_path, capsys):
         data = trace_path.read_bytes()
         assert (len(data), hashlib.sha256(data).hexdigest()) == TRACE_FILE_PINS[name], name
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["mu3", "mu15", "campaign-4-0"])
+def test_cli_files_are_json_dumps_bytes(tmp_path, capsys, name):
+    # `conetri run` writes the report and the trace file in batches of the
+    # encoder's pieces; each holds the bytes of one json.dumps call and a
+    # newline.
+    gens = {
+        "mu3": ((1, 0), (1, 3)),
+        "mu15": ((1, 0, 0), (1, 3, 0), (2, 1, 5)),
+        "campaign-4-0": campaign_cone(4, 0).generators,
+    }[name]
+    cone_path = tmp_path / "cone.json"
+    cone_path.write_text(
+        json.dumps({"dimension": len(gens), "generators": gens}), encoding="utf-8"
+    )
+    trace_path = tmp_path / "trace.json"
+    assert main(["run", str(cone_path), "--trace", str(trace_path)]) == 0
+    out = capsys.readouterr().out
+    doc, trace = run_pipeline(RunConfig(generators=gens))
+    assert out == json.dumps(doc, indent=2) + "\n"
+    events = [ev._asdict() for ev in trace]
+    assert trace_path.read_bytes() == (json.dumps(events, indent=2) + "\n").encode()

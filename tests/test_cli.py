@@ -2,6 +2,7 @@
 
 import gc
 import inspect
+import io
 import json
 import os
 import random
@@ -30,6 +31,9 @@ from conftest import isolated_tiling, oracle_facet_matching, perm_det
 # A mu-19 d=4 cone whose phase 1 cones, refined each on its own, leave 12
 # interior facets unmatched.
 MU19 = ((1, 1, 0, -3), (-2, -3, 1, 3), (-2, -1, 0, -2), (1, -3, 1, -1))
+
+# test_acceptance's campaign_cone(4, 0), mu 759: a 14.6 MB report.
+CAMPAIGN_4_0 = ((-7, -3, 0, -7), (3, 2, 4, -4), (6, -1, -3, 6), (-3, -4, 4, -7))
 
 
 def test_parse_input_valid():
@@ -317,6 +321,64 @@ def test_main_random_campaign(capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("batch", [1, 2, 7, 8192])
+def test_write_json_writes_the_json_dumps_bytes(monkeypatch, batch):
+    # Whatever the batch size, a batch boundary may fall anywhere in the
+    # encoder's pieces and the bytes are those of one json.dumps call.
+    monkeypatch.setattr(conetri.cli, "_JSON_BATCH", batch)
+    obj = {
+        "generators": ((1, 0), (1, 3)),
+        "ratio": 0.1,
+        "none": None,
+        "empty": [[], {}],
+        "flags": {"a": True, "b": False},
+        "text": "caf\u00e9",
+    }
+    for value in (obj, [obj, obj], [], 3):
+        fh = io.StringIO()
+        conetri.cli._write_json(value, fh)
+        assert fh.getvalue() == json.dumps(value, indent=2) + "\n"
+
+
+def test_main_random_and_bounds_print_indented_json(capsys):
+    for args in (
+        ["random", "--dim", "3", "--bound", "4", "--count", "5", "--seed", "0"],
+        ["bounds", "--mu", "12", "--dim", "4"],
+    ):
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_main_verify_exits_2_on_a_failing_certificate(tmp_path, capsys, monkeypatch):
+    # No real run fails a certificate, so certify is made to report two.
+    real_certify = conetri.cli.certify
+    monkeypatch.setattr(
+        conetri.cli,
+        "certify",
+        lambda *args: real_certify(*args)._replace(volume_ok=False, xi_length_ok=False),
+    )
+    path = write_cone(
+        tmp_path, "cone.json", {"dimension": 2, "generators": [[1, 0], [1, 3]]}
+    )
+    rand = ["random", "--dim", "2", "--bound", "3", "--count", "2", "--seed", "42"]
+
+    # Without --verify a failing certificate shows only in the output.
+    assert main(["run", path]) == 0
+    assert json.loads(capsys.readouterr().out)["certificates"]["volume_ok"] is False
+    assert main(rand) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["all_pass"] is False
+    assert captured.err == ""
+
+    assert main(["run", path, "--verify"]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["certificates"]["xi_length_ok"] is False
+    assert captured.err == "certificate failure: volume_ok, xi_length_ok\n"
+    assert main([*rand, "--verify"]) == 2
+    assert json.loads(capsys.readouterr().out)["all_pass"] is False
+
+
 def test_main_bounds(capsys):
     assert main(["bounds", "--mu", "6", "--dim", "3"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -326,12 +388,15 @@ def test_main_bounds(capsys):
     assert main(["bounds", "--mu", "0", "--dim", "3"]) == 1
 
 
-def run_cli(*args, preexec_fn=None, stdout=subprocess.PIPE):
+def cli_env():
     src = Path(conetri.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
+    return dict(os.environ, PYTHONPATH=str(src))
+
+
+def run_cli(*args, preexec_fn=None, stdout=subprocess.PIPE):
     return subprocess.run(
         [sys.executable, "-m", "conetri.cli", *map(str, args)],
-        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=cli_env(), timeout=60,
         preexec_fn=preexec_fn,
     )
 
@@ -358,7 +423,17 @@ def assert_error_exit(out):
 
 def test_main_bounds_overflow_is_an_error():
     # 2**44: the intermediate ceiling 2**(L*(L+3)/2) no longer fits a float.
-    assert_error_exit(run_bounds_cli(2**44))
+    out = run_bounds_cli(2**44)
+    assert_error_exit(out)
+    assert out.stderr == f"error: the bounds for mu {2**44} overflow a float\n"
+
+
+def test_main_bounds_huge_dimension_is_an_error_naming_it():
+    # final_bounds' d**2 no longer fits a float from d ~2**512 on, while the
+    # mu ceiling is fine, so the message names the dimension, not mu.
+    out = run_cli("bounds", "--mu", 12, "--dim", 10**400)
+    assert_error_exit(out)
+    assert out.stderr == f"error: the bounds for dimension {10**400} overflow a float\n"
 
 
 def test_main_bounds_huge_mu_is_an_error_without_a_sieve(memory_cap):
@@ -443,6 +518,28 @@ def test_main_random_into_a_closed_pipe_exits_1_quietly():
         os.close(write_end)
     assert out.returncode == 1
     assert out.stderr == ""
+
+
+def test_main_run_into_a_pipe_closed_mid_report_exits_1_quietly(tmp_path):
+    # As in `conetri run ... | head -c 100`: the reader takes the first bytes
+    # of a 14.6 MB report and goes away while the rest is being written.
+    path = write_cone(
+        tmp_path, "cone.json", {"dimension": 4, "generators": CAMPAIGN_4_0}
+    )
+    read_end, write_end = os.pipe()
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "conetri.cli", "run", path],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=cli_env(),
+        )
+    finally:
+        os.close(write_end)
+    with os.fdopen(read_end, "rb") as reader:
+        first = reader.read(100)
+    _, err = proc.communicate(timeout=60)
+    assert first.startswith(b'{\n  "dimension": 4,')
+    assert proc.returncode == 1
+    assert err == ""
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
