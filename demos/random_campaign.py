@@ -24,20 +24,10 @@ def run_one(dim, bound, seed, mu_cap):
         if mu_cap is None or base.multiplicity <= mu_cap:
             break
     state = run_p2t(base)
-    tri = refine_to_unimodular(state.triangulation)
-    report = certify(base, tri, state.trace, state.triangulation.all_created)
-    ok = (
-        report.volume_ok
-        and report.containment_ok
-        and report.all_unimodular
-        and report.phi_descent_ok
-        and report.label_depth_ok
-        and report.mu_bound_ok
-        and report.xi_length_ok
-        and report.final_bound_ok
-    )
-    return base.multiplicity, report.final_count, float(report.max_dilation), report.slack_ratio, ok
-
+    final = refine_to_unimodular(state.triangulation.cones)
+    report = certify(base, final, state.trace, state.triangulation.all_created)
+    ok = all(report.certificates)
+    return base.multiplicity, len(final), float(report.max_dilation), report.slack_ratio, ok
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[1])

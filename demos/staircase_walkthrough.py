@@ -48,27 +48,28 @@ def main():
     # Phase two halves the remaining powers of two. Every subdivision point
     # is half the sum of some generators, so each split is an exact halving.
     # The halving points are the final generators phase 1 did not have.
-    tri = refine_to_unimodular(state.triangulation)
+    final = refine_to_unimodular(state.triangulation.cones)
     before = {g for c in state.triangulation.cones for g in c.generators}
-    added = sorted({g for c in tri.cones for g in c.generators} - before)
+    added = sorted({g for c in final for g in c.generators} - before)
     print(f"phase 2: {len(added)} halving points")
     for u in added:
         print(f"  subdivide at u={u}")
-    show("final tiling", tri.cones)
+    show("final tiling", final)
     print()
 
     # The certificate re-checks the run: exact volume additivity,
     # containment, unimodularity, and the length bounds.
     report = certify(
         base,
-        tri,
+        final,
         state.trace,
         state.triangulation.all_created,
     )
-    print(f"certified: volume={report.volume_ok} containment={report.containment_ok}")
+    ok = report.certificates
+    print(f"certified: volume={ok.volume_ok} containment={ok.containment_ok}")
     print(f"max dilation {report.max_dilation} vs bound {report.final_bound_thm:.1f}")
     expected = sorted(tuple(sorted(((1, k), (1, k + 1)))) for k in range(n))
-    got = sorted(tuple(sorted(c.generators)) for c in tri.cones)
+    got = sorted(tuple(sorted(c.generators)) for c in final)
     print(f"matches the staircase: {got == expected}")
 
 

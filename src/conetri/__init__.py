@@ -53,6 +53,7 @@ from .pow2_refiner import (
 )
 from .verifier import (
     CertificateReport,
+    Certificates,
     audit_trace,
     certify,
     final_bounds,
@@ -60,6 +61,7 @@ from .verifier import (
 
 __all__ = [
     "CertificateReport",
+    "Certificates",
     "ConetriError",
     "DimensionError",
     "DivisibilityError",

@@ -30,7 +30,6 @@ from typing import Any, NamedTuple, Sequence, TextIO
 
 from .cone_geometry import (
     SimplicialCone,
-    Triangulation,
     make_cone,
     primitive_direction,
     vector_content,
@@ -150,7 +149,7 @@ def _fraction_str(f: Fraction) -> str:
 
 def _report_dict(
     base: SimplicialCone,
-    final: Triangulation,
+    final: list[SimplicialCone],
     report: CertificateReport,
     mu_ceiling: float,
 ) -> dict[str, Any]:
@@ -162,11 +161,11 @@ def _report_dict(
             "multiplicity": mu,
         },
         "final": {
-            "count": report.final_count,
+            "count": len(final),
             "cones": [
                 # json writes the generator tuples exactly as lists.
                 {"generators": c.generators, "multiplicity": c.multiplicity}
-                for c in final.cones
+                for c in final
             ],
         },
         "max_dilation": _fraction_str(report.max_dilation),
@@ -176,16 +175,7 @@ def _report_dict(
             "mu_ceiling": mu_ceiling,
             "slack_ratio": report.slack_ratio,
         },
-        "certificates": {
-            "volume_ok": report.volume_ok,
-            "containment_ok": report.containment_ok,
-            "all_unimodular": report.all_unimodular,
-            "phi_descent_ok": report.phi_descent_ok,
-            "label_depth_ok": report.label_depth_ok,
-            "mu_bound_ok": report.mu_bound_ok,
-            "xi_length_ok": report.xi_length_ok,
-            "final_bound_ok": report.final_bound_ok,
-        },
+        "certificates": report.certificates._asdict(),
     }
 
 
@@ -222,7 +212,7 @@ def _run_phases(cfg: RunConfig) -> tuple[dict[str, Any], list[TraceEvent]]:
     base = make_cone(cfg.generators)
     mu_ceiling = intermediate_mu_ceiling(base.multiplicity)
     state = run_p2t(base)
-    final = refine_to_unimodular(state.triangulation)
+    final = refine_to_unimodular(state.triangulation.cones)
     report = certify(base, final, state.trace, state.triangulation.all_created)
     return _report_dict(base, final, report, mu_ceiling), state.trace
 
@@ -257,19 +247,28 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 1
     # The trace file is opened before the run, so a bad path fails at once.
     # A full disk may only show when the file is closed, so the close is
-    # covered too.
+    # covered too. A failed run deletes the file if it made it (mode "x"
+    # makes a new regular file); a path already there, say /dev/stdout, stays.
+    created = written = False
     try:
-        with (
-            open(args.trace, "w", encoding="utf-8")
-            if args.trace is not None
-            else contextlib.nullcontext()
-        ) as fh:
+        out = contextlib.nullcontext()
+        if args.trace is not None:
+            try:
+                out, created = open(args.trace, "x", encoding="utf-8"), True
+            except FileExistsError:
+                out = open(args.trace, "w", encoding="utf-8")
+        with out as fh:
             doc, trace = run_pipeline(RunConfig(generators=cone.generators))
             if fh is not None:
                 _write_json([ev._asdict() for ev in trace], fh)
+        written = True
     except OSError as exc:
         print(f"error: cannot write {args.trace}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if created and not written:
+            with contextlib.suppress(OSError):
+                os.remove(args.trace)
     if args.format == "json":
         _write_json(doc, sys.stdout)
     else:

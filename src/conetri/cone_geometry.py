@@ -323,16 +323,12 @@ def _split_at(
 
 
 class Triangulation(NamedTuple):
-    """A tiling of a base cone by simplicial cones, plus creation history.
+    """Phase 1's tiling of a base cone (run_p2t's P2TState.triangulation).
 
-    `cones` is the current tiling in creation order; `all_created` also keeps
-    every intermediate cone that was later subdivided away. Every field is
-    required: an unsplit base is Triangulation(base, [base], [base]).
-    all_created is the label history: every subdivision vector is the
-    newest-label generator of the cones its split created, so each
-    (label, vector) pair can be read off those cones. Producers whose
-    intermediates nobody audits (unimodular refinement) pass cones as
-    all_created.
+    `cones` is the tiling in creation order, for refine_to_unimodular;
+    `all_created`, for certify, adds the base and every cone later split.
+    It is the label history: each subdivision vector is the newest-label
+    generator of the cones its split created.
     """
 
     base: SimplicialCone

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from typing import Sequence
 
-from .cone_geometry import SimplicialCone, Triangulation, half_vector
+from .cone_geometry import SimplicialCone, half_vector
 from .errors import PhaseOrderError
 from .p2t_engine import _Engine, is_power_of_two
 
 
-def refine_to_unimodular(tri: Triangulation) -> Triangulation:
+def refine_to_unimodular(cones: Sequence[SimplicialCone]) -> list[SimplicialCone]:
     """Subdivide every power-of-two cone of a tiling down to multiplicity 1.
 
     Each round pops the oldest live cone and halves it at
@@ -39,27 +40,30 @@ def refine_to_unimodular(tri: Triangulation) -> Triangulation:
     half-integers: no halving ever touches a unimodular cone. Such cones
     therefore go straight to `final` and never enter the engine's live set.
 
+    New uids start one past the largest input uid: on run_p2t's tiling, one
+    past every uid phase 1 made, as its last event's children stay live.
+
     Args:
-        tri: tiling whose cones all have power-of-two multiplicity, with one
-            generator vector on each ray (run_p2t's tilings have this; see
-            _Engine).
+        cones: tiling whose cones all have power-of-two multiplicity, with
+            one generator vector on each ray: run_p2t's
+            P2TState.triangulation.cones, or a single cone (see _Engine).
 
     Returns:
-        A triangulation of the same base by unimodular cones; its
-        all_created is its cones.
+        The unimodular cones tiling the same region: the unimodular input
+        cones in input order, then each new one as it is made.
 
     Raises:
         PhaseOrderError: if some multiplicity is not a power of two.
     """
-    for c in tri.cones:
+    for c in cones:
         if not is_power_of_two(c.multiplicity):
             raise PhaseOrderError(
                 f"cone {c.uid} has multiplicity {c.multiplicity}, not a power of two"
             )
-    final = [c for c in tri.cones if c.multiplicity == 1]
+    final = [c for c in cones if c.multiplicity == 1]
     engine = _Engine(
-        (c for c in tri.cones if c.multiplicity != 1),
-        max(c.uid for c in tri.all_created) + 1,
+        (c for c in cones if c.multiplicity != 1),
+        max((c.uid for c in cones), default=-1) + 1,
     )
     live, pending = engine.cones, engine.pending
     new_uid = engine.uid_source.__next__
@@ -87,7 +91,7 @@ def refine_to_unimodular(tri: Triangulation) -> Triangulation:
                 child_labels = list(labels)
                 child_labels[i] = new_label
                 keep(SimplicialCone(tuple(child_gens), tuple(child_labels), new_uid(), half))
-    return Triangulation(tri.base, final, final)
+    return final
 
 
 def hk_bound(d: int, k: int) -> float:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .cone_geometry import LatticeVector, SimplicialCone, Triangulation, coordinate_rows
+from .cone_geometry import SimplicialCone, coordinate_rows
 from .exact_linalg import IntMatrix
 from .number_theory import eta, factorize, phi
 from .p2t_engine import TraceEvent
@@ -38,22 +38,27 @@ PHI_SLACK = 1e-6
 SIMPLE_EXPONENT = 5.0 + 1.5 * math.log2(1.5)
 
 
-class CertificateReport(NamedTuple):
-    """All certificates for one run, plus the bound values they sit under."""
+class Certificates(NamedTuple):
+    """A run's eight verdicts in report order: sweep, audit, length bound."""
 
     volume_ok: bool
     containment_ok: bool
     all_unimodular: bool
-    max_dilation: Fraction
     phi_descent_ok: bool
     label_depth_ok: bool
     mu_bound_ok: bool
     xi_length_ok: bool
+    final_bound_ok: bool
+
+
+class CertificateReport(NamedTuple):
+    """A run's certificates, plus the worst dilation and the bounds on it."""
+
+    certificates: Certificates
+    max_dilation: Fraction
     final_bound_thm: float
     final_bound_cor: float | None
-    final_bound_ok: bool
     slack_ratio: float
-    final_count: int
 
 
 def upper_rational(x: float) -> Fraction:
@@ -155,11 +160,13 @@ def final_bounds(mu: int, d: int) -> tuple[float, float | None]:
         (thm, cor): the potential-based bound
         (d^2/4) * mu * 4**phi(mu) * (3/2)**(L*(L+3)/2) and, for mu >= 2,
         the simplified bound (d^2/64) * mu**SIMPLE_EXPONENT * (3/2)**(L^2/2)
-        with L = log2(mu). cor is None when mu == 1.
+        with L = log2(mu). cor is None when mu == 1. As 4**phi(mu) is
+        mu**4 / 16**eta(mu), cor == thm * 16**(eta(mu) - 1) >= thm.
 
     Raises:
         ValueError: if mu < 1 or d < 2.
-        OverflowError: if d**2 exceeds a float; the message names d.
+        OverflowError: if d**2 exceeds a float (the message names d), or a
+            bound does (the message names mu and d).
     """
     if mu < 1:
         raise ValueError(f"multiplicity must be positive, got {mu}")
@@ -171,11 +178,14 @@ def final_bounds(mu: int, d: int) -> tuple[float, float | None]:
         raise OverflowError(f"the bounds for dimension {d} overflow a float") from None
     ld = math.log2(mu)
     phi_mu = phi(factorize(mu))
-    thm = (d_squared / 4.0) * mu * 4.0**phi_mu * 1.5 ** (0.5 * ld * (ld + 3.0))
-    if mu == 1:
-        return thm, None
-    cor = (d_squared / 64.0) * mu**SIMPLE_EXPONENT * 1.5 ** (0.5 * ld * ld)
-    return thm, cor
+    try:  # a product saturates to inf, a power raises
+        thm = (d_squared / 4.0) * mu * 4.0**phi_mu * 1.5 ** (0.5 * ld * (ld + 3.0))
+        cor = (d_squared / 64.0) * mu**SIMPLE_EXPONENT * 1.5 ** (0.5 * ld * ld)
+    except OverflowError:
+        thm = cor = math.inf
+    if math.inf in (thm, cor):
+        raise OverflowError(f"the bounds for mu {mu} and dimension {d} overflow a float")
+    return thm, (cor if mu > 1 else None)
 
 
 def audit_trace(
@@ -269,7 +279,7 @@ def _audit(
 
 def certify(
     base: SimplicialCone,
-    final: Triangulation,
+    final: Sequence[SimplicialCone],
     trace: Iterable[TraceEvent],
     p2t_created: Sequence[SimplicialCone],
 ) -> CertificateReport:
@@ -277,40 +287,27 @@ def certify(
 
     Args:
         base: the original cone.
-        final: the unimodular tiling produced by both phases.
+        final: the unimodular cones produced by both phases
+            (refine_to_unimodular's list).
         trace: subdivision events of the power-of-two phase (run_p2t's
             P2TState.trace).
         p2t_created: every cone created during the power-of-two phase,
-            base included (its triangulation's all_created): the audit set
-            for the multiplicity and label certificates.
+            base included (P2TState.triangulation.all_created): the audit
+            set for the multiplicity and label certificates.
 
     Returns:
-        CertificateReport; final_bound_ok means the observed max dilation
-        sits under the theorem bound and, when defined, the simplified one.
+        CertificateReport; its final_bound_ok means every final cone is
+        unimodular and the worst dilation sits under the theorem bound,
+        which the simplified bound never undercuts (final_bounds).
     """
     rows = coordinate_rows(base)
-    volume_ok, containment_ok, all_unimodular, worst = _sweep(base, rows, final.cones)
+    volume_ok, containment_ok, all_unimodular, worst = _sweep(base, rows, final)
     if not all_unimodular:
         worst = Fraction(0)
     thm, cor = final_bounds(base.multiplicity, base.dimension)
-    phi_ok, depth_ok, mu_ok, xi_ok = _audit(base, rows, trace, p2t_created)
+    audit_flags = _audit(base, rows, trace, p2t_created)
     bound_ok = all_unimodular and worst <= upper_rational(thm)
-    if cor is not None:
-        bound_ok = bound_ok and worst <= upper_rational(cor)
     reference = cor if cor is not None else thm
     slack = reference / float(worst) if worst > 0 else math.inf
-    return CertificateReport(
-        volume_ok=volume_ok,
-        containment_ok=containment_ok,
-        all_unimodular=all_unimodular,
-        max_dilation=worst,
-        phi_descent_ok=phi_ok,
-        label_depth_ok=depth_ok,
-        mu_bound_ok=mu_ok,
-        xi_length_ok=xi_ok,
-        final_bound_thm=thm,
-        final_bound_cor=cor,
-        final_bound_ok=bound_ok,
-        slack_ratio=slack,
-        final_count=len(final.cones),
-    )
+    flags = Certificates(volume_ok, containment_ok, all_unimodular, *audit_flags, bound_ok)
+    return CertificateReport(flags, worst, thm, cor, slack)

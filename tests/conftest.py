@@ -16,8 +16,6 @@ import itertools
 import math
 from fractions import Fraction
 
-import pytest
-
 
 def perm_det(m) -> int:
     """Determinant by the Leibniz permutation expansion."""
@@ -383,13 +381,6 @@ def canonical(cones) -> list:
     return sorted(tuple(sorted(c.generators)) for c in cones)
 
 
-def trivial_tiling(base):
-    """The tiling of a cone by itself, with itself as the whole history."""
-    from conetri import Triangulation
-
-    return Triangulation(base, [base], [base])
-
-
 def isolated_tiling(gens):
     """Phase 1, then each of its cones refined to unimodular on its own.
 
@@ -398,31 +389,14 @@ def isolated_tiling(gens):
     control for face-to-face checks.
 
     Returns:
-        (base, state, final): the base cone, phase 1's P2TState and the
-        Triangulation of the base by all the refined cones.
+        (base, state, final): the base cone, phase 1's P2TState and the list
+        of all the refined cones.
     """
-    from conetri import Triangulation, make_cone, refine_to_unimodular, run_p2t
+    from conetri import make_cone, refine_to_unimodular, run_p2t
 
     base = make_cone(gens)
     state = run_p2t(base)
-    cones = []
+    final = []
     for cone in state.triangulation.cones:
-        cones.extend(refine_to_unimodular(trivial_tiling(cone)).cones)
-    return base, state, Triangulation(base, cones, cones)
-
-
-@pytest.fixture(scope="session")
-def pipeline():
-    """Run both phases plus certification on a generator list."""
-    from conetri import certify, make_cone, refine_to_unimodular, run_p2t
-
-    def _run(gens):
-        base = make_cone(gens)
-        state = run_p2t(base)
-        final = refine_to_unimodular(state.triangulation)
-        report = certify(
-            base, final, state.trace, state.triangulation.all_created
-        )
-        return base, state, final, report
-
-    return _run
+        final.extend(refine_to_unimodular([cone]))
+    return base, state, final

@@ -43,7 +43,6 @@ from conftest import (
     prime_pi,
     rosser_bound,
     staircase_cones,
-    trivial_tiling,
 )
 
 CAMPAIGN_SEED = 20260819
@@ -116,8 +115,8 @@ def campaign():
                     if not ok:
                         stats["xi_violations"] += 1
 
-            tri = refine_to_unimodular(state.triangulation)
-            vol, cont, unimodular, worst = _sweep(base, coordinate_rows(base), tri.cones)
+            final = refine_to_unimodular(state.triangulation.cones)
+            vol, cont, unimodular, worst = _sweep(base, coordinate_rows(base), final)
             if not (vol and cont and unimodular):
                 stats["tiling_failures"] += 1
 
@@ -131,7 +130,7 @@ def campaign():
                     stats["min_slack"] = min(
                         stats["min_slack"], cor / float(worst)
                     )
-            stats["final_cones"] += len(tri.cones)
+            stats["final_cones"] += len(final)
             stats["runs"] += 1
     stats["seconds"] = time.time() - t0
     return stats
@@ -183,8 +182,8 @@ def test_criterion_05_final_bound(campaign, capsys):
     # The pinned 2D example: measured dilation 1 against a bound near 66.
     base = make_cone([(1, 0), (1, 3)])
     state = run_p2t(base)
-    tri = refine_to_unimodular(state.triangulation)
-    assert _sweep(base, coordinate_rows(base), tri.cones)[3] == 1
+    final = refine_to_unimodular(state.triangulation.cones)
+    assert _sweep(base, coordinate_rows(base), final)[3] == 1
     _, cor = final_bounds(3, 2)
     assert 66 < cor < 67
 
@@ -208,8 +207,8 @@ def test_criterion_06_isolated_power_of_two(capsys):
         accepted += 1
         l = mu.bit_length() - 1
         seen_l.add(l)
-        tri = refine_to_unimodular(trivial_tiling(cone))
-        worst = _sweep(cone, coordinate_rows(cone), tri.cones)[3]
+        final = refine_to_unimodular([cone])
+        worst = _sweep(cone, coordinate_rows(cone), final)[3]
         if worst > Fraction(d, 2) * Fraction(3, 2) ** l:
             violations += 1
     ok = violations == 0
@@ -265,18 +264,18 @@ def test_criterion_09_staircase_oracle(capsys):
     for n in range(2, 65):
         base = make_cone([(1, 0), (1, n)])
         state = run_p2t(base)
-        tri = refine_to_unimodular(state.triangulation)
+        final = refine_to_unimodular(state.triangulation.cones)
         report = oracle_validate_tiling(
-            base.generators, [c.generators for c in tri.cones]
+            base.generators, [c.generators for c in final]
         )
         assert report["volume_ok"], n
         assert report["containment_ok"], n
         assert report["all_unimodular"], n
         # Every subdivision point of either phase stays a ray of the
         # tiling, so the final generators are the base's plus all of them.
-        vectors = {g for c in tri.cones for g in c.generators}
+        vectors = {g for c in final for g in c.generators}
         if all(v[0] == 1 for v in vectors):
-            got = sorted(tuple(sorted(c.generators)) for c in tri.cones)
+            got = sorted(tuple(sorted(c.generators)) for c in final)
             want = sorted(tuple(sorted(c)) for c in staircase_cones(n))
             assert got == want, n
             staircase_hits += 1

@@ -24,7 +24,7 @@ from conetri.cli import (
 )
 from conetri.cone_geometry import coordinate_rows, make_cone, vector_content
 from conetri.errors import SingularMatrixError
-from conetri.verifier import _sweep, certify
+from conetri.verifier import Certificates, _sweep, certify
 
 from conftest import isolated_tiling, oracle_facet_matching, perm_det
 
@@ -156,6 +156,13 @@ def test_run_pipeline_report_has_the_eight_certificates(gens, count):
         assert doc["final"]["count"] == count
 
 
+def test_report_certificates_are_the_certificates_fields():
+    # The report writes the Certificates record as it is, so a new
+    # certificate needs no edit in the CLI.
+    doc, _ = run_pipeline(RunConfig(generators=MU19))
+    assert tuple(doc["certificates"]) == Certificates._fields
+
+
 def test_run_pipeline_computes_only_base_adjugates(monkeypatch):
     # Both phases derive every containment numerator from the split point's
     # own coefficients and build children without adjugate arithmetic. The
@@ -187,9 +194,8 @@ def test_isolated_tiling_is_not_face_to_face():
     base, state, final = isolated_tiling(gens)
     assert base.multiplicity == 19
     report = certify(base, final, state.trace, state.triangulation.all_created)
-    flags = [v for v in report._asdict().values() if isinstance(v, bool)]
-    assert len(flags) == 8 and all(flags)
-    facets = oracle_facet_matching(gens, [c.generators for c in final.cones])
+    assert len(report.certificates) == 8 and all(report.certificates)
+    facets = oracle_facet_matching(gens, [c.generators for c in final])
     assert len(facets["interior_bad"]) == 12
     assert facets["boundary_bad"] == []
     doc, _ = run_pipeline(RunConfig(generators=gens))
@@ -353,11 +359,14 @@ def test_main_random_and_bounds_print_indented_json(capsys):
 def test_main_verify_exits_2_on_a_failing_certificate(tmp_path, capsys, monkeypatch):
     # No real run fails a certificate, so certify is made to report two.
     real_certify = conetri.cli.certify
-    monkeypatch.setattr(
-        conetri.cli,
-        "certify",
-        lambda *args: real_certify(*args)._replace(volume_ok=False, xi_length_ok=False),
-    )
+
+    def failing_certify(*args):
+        report = real_certify(*args)
+        return report._replace(
+            certificates=report.certificates._replace(volume_ok=False, xi_length_ok=False)
+        )
+
+    monkeypatch.setattr(conetri.cli, "certify", failing_certify)
     path = write_cone(
         tmp_path, "cone.json", {"dimension": 2, "generators": [[1, 0], [1, 3]]}
     )
@@ -436,6 +445,16 @@ def test_main_bounds_huge_dimension_is_an_error_naming_it():
     assert out.stderr == f"error: the bounds for dimension {10**400} overflow a float\n"
 
 
+def test_main_bounds_infinite_bound_is_an_error_naming_mu_and_dimension():
+    # d**2 fits a float here, but the theorem bound's product does not: it
+    # used to saturate to inf and print the non-JSON token Infinity.
+    out = run_cli("bounds", "--mu", 12, "--dim", 10**154)
+    assert_error_exit(out)
+    assert out.stderr == (
+        f"error: the bounds for mu 12 and dimension {10**154} overflow a float\n"
+    )
+
+
 def test_main_bounds_huge_mu_is_an_error_without_a_sieve(memory_cap):
     # Factorizing 10**18 would sieve the primes up to 10**9, a gigabyte;
     # under a 512 MB address-space cap that dies with a MemoryError.
@@ -474,6 +493,39 @@ def test_main_run_huge_mu_is_an_error_before_phase_1(tmp_path, memory_cap):
         {"dimension": 2, "generators": [[1, 0], [1, 10**37 + 1]]},
     )
     assert_error_exit(run_cli("run", path, preexec_fn=memory_cap))
+
+
+def test_main_failed_run_deletes_the_trace_file_it_created(tmp_path):
+    path = write_cone(
+        tmp_path, "huge.json", {"dimension": 2, "generators": [[1, 0], [1, 10**37 + 1]]}
+    )
+    trace_path = tmp_path / "trace.json"
+    assert_error_exit(run_cli("run", path, "--trace", trace_path))
+    assert not trace_path.exists()
+
+
+def test_main_failed_run_leaves_an_existing_trace_path(tmp_path):
+    # The path was there before the run, so it is not the run's to delete
+    # (it could be /dev/stdout).
+    path = write_cone(
+        tmp_path, "huge.json", {"dimension": 2, "generators": [[1, 0], [1, 10**37 + 1]]}
+    )
+    trace_path = tmp_path / "trace.json"
+    trace_path.write_text("old", encoding="utf-8")
+    assert_error_exit(run_cli("run", path, "--trace", trace_path))
+    assert trace_path.exists()
+
+
+def test_main_run_trace_to_dev_stdout(tmp_path):
+    # An existing path is opened for writing, not created.
+    path = write_cone(
+        tmp_path, "cone.json", {"dimension": 2, "generators": [[1, 0], [1, 3]]}
+    )
+    out = run_cli("run", path, "--trace", "/dev/stdout")
+    assert out.returncode == 0, out.stderr
+    trace, _, report = out.stdout.partition("\n]\n")
+    assert json.loads(trace + "\n]")[0]["p"] == 3
+    assert json.loads(report)["final"]["count"] == 3
 
 
 def test_main_random_huge_mu_is_an_error_before_phase_1(memory_cap):

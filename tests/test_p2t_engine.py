@@ -374,17 +374,17 @@ def test_ray_index_matches_exhaustive_scan():
             fast = run_p2t(make_cone(gens))
             nonprimitive["p2t"] += any(vector_content(g) > 1 for g in added)
             added.clear()
-            fast_final = refine_to_unimodular(fast.triangulation)
+            fast_final = refine_to_unimodular(fast.triangulation.cones)
             nonprimitive["refine"] += any(vector_content(g) > 1 for g in added)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_Engine, "cones_containing", exhaustive_cones_containing())
             slow = run_p2t(make_cone(gens))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_Engine, "holders", exhaustive_holders())
-            slow_final = refine_to_unimodular(slow.triangulation)
+            slow_final = refine_to_unimodular(slow.triangulation.cones)
         assert fast.trace == slow.trace
         assert snapshot(fast.triangulation.cones) == snapshot(slow.triangulation.cones)
-        assert snapshot(fast_final.cones) == snapshot(slow_final.cones)
+        assert snapshot(fast_final) == snapshot(slow_final)
     assert nonprimitive["p2t"] and nonprimitive["refine"], nonprimitive
 
 
@@ -422,8 +422,8 @@ def test_stored_dets_match_an_independent_determinant():
             state = run_p2t(make_cone(gens))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_Engine, "holders", checked_holders)
-            final = refine_to_unimodular(state.triangulation)
-        for c in state.triangulation.all_created + final.cones:
+            final = refine_to_unimodular(state.triangulation.cones)
+        for c in state.triangulation.all_created + final:
             assert c.det == perm_det(c.generators)
     assert sorted(splits) == [2, 3, 4, 5]
     assert sorted(halvings) == [2, 3, 4, 5]

@@ -19,7 +19,6 @@ from conftest import (
     oracle_facet_matching,
     oracle_validate_tiling,
     staircase_cones,
-    trivial_tiling,
 )
 from test_cone_geometry import random_cone_gens
 
@@ -44,31 +43,29 @@ def record_halvings(monkeypatch, mu):
 
 
 def test_refine_mu2_splits_in_half():
-    tri = trivial_tiling(make_cone([(1, 0), (1, 2)]))
-    out = refine_to_unimodular(tri)
-    assert canonical(out.cones) == sorted(
+    out = refine_to_unimodular([make_cone([(1, 0), (1, 2)])])
+    assert canonical(out) == sorted(
         [tuple(sorted(c)) for c in staircase_cones(2)]
     )
 
 
 def test_refine_unit_cone_unchanged():
     base = make_cone([(1, 0), (0, 1)])
-    out = refine_to_unimodular(trivial_tiling(base))
-    assert out.cones == [base]
+    out = refine_to_unimodular([base])
+    assert out == [base]
+    assert refine_to_unimodular([]) == []
 
 
 def test_refine_mu4_staircase():
-    tri = trivial_tiling(make_cone([(1, 0), (1, 4)]))
-    out = refine_to_unimodular(tri)
-    assert canonical(out.cones) == sorted(
+    out = refine_to_unimodular([make_cone([(1, 0), (1, 4)])])
+    assert canonical(out) == sorted(
         [tuple(sorted(c)) for c in staircase_cones(4)]
     )
 
 
 def test_refine_rejects_odd_multiplicity():
-    tri = trivial_tiling(make_cone([(1, 0), (1, 3)]))
     with pytest.raises(PhaseOrderError):
-        refine_to_unimodular(tri)
+        refine_to_unimodular([make_cone([(1, 0), (1, 3)])])
 
 
 def test_half_vector_min_weight_tiebreak():
@@ -80,12 +77,11 @@ def test_half_vector_min_weight_tiebreak():
 
 
 def test_refine_events_halve_multiplicity(monkeypatch):
-    tri = trivial_tiling(make_cone([(1, 0), (1, 4)]))
     halvings = record_halvings(monkeypatch, 4)
-    out = refine_to_unimodular(tri)
+    out = refine_to_unimodular([make_cone([(1, 0), (1, 4)])])
     # Three halvings: 4 -> (2, 2) at generation 1, then each 2 -> (1, 1).
     assert halvings == [((1, 2), 1), ((1, 3), 2), ((1, 1), 2)]
-    assert [c.multiplicity for c in out.cones] == [1, 1, 1, 1]
+    assert [c.multiplicity for c in out] == [1, 1, 1, 1]
 
 
 def test_hk_bound_examples():
@@ -122,23 +118,23 @@ def test_refine_isolated_generations(seed):
     l = mu.bit_length() - 1
     with pytest.MonkeyPatch.context() as mp:
         halvings = record_halvings(mp, mu)
-        tri = refine_to_unimodular(trivial_tiling(cone))
-    assert all(c.multiplicity == 1 for c in tri.cones)
+        final = refine_to_unimodular([cone])
+    assert all(c.multiplicity == 1 for c in final)
     # Every branch halves l times: no point lies deeper than generation l.
     assert all(1 <= k <= l for _, k in halvings)
     # Generation-k subdivision vectors obey h_k, measured against the
     # refined cone's own simplex; finals obey the closed-form ceiling.
     for u, k in halvings:
         assert oracle_dilation(gens, u) <= hk_exact(d, k)
-    for c in tri.cones:
+    for c in final:
         for g in c.generators:
             assert oracle_dilation(gens, g) <= Fraction(d, 2) * Fraction(3, 2) ** l
 
 
 def test_refine_isolated_mu16_chain(monkeypatch):
     halvings = record_halvings(monkeypatch, 16)
-    tri = refine_to_unimodular(trivial_tiling(make_cone([(1, 0), (1, 16)])))
-    assert len(tri.cones) == 16
+    final = refine_to_unimodular([make_cone([(1, 0), (1, 16)])])
+    assert len(final) == 16
     # A balanced binary tree: 2**(k-1) splits at generation k, so every
     # final cone sits at depth 4.
     gens = [k for _, k in halvings]
@@ -153,8 +149,8 @@ def test_full_pipeline_tiles_exactly(seed):
     gens = random_cone_gens(rng, d, 5)
     base = make_cone(gens)
     state = run_p2t(base)
-    out = refine_to_unimodular(state.triangulation)
-    report = oracle_validate_tiling(gens, [c.generators for c in out.cones])
+    out = refine_to_unimodular(state.triangulation.cones)
+    report = oracle_validate_tiling(gens, [c.generators for c in out])
     assert report["volume_ok"]
     assert report["containment_ok"]
     assert report["all_unimodular"]
@@ -168,15 +164,33 @@ def test_full_pipeline_is_face_to_face():
         base = make_cone(gens)
         if base.multiplicity > 200:
             continue
-        out = refine_to_unimodular(run_p2t(base).triangulation)
-        facets = oracle_facet_matching(gens, [c.generators for c in out.cones])
+        out = refine_to_unimodular(run_p2t(base).triangulation.cones)
+        facets = oracle_facet_matching(gens, [c.generators for c in out])
         assert facets["face_to_face_ok"], (gens, facets)
         checked += base.multiplicity > 1
     assert checked >= 8
 
 
-def test_refine_keeps_trace_off_by_default():
-    tri = trivial_tiling(make_cone([(1, 0), (1, 8)]))
-    out = refine_to_unimodular(tri)
-    # Without history the created list is just the final tiling.
-    assert out.all_created == out.cones
+def test_refine_returns_only_the_final_cones():
+    base = make_cone([(1, 0), (1, 8)])
+    out = refine_to_unimodular([base])
+    # No history rides along: a plain list of the final tiling. The 14 cones
+    # of the three halving rounds take uids 1-14, the last 8 of them final.
+    assert type(out) is list
+    assert [c.multiplicity for c in out] == [1] * 8
+    assert sorted(c.uid for c in out) == list(range(7, 15))
+
+
+def test_refine_uids_start_past_every_phase_1_uid():
+    # refine_to_unimodular numbers on from the largest uid it is given.
+    # run_p2t's last event's children are its newest cones and stay live,
+    # so that is the largest uid phase 1 created, on every tiling.
+    rng = random.Random(20261019)
+    for d, bound in [(2, 6)] * 4 + [(3, 4)] * 4:
+        state = run_p2t(make_cone(random_cone_gens(rng, d, bound)))
+        tri = state.triangulation
+        newest = max(c.uid for c in tri.all_created)
+        assert max(c.uid for c in tri.cones) == newest
+        uids = [c.uid for c in refine_to_unimodular(tri.cones)]
+        assert len(set(uids)) == len(uids)
+        assert all(u > newest for u in set(uids) - {c.uid for c in tri.cones})

@@ -2,18 +2,15 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conetri.cone_geometry import (
-    Triangulation,
-    coordinate_rows,
-    make_cone,
-)
-from conetri.number_theory import factorize, phi
+from conetri.cone_geometry import coordinate_rows, make_cone
+from conetri.number_theory import eta, factorize, phi
 from conetri.p2t_engine import TraceEvent, run_p2t
 from conetri.pow2_refiner import refine_to_unimodular
 from conetri.verifier import (
@@ -33,7 +30,6 @@ from conftest import (
     oracle_facet_matching,
     oracle_validate_tiling,
     staircase_cones,
-    trivial_tiling,
 )
 from test_cone_geometry import random_cone_gens, split
 
@@ -81,8 +77,8 @@ def test_max_dilation_examples():
 def test_max_dilation_full_pipeline_mu5():
     base = make_cone([(1, 0), (1, 5)])
     state = run_p2t(base)
-    tri = refine_to_unimodular(state.triangulation)
-    assert _sweep(base, coordinate_rows(base), tri.cones)[3] == 1
+    final = refine_to_unimodular(state.triangulation.cones)
+    assert _sweep(base, coordinate_rows(base), final)[3] == 1
 
 
 def test_final_bounds_examples():
@@ -99,6 +95,27 @@ def test_final_bounds_examples():
         final_bounds(0, 2)
     with pytest.raises(ValueError):
         final_bounds(3, 1)
+
+
+def test_final_bounds_overflow_names_mu_and_dimension():
+    # d**2 fits a float, but the product saturates to inf.
+    with pytest.raises(OverflowError, match=f"mu {2**43} and dimension {10**100} "):
+        final_bounds(2**43, 10**100)
+    with pytest.raises(OverflowError, match=f"for dimension {10**400} overflow"):
+        final_bounds(12, 10**400)
+
+
+def test_theorem_bound_never_exceeds_the_simplified_one():
+    # 4**phi(mu) == mu**4 / 16**eta(mu), so cor == thm * 16**(eta - 1) and
+    # for mu >= 2 comparing against cor as well as thm decides nothing.
+    # The two float formulas round apart by up to ~45 ulps here.
+    ulps = 64 * sys.float_info.epsilon
+    for d in range(2, 6):
+        for mu in range(2, 5001):
+            thm, cor = final_bounds(mu, d)
+            assert thm <= cor * (1 + ulps), (mu, d)
+            scale = 16.0 ** (eta(factorize(mu)) - 1)
+            assert cor == pytest.approx(thm * scale, rel=ulps), (mu, d)
 
 
 def test_final_bounds_monotonicity():
@@ -192,8 +209,8 @@ def test_audit_trace_fails_a_label_vector_outside_the_base():
     outside = labelled_cone([(-1, 1), (0, 1)], (0, -2))
     created = [base, outside]
     assert audit_trace(base, [], created)[3] is False
-    report = certify(base, trivial_tiling(base), [], created)
-    assert not report.xi_length_ok
+    report = certify(base, [base], [], created)
+    assert not report.certificates.xi_length_ok
 
 
 @pytest.mark.parametrize("d,bound", [(2, 9), (3, 5), (4, 3)])
@@ -217,14 +234,15 @@ def test_newest_labels_cover_every_trace_vector(d, bound):
 def test_certify_report_mu3():
     base = make_cone([(1, 0), (1, 3)])
     state = run_p2t(base)
-    tri = refine_to_unimodular(state.triangulation)
-    rep = certify(base, tri, state.trace, state.triangulation.all_created)
-    assert rep.volume_ok and rep.containment_ok and rep.all_unimodular
-    assert rep.phi_descent_ok and rep.label_depth_ok
-    assert rep.mu_bound_ok and rep.xi_length_ok
+    final = refine_to_unimodular(state.triangulation.cones)
+    rep = certify(base, final, state.trace, state.triangulation.all_created)
+    ok = rep.certificates
+    assert ok.volume_ok and ok.containment_ok and ok.all_unimodular
+    assert ok.phi_descent_ok and ok.label_depth_ok
+    assert ok.mu_bound_ok and ok.xi_length_ok
     assert rep.max_dilation == 1
-    assert rep.final_bound_ok
-    assert rep.final_count == 3
+    assert ok.final_bound_ok
+    assert len(final) == 3
     assert rep.slack_ratio == pytest.approx(rep.final_bound_cor, rel=1e-9)
 
 
@@ -235,23 +253,22 @@ def test_certify_unimodular_base_meets_the_bound_with_equality():
     # bound is undefined for mu = 1.
     base = make_cone([(1, 0), (0, 1)])
     state = run_p2t(base)
-    tri = refine_to_unimodular(state.triangulation)
-    rep = certify(base, tri, state.trace, state.triangulation.all_created)
+    final = refine_to_unimodular(state.triangulation.cones)
+    rep = certify(base, final, state.trace, state.triangulation.all_created)
     assert rep.max_dilation == 1
     assert rep.final_bound_thm == 1.0
     assert rep.final_bound_cor is None
-    assert rep.final_bound_ok
+    assert rep.certificates.final_bound_ok
 
 
 def test_certify_flags_bad_tiling():
     base = make_cone([(1, 0), (1, 3)])
     state = run_p2t(base)
-    tri = refine_to_unimodular(state.triangulation)
-    broken = Triangulation(base, tri.cones[:-1], tri.cones[:-1])
+    broken = refine_to_unimodular(state.triangulation.cones)[:-1]
     rep = certify(base, broken, (), [base])
-    assert not rep.volume_ok
-    assert rep.containment_ok
-    assert rep.final_count == 2
+    assert not rep.certificates.volume_ok
+    assert rep.certificates.containment_ok
+    assert len(broken) == 2
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -262,26 +279,27 @@ def test_certify_random_cones(seed):
     gens = random_cone_gens(rng, d, 5)
     base = make_cone(gens)
     state = run_p2t(base)
-    tri = refine_to_unimodular(state.triangulation)
-    rep = certify(base, tri, state.trace, state.triangulation.all_created)
-    assert rep.volume_ok and rep.containment_ok and rep.all_unimodular
-    assert rep.phi_descent_ok and rep.label_depth_ok
-    assert rep.mu_bound_ok and rep.xi_length_ok
-    assert rep.final_bound_ok
+    final = refine_to_unimodular(state.triangulation.cones)
+    rep = certify(base, final, state.trace, state.triangulation.all_created)
+    ok = rep.certificates
+    assert ok.volume_ok and ok.containment_ok and ok.all_unimodular
+    assert ok.phi_descent_ok and ok.label_depth_ok
+    assert ok.mu_bound_ok and ok.xi_length_ok
+    assert ok.final_bound_ok
     assert rep.max_dilation <= upper_rational(rep.final_bound_thm)
     if rep.final_bound_cor is not None:
         assert rep.max_dilation <= upper_rational(rep.final_bound_cor)
     # Oracle agreement on the worst stretch, also against the same cone
     # with its orientation flipped: one of the two bases has det < 0.
     worst = max(
-        oracle_dilation(gens, g) for c in tri.cones for g in c.generators
+        oracle_dilation(gens, g) for c in final for g in c.generators
     )
     assert rep.max_dilation == worst
     flipped = make_cone(swap_first_two(gens))
     assert flipped.det == -base.det
-    assert _sweep(flipped, coordinate_rows(flipped), tri.cones)[3] == worst
+    assert _sweep(flipped, coordinate_rows(flipped), final)[3] == worst
     # Negative labels are original base generators: dilation exactly 1.
-    for c in tri.cones:
+    for c in final:
         for s, vec in zip(c.labels, c.generators):
             if s < 0:
                 assert oracle_dilation(gens, vec) <= 1
@@ -375,7 +393,7 @@ def test_sweep_ignores_base_orientation_on_the_counterexamples():
     assert_sweep_ignores_orientation(((1, 0), (1, 4)), overlap)
     gens = ((1, 1, 0, -3), (-2, -3, 1, 3), (-2, -1, 0, -2), (1, -3, 1, -1))
     _, _, final = isolated_tiling(gens)
-    assert_sweep_ignores_orientation(gens, [c.generators for c in final.cones])
+    assert_sweep_ignores_orientation(gens, [c.generators for c in final])
 
 
 def test_volume_cases_cover_bucket_counts():
