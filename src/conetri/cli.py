@@ -24,6 +24,7 @@ import itertools
 import json
 import os
 import random
+import stat
 import sys
 from fractions import Fraction
 from typing import Any, NamedTuple, Sequence, TextIO
@@ -248,7 +249,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # The trace file is opened before the run, so a bad path fails at once.
     # A full disk may only show when the file is closed, so the close is
     # covered too. A failed run deletes the file if it made it (mode "x"
-    # makes a new regular file); a path already there, say /dev/stdout, stays.
+    # makes a new regular file); a path already there, say /dev/stdout, stays,
+    # and is opened to append so that a regular file keeps its old bytes
+    # until the finished trace replaces them.
     created = written = False
     try:
         out = contextlib.nullcontext()
@@ -256,10 +259,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
             try:
                 out, created = open(args.trace, "x", encoding="utf-8"), True
             except FileExistsError:
-                out = open(args.trace, "w", encoding="utf-8")
+                out = open(args.trace, "a", encoding="utf-8")
         with out as fh:
             doc, trace = run_pipeline(RunConfig(generators=cone.generators))
             if fh is not None:
+                # Devices (/dev/full, a terminal) cannot be truncated.
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate(0)
                 _write_json([ev._asdict() for ev in trace], fh)
         written = True
     except OSError as exc:

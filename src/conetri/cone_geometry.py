@@ -27,6 +27,7 @@ carries exactly one generator vector, and the engine's ray index
 from __future__ import annotations
 
 from math import gcd
+from operator import index
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -116,21 +117,34 @@ class SimplicialCone:
         return f"SimplicialCone(uid={self.uid}, mu={self.multiplicity}, gens={self.generators})"
 
 
+def _entry(c: object) -> int:
+    """A generator entry as an int; TypeError names any other entry."""
+    if not isinstance(c, bool):
+        try:
+            return index(c)
+        except TypeError:
+            pass
+    raise TypeError(f"generator entry {c!r} is not an integer")
+
+
 def make_cone(generators: Sequence[Sequence[int]]) -> SimplicialCone:
     """Build a base cone from primitive, independent generators.
 
     Args:
-        generators: d integer vectors of length d, each primitive.
+        generators: d integer vectors of length d, each primitive. An
+            entry may be of any integer type (one with __index__), not a
+            bool.
 
     Returns:
         The base cone, with generator i labelled -(i+1).
 
     Raises:
+        TypeError: an entry is not an integer (say 1.7 or "3"), or is a bool.
         DimensionError: fewer than 2 generators, or lengths off.
         PrimitivityError: a generator is a proper multiple of a lattice vector.
         SingularMatrixError: the generators are dependent.
     """
-    gens = tuple(tuple(int(c) for c in g) for g in generators)
+    gens = tuple(tuple(_entry(c) for c in g) for g in generators)
     if len(gens) < 2:
         raise DimensionError("need dimension at least 2")
     if any(len(g) != len(gens) for g in gens):
@@ -205,31 +219,25 @@ def _combine(cone: SimplicialCone, z: Iterable[int], p: int) -> LatticeVector:
     return tuple(c // p for c in acc)
 
 
-def kernel_masks_mod2(
-    gens: Sequence[LatticeVector], parities: dict[LatticeVector, int]
-) -> list[int]:
+def kernel_masks_mod2(gens: Sequence[LatticeVector]) -> list[int]:
     """Basis of the mod-2 kernel of the generators, as subset bitmasks.
 
     Generator i is bit d-1-i of a mask. Each generator's parity vector is
-    packed into an int (kept in `parities` on a miss) and reduced against
-    the pivots found so far, while its mask records which generators the
-    reduced vector combines; one that reduces to 0 is a kernel element. The
-    pivots are the greedy independent set of generators, and a pivot mask
-    holds bits of pivot generators only, so kernel mask f is generator f
-    plus earlier pivots. Only one kernel vector has that support, so the
-    masks are exactly nullspace_mod2's basis of the generator matrix
-    (generators as columns), in the same order.
+    packed into an int and reduced against the pivots found so far, while
+    its mask records which generators the reduced vector combines; one that
+    reduces to 0 is a kernel element. The pivots are the greedy independent
+    set of generators, and a pivot mask holds bits of pivot generators only,
+    so kernel mask f is generator f plus earlier pivots. Only one kernel
+    vector has that support, so the masks are exactly nullspace_mod2's basis
+    of the generator matrix (generators as columns), in the same order.
     """
     d = len(gens)
     pivots: dict[int, tuple[int, int]] = {}  # leading bit -> (parity, mask)
     kernel: list[int] = []
     for i, g in enumerate(gens):
-        parity = parities.get(g)
-        if parity is None:
-            parity = 0
-            for c in g:
-                parity = parity << 1 | (c & 1)
-            parities[g] = parity
+        parity = 0
+        for c in g:
+            parity = parity << 1 | (c & 1)
         mask = 1 << (d - 1 - i)
         while parity:
             lead = parity.bit_length()
@@ -244,9 +252,7 @@ def kernel_masks_mod2(
     return kernel
 
 
-def half_vector(
-    cone: SimplicialCone, parities: dict[LatticeVector, int]
-) -> tuple[LatticeVector, tuple[int, ...]] | None:
+def half_vector(cone: SimplicialCone) -> tuple[LatticeVector, tuple[int, ...]] | None:
     """Half the sum of a nonempty generator subset that lands in the lattice.
 
     Returns (u, slots): the lattice point u = (1/2) * sum_{j in slots} g_j
@@ -266,12 +272,11 @@ def half_vector(
     differing bit), so min by (popcount, mask) is min by
     (sum(ind), tuple(ind)). Kernels of dimension above 12 are not
     enumerated; the lightest vector of the basis (nullspace_mod2's basis,
-    see kernel_masks_mod2) is taken. parities maps vectors to packed parity
-    bits and is filled on a miss; refine_to_unimodular keeps one per run.
+    see kernel_masks_mod2) is taken.
     """
     gens = cone.generators
     d = len(gens)
-    kernel = kernel_masks_mod2(gens, parities)
+    kernel = kernel_masks_mod2(gens)
     if not kernel:
         return None
     if len(kernel) == 1:

@@ -67,12 +67,11 @@ def refine_to_unimodular(cones: Sequence[SimplicialCone]) -> list[SimplicialCone
     )
     live, pending = engine.cones, engine.pending
     new_uid = engine.uid_source.__next__
-    parities: dict[tuple[int, ...], int] = {}  # generator -> packed parity bits
     while pending:
         cone = live.get(pending.popleft())
         if cone is None:
             continue
-        found = half_vector(cone, parities)
+        found = half_vector(cone)
         assert found is not None, "even multiplicity must yield a half vector"
         u, slots = found
         face = [cone.generators[j] for j in slots]

@@ -135,6 +135,15 @@ def _sweep(
     return volume_ok, containment_ok, all_unimodular, worst
 
 
+def _int_name(n: int) -> str:
+    """n in decimal, or its bit length when n is past Python's int-to-str
+    limit (4300 digits by default)."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"of {n.bit_length()} bits"
+
+
 def intermediate_mu_ceiling(mu: int) -> float:
     """2**(L*(L+3)/2) with L = log2(mu): ceiling for every intermediate
     multiplicity produced while reducing a base of multiplicity mu.
@@ -142,7 +151,8 @@ def intermediate_mu_ceiling(mu: int) -> float:
     Raises:
         ValueError: if mu < 1.
         OverflowError: if the ceiling exceeds a float (mu >= ~2**44); the
-            message names mu.
+            message names mu, by its bit length if it has too many digits
+            to print.
     """
     if mu < 1:
         raise ValueError(f"multiplicity must be positive, got {mu}")
@@ -150,7 +160,7 @@ def intermediate_mu_ceiling(mu: int) -> float:
     try:
         return 2.0 ** (0.5 * ld * (ld + 3.0))
     except OverflowError:
-        raise OverflowError(f"the bounds for mu {mu} overflow a float") from None
+        raise OverflowError(f"the bounds for mu {_int_name(mu)} overflow a float") from None
 
 
 def final_bounds(mu: int, d: int) -> tuple[float, float | None]:
@@ -166,7 +176,8 @@ def final_bounds(mu: int, d: int) -> tuple[float, float | None]:
     Raises:
         ValueError: if mu < 1 or d < 2.
         OverflowError: if d**2 exceeds a float (the message names d), or a
-            bound does (the message names mu and d).
+            bound does (the message names mu and d); a number with too many
+            digits to print is named by its bit length.
     """
     if mu < 1:
         raise ValueError(f"multiplicity must be positive, got {mu}")
@@ -175,7 +186,9 @@ def final_bounds(mu: int, d: int) -> tuple[float, float | None]:
     try:
         d_squared = float(d * d)
     except OverflowError:
-        raise OverflowError(f"the bounds for dimension {d} overflow a float") from None
+        raise OverflowError(
+            f"the bounds for dimension {_int_name(d)} overflow a float"
+        ) from None
     ld = math.log2(mu)
     phi_mu = phi(factorize(mu))
     try:  # a product saturates to inf, a power raises
@@ -184,7 +197,9 @@ def final_bounds(mu: int, d: int) -> tuple[float, float | None]:
     except OverflowError:
         thm = cor = math.inf
     if math.inf in (thm, cor):
-        raise OverflowError(f"the bounds for mu {mu} and dimension {d} overflow a float")
+        raise OverflowError(
+            f"the bounds for mu {_int_name(mu)} and dimension {_int_name(d)} overflow a float"
+        )
     return thm, (cor if mu > 1 else None)
 
 

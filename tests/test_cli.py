@@ -514,6 +514,44 @@ def test_main_failed_run_leaves_an_existing_trace_path(tmp_path):
     trace_path.write_text("old", encoding="utf-8")
     assert_error_exit(run_cli("run", path, "--trace", trace_path))
     assert trace_path.exists()
+    # It is not truncated before the run, so the old bytes survive.
+    assert trace_path.read_text(encoding="utf-8") == "old"
+
+
+def test_main_run_over_a_longer_trace_file_leaves_only_the_trace(tmp_path):
+    path = write_cone(
+        tmp_path, "cone.json", {"dimension": 2, "generators": [[1, 0], [1, 3]]}
+    )
+    trace_path = tmp_path / "trace.json"
+    trace_path.write_text("x" * 100_000, encoding="utf-8")
+    out = run_cli("run", path, "--trace", trace_path)
+    assert out.returncode == 0, out.stderr
+    _, trace = run_pipeline(RunConfig(generators=((1, 0), (1, 3))))
+    want = json.dumps([ev._asdict() for ev in trace], indent=2) + "\n"
+    assert trace_path.read_text(encoding="utf-8") == want
+
+
+def test_main_run_mu_too_long_to_print_is_an_error(tmp_path):
+    # mu has over 6000 digits, past Python's int-to-str limit: the message
+    # names it by its bit length instead of raising a ValueError.
+    big = 10**3000
+    path = write_cone(
+        tmp_path, "huge.json", {"dimension": 2, "generators": [[big, 1], [1, big + 1]]}
+    )
+    mu = big * (big + 1) - 1
+    for extra in ((), ("--trace", tmp_path / "trace.json")):
+        out = run_cli("run", path, *extra)
+        assert_error_exit(out)
+        assert out.stderr == (
+            f"error: the bounds for mu of {mu.bit_length()} bits overflow a float\n"
+        )
+    assert not (tmp_path / "trace.json").exists()
+
+
+def test_main_random_mu_too_long_to_print_is_an_error():
+    assert_error_exit(
+        run_cli("random", "--dim", 2, "--bound", 10**3999, "--count", 1, "--seed", 0)
+    )
 
 
 def test_main_run_trace_to_dev_stdout(tmp_path):

@@ -63,7 +63,7 @@ def order_p_point(cone, p):
 def half_point(cone):
     """half_vector's point u, or None, after checking its slots: nonempty,
     increasing, and summing to 2u."""
-    found = half_vector(cone, {})
+    found = half_vector(cone)
     if found is None:
         return None
     u, slots = found
@@ -91,6 +91,24 @@ def test_make_cone_rejects_bad_input():
         make_cone([(1, 0)])
     with pytest.raises(DimensionError):
         make_cone([(1, 0, 0), (0, 1, 0)])
+
+
+@pytest.mark.parametrize("entry", [1.7, 1.0, "3", True, False])
+def test_make_cone_rejects_a_non_integer_entry(entry):
+    # int() would truncate 1.7 and accept True and "3".
+    with pytest.raises(TypeError, match=f"generator entry {entry!r} "):
+        make_cone([(entry, 0), (0, 1)])
+
+
+def test_make_cone_accepts_any_integer_type():
+    class Two:
+        def __index__(self):
+            return 2
+
+    c = make_cone([(Two(), 1), (0, 1)])
+    assert c.generators == ((2, 1), (0, 1))
+    assert type(c.generators[0][0]) is int
+    assert c.multiplicity == 2
 
 
 def coordinates(cone, x):
@@ -274,11 +292,11 @@ def test_stellar_subdivide_multiplicities_split(seed):
 
 
 def test_half_vector_examples():
-    assert half_vector(make_cone([(1, 0), (1, 2)]), {}) == ((1, 1), (0, 1))
-    assert half_vector(make_cone([(1, 0), (0, 1)]), {}) is None
-    assert half_vector(make_cone([(1, 0), (1, 4)]), {}) == ((1, 2), (0, 1))
-    assert half_vector(make_cone([(1, 0), (1, 3)]), {}) is None
-    assert half_vector(labelled_cone([(1, 0), (0, 2)], (-1, -2)), {})[1] == (1,)
+    assert half_vector(make_cone([(1, 0), (1, 2)])) == ((1, 1), (0, 1))
+    assert half_vector(make_cone([(1, 0), (0, 1)])) is None
+    assert half_vector(make_cone([(1, 0), (1, 4)])) == ((1, 2), (0, 1))
+    assert half_vector(make_cone([(1, 0), (1, 3)])) is None
+    assert half_vector(labelled_cone([(1, 0), (0, 2)], (-1, -2)))[1] == (1,)
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -288,7 +306,7 @@ def test_half_vector_properties(seed):
     d = rng.choice([2, 3])
     gens = random_cone_gens(rng, d, 6)
     c = make_cone(gens)
-    found = half_vector(c, {})
+    found = half_vector(c)
     if c.multiplicity % 2 == 1:
         assert found is None
     else:
@@ -338,7 +356,7 @@ def test_kernel_masks_are_the_nullspace_mod2_basis(d):
         c = parity_pattern_cone(rng, d)
         as_tuples = [
             tuple(m >> (d - 1 - i) & 1 for i in range(d))
-            for m in kernel_masks_mod2(c.generators, {})
+            for m in kernel_masks_mod2(c.generators)
         ]
         assert as_tuples == nullspace_mod2(c.matrix())
 
@@ -349,7 +367,7 @@ def test_half_vector_large_kernel_takes_the_lightest_basis_vector():
     gens = tuple(tuple(2 if i == j else 0 for j in range(d)) for i in range(d))
     # det(2*I) = 2^13; perm_det would expand 13! terms.
     c = SimplicialCone(gens, tuple(range(-1, -d - 1, -1)), 0, 2**d)
-    assert half_vector(c, {}) == ((0,) * (d - 1) + (1,), (d - 1,))
+    assert half_vector(c) == ((0,) * (d - 1) + (1,), (d - 1,))
 
 
 def test_direct_cone_allows_nonprimitive():

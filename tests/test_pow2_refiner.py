@@ -33,8 +33,8 @@ def record_halvings(monkeypatch, mu):
     l = mu.bit_length() - 1
     calls = []
 
-    def recording(cone, parities):
-        found = half_vector(cone, parities)
+    def recording(cone):
+        found = half_vector(cone)
         calls.append((found[0], l - (cone.multiplicity.bit_length() - 1) + 1))
         return found
 
@@ -73,7 +73,7 @@ def test_half_vector_min_weight_tiebreak():
     # and the lexicographically least indicator wins: generators 1 and 2.
     c = make_cone([(1, 1, 0), (1, -1, 0), (1, 1, 2)])
     assert c.multiplicity == 4
-    assert half_vector(c, {}) == ((1, 0, 1), (1, 2))
+    assert half_vector(c) == ((1, 0, 1), (1, 2))
 
 
 def test_refine_events_halve_multiplicity(monkeypatch):

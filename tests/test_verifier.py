@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -103,6 +104,45 @@ def test_final_bounds_overflow_names_mu_and_dimension():
         final_bounds(2**43, 10**100)
     with pytest.raises(OverflowError, match=f"for dimension {10**400} overflow"):
         final_bounds(12, 10**400)
+
+
+def test_overflow_names_a_number_too_long_to_print_by_its_bit_length():
+    # 10**5000 has more digits than Python's int-to-str limit (4300), so
+    # f"{mu}" would raise a ValueError in place of the OverflowError.
+    huge = 10**5000
+    with pytest.raises(OverflowError) as exc:
+        intermediate_mu_ceiling(huge)
+    assert str(exc.value) == "the bounds for mu of 16610 bits overflow a float"
+    with pytest.raises(OverflowError) as exc:
+        final_bounds(12, huge)
+    assert str(exc.value) == "the bounds for dimension of 16610 bits overflow a float"
+    # A number that prints is still named in decimal.
+    with pytest.raises(OverflowError) as exc:
+        intermediate_mu_ceiling(10**4000)
+    assert str(exc.value) == f"the bounds for mu {10**4000} overflow a float"
+
+
+def test_theorem_bound_is_within_128_ulps_of_its_exact_value():
+    # thm = (d^2/4) * mu^5 * 16^-eta * (3/2)^(L(L+3)/2), L = log2(mu), in
+    # 60-digit decimal. The float formula lands on either side of it (up to
+    # ~70 ulps here), so final_bound_ok, which compares with thm nudged one
+    # ulp up, is not exact near the bound; this pins the size of the gap.
+    with localcontext() as ctx:
+        ctx.prec = 60
+        ln2 = Decimal(2).ln()
+        ln_three_halves = Decimal("1.5").ln()
+        for d in range(2, 6):
+            for mu in range(2, 1001):
+                thm, _ = final_bounds(mu, d)
+                L = Decimal(mu).ln() / ln2
+                exact = (
+                    Decimal(d * d * mu**5)
+                    / 4
+                    / 16 ** eta(factorize(mu))
+                    * (L * (L + 3) / 2 * ln_three_halves).exp()
+                )
+                ulps = (Decimal(thm) - exact) / Decimal(math.ulp(thm))
+                assert abs(ulps) <= 128, (mu, d, ulps)
 
 
 def test_theorem_bound_never_exceeds_the_simplified_one():
