@@ -45,13 +45,15 @@ def main():
         print(f"{name + ':':<20}{ok}")
     print(f"mu ceiling:         {intermediate_mu_ceiling(base.multiplicity):.1f}")
 
-    # max_dilation is exact (a Fraction); the ceilings are floats, and the
-    # theorem's is nudged one ulp up before the comparison. The float can
+    # max_dilation is exact, a (num, den) pair of ints reduced by their gcd;
+    # the ceilings are floats, and the theorem's is nudged one ulp up before
+    # the comparison, which is made in integers. The float can
     # sit tens of ulps off the exact ceiling on either side, so a dilation
     # right at the ceiling may get either verdict. The simplified ceiling is
     # never below the theorem's.
     print()
-    print(f"max_dilation:       {report.max_dilation}")
+    num, den = report.max_dilation
+    print(f"max_dilation:       {num}/{den}")
     print(f"theorem ceiling:    {report.final_bound_thm:.4g}")
     # final_bounds has no simplified ceiling at mu = 1; the theorem's holds.
     cor = report.final_bound_cor

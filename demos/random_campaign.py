@@ -27,7 +27,8 @@ def run_one(dim, bound, seed, mu_cap):
     final = refine_to_unimodular(state.triangulation.cones)
     report = certify(base, final, state.trace, state.triangulation.all_created)
     ok = all(report.certificates)
-    return base.multiplicity, len(final), float(report.max_dilation), report.slack_ratio, ok
+    num, den = report.max_dilation
+    return base.multiplicity, len(final), num / den, report.slack_ratio, ok
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[1])

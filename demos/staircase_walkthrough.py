@@ -67,7 +67,8 @@ def main():
     )
     ok = report.certificates
     print(f"certified: volume={ok.volume_ok} containment={ok.containment_ok}")
-    print(f"max dilation {report.max_dilation} vs bound {report.final_bound_thm:.1f}")
+    num, den = report.max_dilation
+    print(f"max dilation {num}/{den} vs bound {report.final_bound_thm:.1f}")
     expected = sorted(tuple(sorted(((1, k), (1, k + 1)))) for k in range(n))
     got = sorted(tuple(sorted(c.generators)) for c in final)
     print(f"matches the staircase: {got == expected}")

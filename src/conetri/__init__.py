@@ -46,11 +46,7 @@ from .p2t_engine import (
     find_x,
     run_p2t,
 )
-from .pow2_refiner import (
-    hk_bound,
-    hk_exact,
-    refine_to_unimodular,
-)
+from .pow2_refiner import refine_to_unimodular
 from .verifier import (
     CertificateReport,
     Certificates,
@@ -84,8 +80,6 @@ __all__ = [
     "final_bounds",
     "find_x",
     "half_vector",
-    "hk_bound",
-    "hk_exact",
     "is_prime",
     "make_cone",
     "odd_adjust",

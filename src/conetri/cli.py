@@ -11,8 +11,8 @@ Input files describe one cone:
 Reports are deterministic: the same input (or the same seed) produces byte
 identical output. Exit status is 0 for a finished run, 2 when --verify is
 given and some certificate fails, and 1 for unusable input (bounds past a
-float too) or output that cannot be written (a bad trace path, a full disk,
-a closed pipe).
+float too, or a run out of memory) or output that cannot be written (a bad
+trace path, a full disk, a closed pipe).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import os
 import random
 import stat
 import sys
-from fractions import Fraction
 from typing import Any, NamedTuple, Sequence, TextIO
 
 from .cone_geometry import (
@@ -144,8 +143,8 @@ def _write_json(obj: Any, fh: TextIO) -> None:
     fh.write("\n")
 
 
-def _fraction_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
+def _fraction_str(ratio: tuple[int, int]) -> str:
+    return "{}/{}".format(*ratio)
 
 
 def _report_dict(
@@ -234,6 +233,14 @@ def _report_text(doc: dict[str, Any]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _same_file(a: TextIO, b: TextIO) -> bool:
+    """Whether a and b write to one file; False if either has no fd."""
+    try:
+        return os.path.samestat(os.fstat(a.fileno()), os.fstat(b.fileno()))
+    except (OSError, ValueError):
+        return False
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
@@ -251,8 +258,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # covered too. A failed run deletes the file if it made it (mode "x"
     # makes a new regular file); a path already there, say /dev/stdout, stays,
     # and is opened to append so that a regular file keeps its old bytes
-    # until the finished trace replaces them.
-    created = written = False
+    # until the finished trace replaces them. When that path is the file
+    # stdout writes to (/dev/stdout redirected to a file), the report would
+    # start over the trace at stdout's own offset, so the trace goes through
+    # sys.stdout, ahead of the report.
+    created = written = to_stdout = False
     try:
         out = contextlib.nullcontext()
         if args.trace is not None:
@@ -260,9 +270,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 out, created = open(args.trace, "x", encoding="utf-8"), True
             except FileExistsError:
                 out = open(args.trace, "a", encoding="utf-8")
+                to_stdout = _same_file(out, sys.stdout)
         with out as fh:
             doc, trace = run_pipeline(RunConfig(generators=cone.generators))
-            if fh is not None:
+            if fh is not None and not to_stdout:
                 # Devices (/dev/full, a terminal) cannot be truncated.
                 if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
                     fh.truncate(0)
@@ -275,6 +286,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if created and not written:
             with contextlib.suppress(OSError):
                 os.remove(args.trace)
+    if to_stdout:
+        _write_json([ev._asdict() for ev in trace], sys.stdout)
     if args.format == "json":
         _write_json(doc, sys.stdout)
     else:
@@ -392,6 +405,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except OverflowError as exc:  # its message names mu or the dimension
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        # Caught here, once the run's frames have unwound and freed what
+        # they held. With no address-space limit the kernel may kill the
+        # process instead; README says how large a run gets.
+        print("error: out of memory", file=sys.stderr)
         return 1
     return status
 

@@ -73,7 +73,7 @@ def determinant(m: Sequence[Sequence[int]]) -> int:
 def adjugate(m: Sequence[Sequence[int]]) -> IntMatrix:
     """Adjugate matrix: adjugate(m) @ m == determinant(m) * identity.
 
-    Fraction-free (Bareiss) Gauss-Jordan elimination on [m | I]. Step k
+    Bareiss's fraction-free Gauss-Jordan elimination on [m | I]. Step k
     clears column k in every other row, dividing by the previous pivot.
     After step k every entry is, up to sign, a minor of [m | I] with k + 1
     rows, so the divisions are exact. At the end the left block is p * I

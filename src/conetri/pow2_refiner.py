@@ -11,8 +11,6 @@ h_k <= (d/2) * (3/2)**(k-1).
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import cache
 from typing import Sequence
 
 from .cone_geometry import SimplicialCone, half_vector
@@ -91,21 +89,3 @@ def refine_to_unimodular(cones: Sequence[SimplicialCone]) -> list[SimplicialCone
                 child_labels[i] = new_label
                 keep(SimplicialCone(tuple(child_gens), tuple(child_labels), new_uid(), half))
     return final
-
-
-def hk_bound(d: int, k: int) -> float:
-    """Closed-form ceiling (d/2) * (3/2)**(k-1) for the generation bound h_k."""
-    if k <= 0:
-        return 1.0
-    return (d / 2.0) * 1.5 ** (k - 1)
-
-
-@cache
-def hk_exact(d: int, k: int) -> Fraction:
-    """The recurrence h_k = (h_{k-1} + ... + h_{k-d}) / 2 with h_{<=0} = 1.
-
-    h_1 comes out to d/2; hk_bound dominates hk_exact for every k.
-    """
-    if k <= 0:
-        return Fraction(1)
-    return sum((hk_exact(d, k - i) for i in range(1, d + 1)), Fraction(0)) / 2

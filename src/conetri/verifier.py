@@ -23,7 +23,6 @@ multiplicity additivity.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -52,26 +51,25 @@ class Certificates(NamedTuple):
 
 
 class CertificateReport(NamedTuple):
-    """A run's certificates, plus the worst dilation and the bounds on it."""
+    """A run's certificates, the worst dilation as a reduced (num, den)
+    pair, and the bounds on it."""
 
     certificates: Certificates
-    max_dilation: Fraction
+    max_dilation: tuple[int, int]
     final_bound_thm: float
     final_bound_cor: float | None
     slack_ratio: float
 
 
-def upper_rational(x: float) -> Fraction:
-    """A rational strictly dominating the float x (next representable up).
-
-    Lets exact dilations be compared against float-valued bounds without
-    ever rounding the exact side down.
-    """
-    return Fraction(math.nextafter(x, math.inf))
+def _within(ratio: tuple[int, int], bound: float) -> bool:
+    """num/den (den > 0) <= the bound nudged one ulp up, compared exactly."""
+    num, den = ratio
+    a, b = math.nextafter(bound, math.inf).as_integer_ratio()
+    return num * b <= a * den
 
 
 def _pairwise_sum(terms: list[tuple[int, int]]) -> tuple[int, int]:
-    """Exact sum of the fractions num/den (den > 0), as a (num, den) pair.
+    """Exact sum of the ratios num/den (den > 0), as a (num, den) pair.
 
     Adjacent terms are added in rounds, halving the list each time, and
     every partial sum is reduced by its gcd; the empty sum is (0, 1).
@@ -92,7 +90,7 @@ def _pairwise_sum(terms: list[tuple[int, int]]) -> tuple[int, int]:
 
 def _sweep(
     base: SimplicialCone, rows: IntMatrix, cones: Sequence[SimplicialCone]
-) -> tuple[bool, bool, bool, Fraction]:
+) -> tuple[bool, bool, bool, tuple[int, int]]:
     """One pass: containment, volume identity, unimodularity and worst
     dilation. Each distinct generator's coordinates are computed once.
 
@@ -106,7 +104,8 @@ def _sweep(
     seen, so each late addition of a left-to-right sum would cost as much
     as the largest. The total vol_n / vol_d is compared with mu(base) = D
     exactly, as vol_n * D**d == D * vol_d. The worst dilation is the
-    largest s_g over D, taken over the generators found inside the base.
+    largest s_g over D, taken over the generators found inside the base,
+    as a (num, den) pair reduced by its gcd: (0, 1) when there is none.
     """
     mu_base = base.multiplicity
     containment_ok = True
@@ -131,8 +130,9 @@ def _sweep(
             terms.append((abs(c.det), prod))
     vol_n, vol_d = _pairwise_sum(terms)
     volume_ok = containment_ok and vol_n * mu_base**base.dimension == mu_base * vol_d
-    worst = Fraction(max(scaled.values(), default=0), mu_base)
-    return volume_ok, containment_ok, all_unimodular, worst
+    top = max(scaled.values(), default=0)
+    common = math.gcd(top, mu_base)
+    return volume_ok, containment_ok, all_unimodular, (top // common, mu_base // common)
 
 
 def _int_name(n: int) -> str:
@@ -190,12 +190,16 @@ def final_bounds(mu: int, d: int) -> tuple[float, float | None]:
             f"the bounds for dimension {_int_name(d)} overflow a float"
         ) from None
     ld = math.log2(mu)
-    phi_mu = phi(factorize(mu))
     try:  # a product saturates to inf, a power raises
-        thm = (d_squared / 4.0) * mu * 4.0**phi_mu * 1.5 ** (0.5 * ld * (ld + 3.0))
         cor = (d_squared / 64.0) * mu**SIMPLE_EXPONENT * 1.5 ** (0.5 * ld * ld)
     except OverflowError:
-        thm = cor = math.inf
+        cor = math.inf
+    # thm <= cor for mu >= 2, and cor needs no factorization: an infinite
+    # cor is known before factorize sieves to sqrt(mu), a gigabyte near
+    # mu = 10**18 and more than an index can count at mu = 2**20000.
+    thm = math.inf
+    if cor < math.inf:
+        thm = (d_squared / 4.0) * mu * 4.0 ** phi(factorize(mu)) * 1.5 ** (0.5 * ld * (ld + 3.0))
     if math.inf in (thm, cor):
         raise OverflowError(
             f"the bounds for mu {_int_name(mu)} and dimension {_int_name(d)} overflow a float"
@@ -318,11 +322,12 @@ def certify(
     rows = coordinate_rows(base)
     volume_ok, containment_ok, all_unimodular, worst = _sweep(base, rows, final)
     if not all_unimodular:
-        worst = Fraction(0)
+        worst = (0, 1)
     thm, cor = final_bounds(base.multiplicity, base.dimension)
     audit_flags = _audit(base, rows, trace, p2t_created)
-    bound_ok = all_unimodular and worst <= upper_rational(thm)
+    bound_ok = all_unimodular and _within(worst, thm)
     reference = cor if cor is not None else thm
-    slack = reference / float(worst) if worst > 0 else math.inf
+    num, den = worst
+    slack = reference / (num / den) if num else math.inf
     flags = Certificates(volume_ok, containment_ok, all_unimodular, *audit_flags, bound_ok)
     return CertificateReport(flags, worst, thm, cor, slack)

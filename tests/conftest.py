@@ -8,6 +8,8 @@ the package itself. oracle_smith_normal_form is the package's earlier
 Smith normal form, kept verbatim with its full R. dilation, prime_pi and
 rosser_bound are helpers the package never called, kept here for the tests
 that use them; dilation is built on the package's coordinate_rows.
+upper_rational is the Fraction form of the bound certify compares the worst
+dilation with.
 """
 
 from __future__ import annotations
@@ -299,6 +301,12 @@ def oracle_half_vector(gens):
     best = min(subsets, key=lambda ind: (sum(ind), ind))
     total = [sum(g[j] for g, b in zip(gens, best) if b) for j in range(len(gens))]
     return tuple(c // 2 for c in total)
+
+
+def upper_rational(x: float) -> Fraction:
+    """The float x nudged one ulp up, as an exact rational: a worst dilation
+    passes the length certificate exactly when it is at most this."""
+    return Fraction(math.nextafter(x, math.inf))
 
 
 def oracle_dilation(base_gens, x) -> Fraction:

@@ -31,11 +31,7 @@ from conetri.number_theory import (
 )
 from conetri.p2t_engine import run_p2t
 from conetri.pow2_refiner import refine_to_unimodular
-from conetri.verifier import (
-    _sweep,
-    final_bounds,
-    upper_rational,
-)
+from conetri.verifier import _sweep, final_bounds
 
 from conftest import (
     dilation,
@@ -43,6 +39,7 @@ from conftest import (
     prime_pi,
     rosser_bound,
     staircase_cones,
+    upper_rational,
 )
 
 CAMPAIGN_SEED = 20260819
@@ -116,7 +113,8 @@ def campaign():
                         stats["xi_violations"] += 1
 
             final = refine_to_unimodular(state.triangulation.cones)
-            vol, cont, unimodular, worst = _sweep(base, coordinate_rows(base), final)
+            vol, cont, unimodular, ratio = _sweep(base, coordinate_rows(base), final)
+            worst = Fraction(*ratio)
             if not (vol and cont and unimodular):
                 stats["tiling_failures"] += 1
 
@@ -183,7 +181,7 @@ def test_criterion_05_final_bound(campaign, capsys):
     base = make_cone([(1, 0), (1, 3)])
     state = run_p2t(base)
     final = refine_to_unimodular(state.triangulation.cones)
-    assert _sweep(base, coordinate_rows(base), final)[3] == 1
+    assert _sweep(base, coordinate_rows(base), final)[3] == (1, 1)
     _, cor = final_bounds(3, 2)
     assert 66 < cor < 67
 
@@ -208,7 +206,7 @@ def test_criterion_06_isolated_power_of_two(capsys):
         l = mu.bit_length() - 1
         seen_l.add(l)
         final = refine_to_unimodular([cone])
-        worst = _sweep(cone, coordinate_rows(cone), final)[3]
+        worst = Fraction(*_sweep(cone, coordinate_rows(cone), final)[3])
         if worst > Fraction(d, 2) * Fraction(3, 2) ** l:
             violations += 1
     ok = violations == 0

@@ -118,11 +118,13 @@ def test_run_config_has_no_options_beyond_the_trace():
 
 def test_import_loads_neither_dataclasses_nor_inspect():
     # Every run pays the import. dataclasses alone would pull in inspect,
-    # ast, dis and tokenize; -S keeps a site .pth from preloading either.
+    # ast, dis and tokenize; fractions pulls in decimal and numbers. -S
+    # keeps a site .pth from preloading any of them.
     src = Path(conetri.__file__).resolve().parents[1]
+    unwanted = {"dataclasses", "inspect", "fractions", "decimal", "numbers"}
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import conetri, conetri.cli; "
-        "print(conetri.__file__); print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+        f"print(conetri.__file__); print(sorted({unwanted!r} & sys.modules.keys()))"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", code, str(src)],
@@ -564,6 +566,47 @@ def test_main_run_trace_to_dev_stdout(tmp_path):
     trace, _, report = out.stdout.partition("\n]\n")
     assert json.loads(trace + "\n]")[0]["p"] == 3
     assert json.loads(report)["final"]["count"] == 3
+
+
+def test_main_run_trace_to_dev_stdout_redirected_to_a_file(tmp_path):
+    # As in `conetri run cone.json --trace /dev/stdout > both.json`: the file
+    # gets what a pipe gets, the trace file's bytes and then the report's.
+    path = write_cone(
+        tmp_path, "cone.json", {"dimension": 2, "generators": [[1, 0], [1, 3]]}
+    )
+    trace_path = tmp_path / "trace.json"
+    alone = run_cli("run", path, "--trace", trace_path)
+    assert alone.returncode == 0, alone.stderr
+    piped = run_cli("run", path, "--trace", "/dev/stdout")
+    both = tmp_path / "both.json"
+    with open(both, "w", encoding="utf-8") as fh:
+        out = run_cli("run", path, "--trace", "/dev/stdout", stdout=fh)
+    assert out.returncode == 0, out.stderr
+    want = trace_path.read_text(encoding="utf-8") + alone.stdout
+    assert piped.stdout == want
+    assert both.read_text(encoding="utf-8") == want
+
+
+def test_main_run_out_of_memory_is_an_error(tmp_path):
+    # mu ~ 1.23e12 is under the 2**44 cap, so the run starts, and its
+    # pipeline alone peaks near 852 MB. Under a 100 MB address-space cap on
+    # the child alone it runs out within seconds; the error is one line,
+    # stdout stays empty and the trace file the run created is deleted.
+    resource = pytest.importorskip("resource")
+    cap = 100 << 20
+    path = write_cone(
+        tmp_path,
+        "big.json",
+        {"dimension": 2, "generators": [[1, 0], [158613278149, 1234118746823]]},
+    )
+    trace_path = tmp_path / "trace.json"
+    out = run_cli(
+        "run", path, "--trace", trace_path,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert_error_exit(out)
+    assert out.stderr == "error: out of memory\n"
+    assert not trace_path.exists()
 
 
 def test_main_random_huge_mu_is_an_error_before_phase_1(memory_cap):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from conetri import pow2_refiner
 from conetri.cone_geometry import half_vector, make_cone
 from conetri.errors import PhaseOrderError
 from conetri.p2t_engine import run_p2t
-from conetri.pow2_refiner import hk_bound, hk_exact, refine_to_unimodular
+from conetri.pow2_refiner import refine_to_unimodular
 
 from conftest import (
     canonical,
@@ -21,6 +22,24 @@ from conftest import (
     staircase_cones,
 )
 from test_cone_geometry import random_cone_gens
+
+
+def hk_bound(d: int, k: int) -> float:
+    """Closed-form ceiling (d/2) * (3/2)**(k-1) for the generation bound h_k."""
+    if k <= 0:
+        return 1.0
+    return (d / 2.0) * 1.5 ** (k - 1)
+
+
+@cache
+def hk_exact(d: int, k: int) -> Fraction:
+    """The recurrence h_k = (h_{k-1} + ... + h_{k-d}) / 2 with h_{<=0} = 1:
+    generation-k halving points have dilation at most h_k over the refined
+    cone. h_1 comes out to d/2; hk_bound dominates hk_exact for every k.
+    """
+    if k <= 0:
+        return Fraction(1)
+    return sum((hk_exact(d, k - i) for i in range(1, d + 1)), Fraction(0)) / 2
 
 
 def record_halvings(monkeypatch, mu):

@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -14,13 +15,14 @@ from conetri.cone_geometry import coordinate_rows, make_cone
 from conetri.number_theory import eta, factorize, phi
 from conetri.p2t_engine import TraceEvent, run_p2t
 from conetri.pow2_refiner import refine_to_unimodular
+from conetri import number_theory
 from conetri.verifier import (
     _sweep,
+    _within,
     audit_trace,
     certify,
     final_bounds,
     intermediate_mu_ceiling,
-    upper_rational,
 )
 
 from conftest import (
@@ -31,6 +33,7 @@ from conftest import (
     oracle_facet_matching,
     oracle_validate_tiling,
     staircase_cones,
+    upper_rational,
 )
 from test_cone_geometry import random_cone_gens, split
 
@@ -68,18 +71,23 @@ def test_verify_triangulation_flags_nonunimodular():
 def test_max_dilation_examples():
     # _sweep's fourth result is the worst dilation of any generator.
     base = make_cone([(1, 0), (1, 3)])
-    assert _sweep(base, coordinate_rows(base), cones_from_gens(staircase_cones(3)))[3] == 1
+    # It is a (num, den) pair reduced by its gcd.
+    assert _sweep(base, coordinate_rows(base), cones_from_gens(staircase_cones(3)))[3] == (1, 1)
     unit = make_cone([(1, 0), (0, 1)])
-    assert _sweep(unit, coordinate_rows(unit), [unit])[3] == 1
+    assert _sweep(unit, coordinate_rows(unit), [unit])[3] == (1, 1)
     # The fan's ray (2, 1) sits at dilation 3 over the unit cone.
-    assert _sweep(unit, coordinate_rows(unit), cones_from_gens(THREE_BUCKETS))[3] == 3
+    assert _sweep(unit, coordinate_rows(unit), cones_from_gens(THREE_BUCKETS))[3] == (3, 1)
+    # (3, 2) = (4/3) * (2, 1) + (1/3) * (1, 2) sits at 5/3; no generator is 0.
+    skew = make_cone([(2, 1), (1, 2)])
+    assert _sweep(skew, coordinate_rows(skew), [make_cone([(3, 2), (1, 1)])])[3] == (5, 3)
+    assert _sweep(skew, coordinate_rows(skew), [])[3] == (0, 1)
 
 
 def test_max_dilation_full_pipeline_mu5():
     base = make_cone([(1, 0), (1, 5)])
     state = run_p2t(base)
     final = refine_to_unimodular(state.triangulation.cones)
-    assert _sweep(base, coordinate_rows(base), final)[3] == 1
+    assert _sweep(base, coordinate_rows(base), final)[3] == (1, 1)
 
 
 def test_final_bounds_examples():
@@ -104,6 +112,21 @@ def test_final_bounds_overflow_names_mu_and_dimension():
         final_bounds(2**43, 10**100)
     with pytest.raises(OverflowError, match=f"for dimension {10**400} overflow"):
         final_bounds(12, 10**400)
+
+
+def test_final_bounds_names_the_overflow_before_it_sieves():
+    # The simplified bound needs no factorization, so an overflowing mu is
+    # named before factorize sieves to sqrt(mu): for 2**20000 that sieve
+    # does not fit an index, for 2**60 it would run for minutes.
+    with pytest.raises(OverflowError) as exc:
+        final_bounds(2**20000, 3)
+    assert str(exc.value) == "the bounds for mu of 20001 bits and dimension 3 overflow a float"
+    limit = number_theory._sieve_limit
+    start = time.perf_counter()
+    with pytest.raises(OverflowError, match=f"for mu {2**60} and dimension 3 overflow"):
+        final_bounds(2**60, 3)
+    assert time.perf_counter() - start < 1
+    assert number_theory._sieve_limit == limit
 
 
 def test_overflow_names_a_number_too_long_to_print_by_its_bit_length():
@@ -175,11 +198,42 @@ def test_final_bounds_monotonicity():
             prev = thm
 
 
-def test_upper_rational_dominates():
-    for x in (0.1, 1.0, 1.5, 66.269, 1e-300, 12345.678):
-        r = upper_rational(x)
-        assert r > Fraction(x) or x == 0
-        assert float(r) >= x
+def test_within_agrees_with_the_fraction_comparison():
+    # certify's length verdict tests num/den <= thm nudged one ulp up in
+    # integers. It must agree with the exact Fraction comparison: at
+    # equality, on the float's neighbours, with ints far past a float, and
+    # for x = 0 and subnormal x. The threshold is strictly above x itself.
+    xs = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 0.1, 1.0, 1.5,
+          66.269, 12345.678, 2.0**52 + 1, 1e300, sys.float_info.max / 2]
+    rng = random.Random(20)
+    xs += [rng.uniform(0.0, 1e6) for _ in range(40)]
+    huge = 10**400
+    seen = set()
+    for x in xs:
+        up = math.nextafter(x, math.inf)
+        ratios = [
+            x.as_integer_ratio(),
+            up.as_integer_ratio(),
+            math.nextafter(up, math.inf).as_integer_ratio(),
+            math.nextafter(x, -math.inf).as_integer_ratio() if x else (0, 1),
+        ]
+        a, b = up.as_integer_ratio()
+        ratios += [
+            (a * huge, b * huge),
+            (a * huge + 1, b * huge),
+            (a * huge - 1, b * huge),
+            (huge, 1),
+            (1, huge),
+            (0, 1),
+        ]
+        for num, den in ratios:
+            want = Fraction(num, den) <= upper_rational(x)
+            assert _within((num, den), x) == want, (x, num, den)
+            seen.add(want)
+        assert _within(x.as_integer_ratio(), x)
+        assert _within((a, b), x)
+        assert not _within((a * huge + 1, b * huge), x)
+    assert seen == {True, False}
 
 
 def test_audit_trace_pipeline_example():
@@ -280,7 +334,7 @@ def test_certify_report_mu3():
     assert ok.volume_ok and ok.containment_ok and ok.all_unimodular
     assert ok.phi_descent_ok and ok.label_depth_ok
     assert ok.mu_bound_ok and ok.xi_length_ok
-    assert rep.max_dilation == 1
+    assert rep.max_dilation == (1, 1)
     assert ok.final_bound_ok
     assert len(final) == 3
     assert rep.slack_ratio == pytest.approx(rep.final_bound_cor, rel=1e-9)
@@ -295,7 +349,7 @@ def test_certify_unimodular_base_meets_the_bound_with_equality():
     state = run_p2t(base)
     final = refine_to_unimodular(state.triangulation.cones)
     rep = certify(base, final, state.trace, state.triangulation.all_created)
-    assert rep.max_dilation == 1
+    assert rep.max_dilation == (1, 1)
     assert rep.final_bound_thm == 1.0
     assert rep.final_bound_cor is None
     assert rep.certificates.final_bound_ok
@@ -326,18 +380,18 @@ def test_certify_random_cones(seed):
     assert ok.phi_descent_ok and ok.label_depth_ok
     assert ok.mu_bound_ok and ok.xi_length_ok
     assert ok.final_bound_ok
-    assert rep.max_dilation <= upper_rational(rep.final_bound_thm)
+    assert Fraction(*rep.max_dilation) <= upper_rational(rep.final_bound_thm)
     if rep.final_bound_cor is not None:
-        assert rep.max_dilation <= upper_rational(rep.final_bound_cor)
+        assert Fraction(*rep.max_dilation) <= upper_rational(rep.final_bound_cor)
     # Oracle agreement on the worst stretch, also against the same cone
     # with its orientation flipped: one of the two bases has det < 0.
     worst = max(
         oracle_dilation(gens, g) for c in final for g in c.generators
     )
-    assert rep.max_dilation == worst
+    assert rep.max_dilation == (worst.numerator, worst.denominator)
     flipped = make_cone(swap_first_two(gens))
     assert flipped.det == -base.det
-    assert _sweep(flipped, coordinate_rows(flipped), final)[3] == worst
+    assert _sweep(flipped, coordinate_rows(flipped), final)[3] == rep.max_dilation
     # Negative labels are original base generators: dilation exactly 1.
     for c in final:
         for s, vec in zip(c.labels, c.generators):
