@@ -398,9 +398,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         status = args.func(args)
         # A closed pipe may only show when the buffer is flushed.
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader went away (say, `| head`). As the Python docs advise,
-        # point stdout at devnull so the flush at exit cannot fail again.
+    except OSError as exc:
+        # Stdout failed: the commands name the other files they fail on. A
+        # reader that went away (say, `| head`) needs no message; a full
+        # disk does. As the Python docs advise, point stdout at devnull so
+        # the flush at exit cannot fail again.
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write stdout: {exc}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except OverflowError as exc:  # its message names mu or the dimension

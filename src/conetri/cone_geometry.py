@@ -36,8 +36,7 @@ from .errors import (
     PrimitivityError,
     SingularMatrixError,
 )
-# perfbench's tracer patches these names here, unused invert_unimodular and
-# nullspace_mod2 too.
+# perfbench's tracer patches these names here, unused invert_unimodular too.
 from .exact_linalg import (
     IntMatrix,
     adjugate,
@@ -219,39 +218,6 @@ def _combine(cone: SimplicialCone, z: Iterable[int], p: int) -> LatticeVector:
     return tuple(c // p for c in acc)
 
 
-def kernel_masks_mod2(gens: Sequence[LatticeVector]) -> list[int]:
-    """Basis of the mod-2 kernel of the generators, as subset bitmasks.
-
-    Generator i is bit d-1-i of a mask. Each generator's parity vector is
-    packed into an int and reduced against the pivots found so far, while
-    its mask records which generators the reduced vector combines; one that
-    reduces to 0 is a kernel element. The pivots are the greedy independent
-    set of generators, and a pivot mask holds bits of pivot generators only,
-    so kernel mask f is generator f plus earlier pivots. Only one kernel
-    vector has that support, so the masks are exactly nullspace_mod2's basis
-    of the generator matrix (generators as columns), in the same order.
-    """
-    d = len(gens)
-    pivots: dict[int, tuple[int, int]] = {}  # leading bit -> (parity, mask)
-    kernel: list[int] = []
-    for i, g in enumerate(gens):
-        parity = 0
-        for c in g:
-            parity = parity << 1 | (c & 1)
-        mask = 1 << (d - 1 - i)
-        while parity:
-            lead = parity.bit_length()
-            pivot = pivots.get(lead)
-            if pivot is None:
-                pivots[lead] = (parity, mask)
-                break
-            parity ^= pivot[0]
-            mask ^= pivot[1]
-        else:
-            kernel.append(mask)
-    return kernel
-
-
 def half_vector(cone: SimplicialCone) -> tuple[LatticeVector, tuple[int, ...]] | None:
     """Half the sum of a nonempty generator subset that lands in the lattice.
 
@@ -260,23 +226,23 @@ def half_vector(cone: SimplicialCone) -> tuple[LatticeVector, tuple[int, ...]] |
     coordinates are 1/2 on slots and 0 elsewhere. Returns None when the
     multiplicity is odd (no such subset exists).
 
-    Uses the mod-2 kernel of the generator matrix. Any nonzero kernel element
-    gives a valid subset; the smallest subset is chosen (ties broken by the
-    lexicographically least indicator) because the subset size is the number
-    of children the subdivision at u produces.
+    Uses the mod-2 kernel basis of the generators (nullspace_mod2, which
+    takes them as columns). Any nonzero kernel element gives a valid
+    subset; the smallest subset is chosen (ties broken by the
+    lexicographically least indicator) because the subset size is the
+    number of children the subdivision at u produces.
 
-    Subsets are bitmasks: generator i is bit d-1-i, so the indicator tuple
-    (ind_0, ..., ind_{d-1}) read as a binary numeral is the mask. Two masks
-    with the same popcount compare as ints exactly as their indicator tuples
-    compare lexicographically (the first differing indicator is the highest
-    differing bit), so min by (popcount, mask) is min by
-    (sum(ind), tuple(ind)). Kernels of dimension above 12 are not
-    enumerated; the lightest vector of the basis (nullspace_mod2's basis,
-    see kernel_masks_mod2) is taken.
+    Subsets are nullspace_mod2's bitmasks: generator i is bit d-1-i, so the
+    indicator tuple (ind_0, ..., ind_{d-1}) read as a binary numeral is the
+    mask. Two masks with the same popcount compare as ints exactly as their
+    indicator tuples compare lexicographically (the first differing
+    indicator is the highest differing bit), so min by (popcount, mask) is
+    min by (sum(ind), tuple(ind)). Kernels of dimension above 12 are not
+    enumerated; the lightest vector of the basis is taken.
     """
     gens = cone.generators
     d = len(gens)
-    kernel = kernel_masks_mod2(gens)
+    kernel = nullspace_mod2(gens)
     if not kernel:
         return None
     if len(kernel) == 1:

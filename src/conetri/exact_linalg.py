@@ -116,46 +116,44 @@ def invert_unimodular(m: Sequence[Sequence[int]]) -> IntMatrix:
     return tuple(tuple(-x for x in row) for row in adj)
 
 
-def nullspace_mod2(m: Sequence[Sequence[int]]) -> list[IntVector]:
-    """Basis of the kernel of a square matrix over GF(2).
+def nullspace_mod2(columns: Sequence[Sequence[int]]) -> list[int]:
+    """Basis of the kernel over GF(2) of the matrix with these columns.
 
-    Returns 0/1 vectors k with m @ k even in every coordinate. The basis is
-    deterministic: one vector per free column, free columns in increasing
-    order, each with a 1 in its own free position.
+    Unlike the rest of this module, the argument is a sequence of columns
+    (a cone's generators), not of rows. Kernel elements are bitmasks:
+    column i is bit d-1-i of a mask, for d columns, so the indicator
+    (k_0, ..., k_{d-1}) read as a binary numeral is the mask, and the
+    columns a mask selects sum to a vector that is even in every coordinate.
+
+    Each column's parity vector is packed into an int and reduced against
+    the pivots found so far, while its mask records which columns the
+    reduced vector combines; one that reduces to 0 is a kernel element.
+    The pivots are the greedy independent set of columns, and a pivot mask
+    holds bits of pivot columns only, so the basis is deterministic: one
+    mask per free column (one that depends on the columns before it), free
+    columns in increasing order, each made of its own column plus earlier
+    pivot columns. Only one kernel element has such a support, so this is
+    the reduced echelon basis of Gauss-Jordan elimination.
     """
-    rows = _as_rows(m)
-    n = _require_square(rows)
-    # Rows packed as bitmasks (bit c = column c): row xor is one int op.
-    a = [
-        sum(1 << c for c, x in enumerate(row) if x & 1)
-        for row in rows
-    ]
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(n):
-        bit = 1 << c
-        pivot_row = next((i for i in range(r, n) if a[i] & bit), None)
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        ar = a[r]
-        for i in range(n):
-            if i != r and a[i] & bit:
-                a[i] ^= ar
-        pivot_cols.append(c)
-        r += 1
-    pivot_set = set(pivot_cols)
-    basis: list[IntVector] = []
-    for f in range(n):
-        if f in pivot_set:
-            continue
-        k = [0] * n
-        k[f] = 1
-        fbit = 1 << f
-        for row_idx, pc in enumerate(pivot_cols):
-            k[pc] = 1 if a[row_idx] & fbit else 0
-        basis.append(tuple(k))
-    return basis
+    d = len(columns)
+    pivots: dict[int, tuple[int, int]] = {}  # leading bit -> (parity, mask)
+    kernel: list[int] = []
+    for i, col in enumerate(columns):
+        parity = 0
+        for c in col:
+            parity = parity << 1 | (c & 1)
+        mask = 1 << (d - 1 - i)
+        while parity:
+            lead = parity.bit_length()
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = (parity, mask)
+                break
+            parity ^= pivot[0]
+            mask ^= pivot[1]
+        else:
+            kernel.append(mask)
+    return kernel
 
 
 def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[IntVector, IntVector]:

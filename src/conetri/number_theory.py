@@ -10,29 +10,10 @@ as 2**s * t - k*p, trading it for a power of two times a small factor.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from typing import NamedTuple
 
 # Rosser-Schoenfeld: pi(x) < ROSSER_CONSTANT * x / ln(x) for x > 1.
 ROSSER_CONSTANT = 1.25506
-
-_primes: list[int] = []
-_sieve_limit = 0
-
-
-def _ensure_sieve(limit: int) -> None:
-    """Grow the cached prime list to cover [2, limit]."""
-    global _primes, _sieve_limit
-    if limit <= _sieve_limit:
-        return
-    limit = max(limit, 2 * _sieve_limit, 1 << 10)
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, math.isqrt(limit) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray((limit - i * i) // i + 1)
-    _primes = [i for i in range(limit + 1) if sieve[i]]
-    _sieve_limit = limit
 
 
 class Factorization(NamedTuple):
@@ -57,17 +38,22 @@ def factorize(n: int) -> Factorization:
     if n <= 0:
         raise ValueError(f"cannot factor {n}: expected a positive integer")
     original = n
-    _ensure_sieve(math.isqrt(n) + 1)
     factors: list[tuple[int, int]] = []
-    for p in _primes:
-        if p * p > n:
-            break
+    twos = (n & -n).bit_length() - 1  # trailing zero bits
+    if twos:
+        n >>= twos
+        factors.append((2, twos))
+    # Then 3 and every 6k - 1 and 6k + 1: 5, 7, 11, 13, 17, 19, 23, 25, ...
+    p, gap = 3, 2
+    while p * p <= n:
         if n % p == 0:
             exp = 0
             while n % p == 0:
                 n //= p
                 exp += 1
             factors.append((p, exp))
+        p += gap
+        gap = 6 - gap if p > 5 else 2
     if n > 1:
         factors.append((n, 1))
     return Factorization(original, tuple(factors))
@@ -95,18 +81,17 @@ def p_max(f: Factorization) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test by trial division against cached primes."""
-    if n < 2:
+    """Deterministic primality test by trial division by 2, 3 and every
+    6k - 1 and 6k + 1 up to sqrt(n)."""
+    if n < 4:
+        return n >= 2
+    if n % 2 == 0 or n % 3 == 0:
         return False
-    if n <= _sieve_limit:
-        i = bisect_left(_primes, n)
-        return i < len(_primes) and _primes[i] == n
-    _ensure_sieve(math.isqrt(n) + 1)
-    for p in _primes:
-        if p * p > n:
-            return True
-        if n % p == 0:
+    p = 5
+    while p * p <= n:
+        if n % p == 0 or n % (p + 2) == 0:
             return False
+        p += 6
     return True
 
 

@@ -195,8 +195,8 @@ def final_bounds(mu: int, d: int) -> tuple[float, float | None]:
     except OverflowError:
         cor = math.inf
     # thm <= cor for mu >= 2, and cor needs no factorization: an infinite
-    # cor is known before factorize sieves to sqrt(mu), a gigabyte near
-    # mu = 10**18 and more than an index can count at mu = 2**20000.
+    # cor is known before factorize trial-divides up to sqrt(mu), about
+    # sqrt(mu) / 3 divisions for a mu with a large prime factor.
     thm = math.inf
     if cor < math.inf:
         thm = (d_squared / 4.0) * mu * 4.0 ** phi(factorize(mu)) * 1.5 ** (0.5 * ld * (ld + 3.0))

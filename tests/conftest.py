@@ -5,9 +5,10 @@ determinants by permutation expansion, linear solves by plain Fraction
 elimination, matrix products by plain sums, and triangulation validity from
 first principles. Tests compare package output against these, never against
 the package itself. oracle_smith_normal_form is the package's earlier
-Smith normal form, kept verbatim with its full R. dilation, prime_pi and
-rosser_bound are helpers the package never called, kept here for the tests
-that use them; dilation is built on the package's coordinate_rows.
+Smith normal form, kept verbatim with its full R, and oracle_nullspace_mod2
+its earlier mod-2 kernel, on rows and as 0/1 tuples. dilation, prime_pi
+and rosser_bound are helpers the package never called, kept here for the
+tests that use them; dilation is built on the package's coordinate_rows.
 upper_rational is the Fraction form of the bound certify compares the worst
 dilation with.
 """
@@ -276,6 +277,39 @@ def oracle_smith_normal_form(m):
             a[k] = [x + y for x, y in zip(a[k], a[viol])]
     diag = tuple(a[i][i] for i in range(n))
     return diag, tuple(tuple(row) for row in rmat)
+
+
+def oracle_nullspace_mod2(m) -> list[tuple[int, ...]]:
+    """Basis of the kernel of a square matrix (rows) over GF(2), by
+    Gauss-Jordan elimination: 0/1 vectors k with m @ k even in every
+    coordinate, one per free column, free columns in increasing order, each
+    with a 1 in its own free position. The package's earlier mod-2 kernel."""
+    n = len(m)
+    # Rows packed as bitmasks (bit c = column c): row xor is one int op.
+    a = [sum(1 << c for c, x in enumerate(row) if x & 1) for row in m]
+    pivot_cols: list[int] = []
+    r = 0
+    for c in range(n):
+        bit = 1 << c
+        pivot_row = next((i for i in range(r, n) if a[i] & bit), None)
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        for i in range(n):
+            if i != r and a[i] & bit:
+                a[i] ^= a[r]
+        pivot_cols.append(c)
+        r += 1
+    basis = []
+    for f in range(n):
+        if f in pivot_cols:
+            continue
+        k = [0] * n
+        k[f] = 1
+        for row_idx, pc in enumerate(pivot_cols):
+            k[pc] = a[row_idx] >> f & 1
+        basis.append(tuple(k))
+    return basis
 
 
 def even_subsets(gens) -> list[tuple[int, ...]]:

@@ -418,8 +418,8 @@ def run_bounds_cli(mu, preexec_fn=None):
 
 @pytest.fixture
 def memory_cap():
-    """preexec_fn capping a child at 512 MB of address space: a sieve or a
-    run that blows up dies with a MemoryError instead."""
+    """preexec_fn capping a child at 512 MB of address space: a run that
+    blows up dies with a MemoryError instead."""
     resource = pytest.importorskip("resource")
     cap = 512 << 20
     return lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
@@ -458,8 +458,9 @@ def test_main_bounds_infinite_bound_is_an_error_naming_mu_and_dimension():
 
 
 def test_main_bounds_huge_mu_is_an_error_without_a_sieve(memory_cap):
-    # Factorizing 10**18 would sieve the primes up to 10**9, a gigabyte;
-    # under a 512 MB address-space cap that dies with a MemoryError.
+    # 10**18 is past the multiplicity ceiling's overflow, so the bounds
+    # are refused before any work; under a 512 MB address-space cap, a
+    # regression that grew memory on the way dies with a MemoryError.
     assert_error_exit(run_bounds_cli(10**18, preexec_fn=memory_cap))
 
 
@@ -487,8 +488,8 @@ def test_main_run_unwritable_trace_fails_before_the_run(tmp_path, capsys, monkey
 
 
 def test_main_run_huge_mu_is_an_error_before_phase_1(tmp_path, memory_cap):
-    # mu = 10**37 + 1: factorizing it would sieve far past 512 MB, and no
-    # report could hold its multiplicity ceiling anyway.
+    # mu = 10**37 + 1: no report could hold its multiplicity ceiling, so
+    # the run fails before phase 1 factorizes it or splits a cone.
     path = write_cone(
         tmp_path,
         "huge.json",
@@ -673,6 +674,32 @@ def test_main_run_into_a_pipe_closed_mid_report_exits_1_quietly(tmp_path):
     assert first.startswith(b'{\n  "dimension": 4,')
     assert proc.returncode == 1
     assert err == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("run", "CONE"),
+        ("random", "--dim", 2, "--bound", 3, "--count", 2, "--seed", 0),
+        ("bounds", "--mu", 12, "--dim", 4),
+    ],
+    ids=["run", "random", "bounds"],
+)
+def test_main_stdout_on_a_full_device_is_an_error(tmp_path, args):
+    # The command's own write or the flush after it fails with ENOSPC; the
+    # flush at exit must not fail again.
+    path = write_cone(
+        tmp_path, "cone.json", {"dimension": 2, "generators": [[1, 0], [1, 3]]}
+    )
+    args = [path if a == "CONE" else a for a in args]
+    with open("/dev/full", "w") as full:
+        out = run_cli(*args, stdout=full)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: cannot write stdout:")
+    assert out.stderr.count("\n") == 1
+    assert "Traceback" not in out.stderr
+    assert "Exception ignored" not in out.stderr
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")

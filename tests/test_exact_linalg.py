@@ -62,11 +62,14 @@ def test_determinant_matches_permanent_expansion_4x4(m):
 
 
 def test_nullspace_examples():
-    # Generator matrices have generators as columns.
-    assert nullspace_mod2([(1, 1), (0, 2)]) == [(1, 1)]
+    # The argument is the columns (a cone's generators); column i of d is
+    # bit d-1-i of a kernel mask.
+    assert nullspace_mod2([(1, 0), (1, 2)]) == [0b11]
     assert nullspace_mod2([(1, 0), (0, 1)]) == []
-    assert nullspace_mod2([(2, 0), (0, 1)]) == [(1, 0)]
-    assert nullspace_mod2([(2, 0), (0, 2)]) == [(1, 0), (0, 1)]
+    assert nullspace_mod2([(2, 0), (0, 1)]) == [0b10]
+    assert nullspace_mod2([(2, 0), (0, 2)]) == [0b10, 0b01]
+    assert nullspace_mod2([(1, 1, 0), (0, 1, 1), (1, 0, 1)]) == [0b111]
+    assert nullspace_mod2([(1, 1), (1, 1)]) == [0b11]
 
 
 def _gf2_rank(m):
@@ -87,10 +90,10 @@ def _gf2_rank(m):
 
 @given(square_matrix(4))
 def test_nullspace_kernel_and_size(m):
-    basis = nullspace_mod2(m)
+    masks = nullspace_mod2(list(zip(*m)))
+    basis = [tuple(k >> (3 - i) & 1 for i in range(4)) for k in masks]
     assert len(basis) == 4 - _gf2_rank(m)
     for k in basis:
-        assert set(k) <= {0, 1}
         assert any(k)
         for coord in mat_vec(m, k):
             assert coord % 2 == 0

@@ -1,11 +1,16 @@
 """Prime utilities, the potential function, and the odd-adjustment identity."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conetri
 from conetri.number_theory import (
     ROSSER_CONSTANT,
     eta,
@@ -93,6 +98,52 @@ def test_p_max_examples():
     assert p_max(factorize(35)) == 7
     with pytest.raises(ValueError):
         p_max(factorize(1))
+
+
+def naive_factors(n):
+    """(prime, exponent) pairs by division by every integer from 2 up."""
+    factors = []
+    d = 2
+    while d * d <= n:
+        exp = 0
+        while n % d == 0:
+            n //= d
+            exp += 1
+        if exp:
+            factors.append((d, exp))
+        d += 1
+    if n > 1:
+        factors.append((n, 1))
+    return tuple(factors)
+
+
+def test_factorize_and_is_prime_match_naive_trial_division_below_20000():
+    # Squares and products of the 6k +- 1 candidates, such as 25, 35, 49,
+    # 121 and 143, sit where the candidate step alternates.
+    for n in range(-2, 20000):
+        expected = n >= 2 and naive_factors(n) == ((n, 1),)
+        assert is_prime(n) == expected, n
+        if n >= 1:
+            assert factorize(n).factors == naive_factors(n), n
+
+
+def test_factorize_and_is_prime_keep_nothing_allocated():
+    # A fresh interpreter, so nothing an earlier test left counts.
+    code = (
+        "import tracemalloc\n"
+        "from conetri.number_theory import factorize, is_prime\n"
+        "tracemalloc.start()\n"
+        "before = tracemalloc.get_traced_memory()[0]\n"
+        "p = 2**32 - 5\n"
+        "assert factorize(p).factors == ((p, 1),) and is_prime(p)\n"
+        "print(tracemalloc.get_traced_memory()[0] - before)\n"
+    )
+    src = Path(conetri.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)), check=True,
+    )
+    assert int(out.stdout) < 16 << 10
 
 
 def test_is_prime_small():

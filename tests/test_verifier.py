@@ -3,7 +3,6 @@
 import math
 import random
 import sys
-import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -15,7 +14,6 @@ from conetri.cone_geometry import coordinate_rows, make_cone
 from conetri.number_theory import eta, factorize, phi
 from conetri.p2t_engine import TraceEvent, run_p2t
 from conetri.pow2_refiner import refine_to_unimodular
-from conetri import number_theory
 from conetri.verifier import (
     _sweep,
     _within,
@@ -114,19 +112,21 @@ def test_final_bounds_overflow_names_mu_and_dimension():
         final_bounds(12, 10**400)
 
 
-def test_final_bounds_names_the_overflow_before_it_sieves():
+def test_final_bounds_names_the_overflow_before_it_sieves(monkeypatch):
     # The simplified bound needs no factorization, so an overflowing mu is
-    # named before factorize sieves to sqrt(mu): for 2**20000 that sieve
-    # does not fit an index, for 2**60 it would run for minutes.
+    # named before factorize trial-divides up to sqrt(mu), which for a mu
+    # with a large prime factor takes minutes (2**61 - 1) or never ends.
+    def no_factorize(mu):
+        pytest.fail(f"final_bounds factorized {mu} before naming the overflow")
+
+    monkeypatch.setattr("conetri.verifier.factorize", no_factorize)
     with pytest.raises(OverflowError) as exc:
         final_bounds(2**20000, 3)
     assert str(exc.value) == "the bounds for mu of 20001 bits and dimension 3 overflow a float"
-    limit = number_theory._sieve_limit
-    start = time.perf_counter()
     with pytest.raises(OverflowError, match=f"for mu {2**60} and dimension 3 overflow"):
         final_bounds(2**60, 3)
-    assert time.perf_counter() - start < 1
-    assert number_theory._sieve_limit == limit
+    with pytest.raises(OverflowError, match=f"for mu {2**61 - 1} and dimension 3 overflow"):
+        final_bounds(2**61 - 1, 3)
 
 
 def test_overflow_names_a_number_too_long_to_print_by_its_bit_length():
