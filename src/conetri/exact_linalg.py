@@ -176,7 +176,9 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[IntVector, IntVector]
     Rows and columns before k are zero off the diagonal by then, so step k
     works on the block of rows and columns k.. alone. A column operation
     changes only the rows whose column-k entry is nonzero: row k, and the
-    rows the row step left a remainder in.
+    rows the row step left a remainder in. The last step, on the 2 x 2
+    block, takes these same steps on four ints; a 1 x 1 matrix is its entry,
+    made positive.
 
     R = E_1 @ ... @ E_m over the column operations in order, so r is
     E_1 @ (... (E_m @ e_{n-1})): the record is replayed in reverse. A swap
@@ -191,7 +193,7 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[IntVector, IntVector]
     n = _require_square(a)
     ops: list[tuple[int, int, int]] = []  # (k, t, q); q == 0 is a swap
     diag = []
-    for k in range(n - 1):
+    for k in range(n - 2):
         # a is the w x w block of rows and columns k.. still to reduce; its
         # (i, j) entry sits at (k + i, k + j).
         w = n - k
@@ -260,11 +262,54 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[IntVector, IntVector]
             a[0] = [x + y for x, y in zip(r0, a[viol])]
         diag.append(pivot)
         a = [row[1:] for row in a[1:]]
-    # The last block is one entry: the pivot is that entry, made positive.
-    last = a[0][0]
-    if not last:
+    if n == 1:
+        (h,), = a
+    else:
+        # The last 2 x 2 block [[e, f], [g, h]] on four ints: the loop's
+        # rounds step for step, with k = n - 2.
+        k = n - 2
+        (e, f), (g, h) = a
+        while True:
+            # The pivot: the first entry of least nonzero magnitude.
+            best, at = abs(e), 0
+            if f and (abs(f) < best or not best):
+                best, at = abs(f), 1
+            if g and (abs(g) < best or not best):
+                best, at = abs(g), 2
+            if h and (abs(h) < best or not best):
+                best, at = abs(h), 3
+            if not best:
+                raise SingularMatrixError("matrix has rank below its size")
+            if at == 1:
+                e, f, g, h = f, e, h, g
+                ops.append((k, k + 1, 0))
+            elif at == 2:
+                e, f, g, h = g, h, e, f
+            elif at == 3:
+                e, f, g, h = h, g, f, e
+                ops.append((k, k + 1, 0))
+            if e < 0:
+                e, f = -e, -f
+            if g:
+                q = g // e
+                g -= q * e
+                h -= q * f
+            if f:
+                q = f // e
+                if q:
+                    f -= q * e
+                    h -= q * g
+                    ops.append((k, k + 1, q))
+            if f or g:
+                continue
+            if e == 1 or not h % e:
+                break
+            # Fold row 1 into row 0, which is (e, 0).
+            f = h
+        diag.append(e)
+    if not h:
         raise SingularMatrixError("matrix has rank below its size")
-    diag.append(abs(last))
+    diag.append(abs(h))
     r = [0] * n
     r[-1] = 1
     for k, t, q in reversed(ops):

@@ -160,7 +160,9 @@ class _Engine:
     Each phase runs its own loop (run_p2t, refine_to_unimodular): it pops
     uids off the FIFO `pending`, splits the live cones containing its
     point, and decides which children to add back and what to record about
-    them.
+    them. A child no later point can lie in is never added: phase 1 sends
+    power-of-two children and phase 2 unimodular ones straight to its
+    output, and those cones take no part in the index.
 
     The ray index maps each generator vector to the uids of the live cones
     that hold it. It is keyed by the vector, not by its primitive direction,
@@ -173,7 +175,9 @@ class _Engine:
     coordinates zero but in y's slot. No split point is one of the split
     cone's generators (see run_p2t and refine_to_unimodular), so C's
     only child replaces y by x. Every live cone with a generator on R holds
-    x there afterwards, and no other ray gains a vector. Primitivity plays
+    x there afterwards, and no other ray gains a vector. A cone sent to the
+    output has no generator y on R either: it would hold x's support {y}
+    and so contain x, which no output cone does. Primitivity plays
     no part, and the generators are not all primitive: order-p and halving
     points are often multiples of a lattice vector.
     """
@@ -261,9 +265,10 @@ def run_p2t(base: SimplicialCone) -> P2TState:
     Cones are processed first-in first-out by uid; each round handles the
     largest prime factor p of the multiplicity of the oldest remaining
     offender and subdivides every cone containing the constructed point x'.
-    Each split parent leaves the live set, its children join it, and one
-    TraceEvent records the split: the trace is the phase's certificate,
-    which audit_trace replays and `conetri run --trace` writes out.
+    Each split parent leaves the live set, its children whose multiplicity
+    has an odd factor join it, and one TraceEvent records the split: the
+    trace is the phase's certificate, which audit_trace replays and
+    `conetri run --trace` writes out.
 
     No split is a no-op: x' is never one of a holder's generators. By the
     cones_containing lemma, x' = (1/p) * sum z'_g * g equals a holder's
@@ -272,6 +277,12 @@ def run_p2t(base: SimplicialCone) -> P2TState:
     residue in (0, p). For the same reason p divides every holder's det,
     since det * z'_g / p is an integer.
 
+    So a power-of-two cone is never a holder and is never split again.
+    Power-of-two children go straight to the tiling, in creation order,
+    and never enter the engine, whose live set ends empty; a power-of-two
+    base is its own tiling. all_created, the trace and every uid are as if
+    they had stayed live.
+
     Args:
         base: the cone to triangulate (normally from make_cone).
 
@@ -279,7 +290,10 @@ def run_p2t(base: SimplicialCone) -> P2TState:
         P2TState whose triangulation tiles `base` with cones of power-of-two
         multiplicity, plus the full subdivision trace.
     """
+    if is_power_of_two(base.multiplicity):
+        return P2TState(Triangulation(base, [base], [base]), [])
     engine = _Engine([base], base.uid + 1)
+    tiling: list[SimplicialCone] = []
     created = [base]
     trace: list[TraceEvent] = []
     while engine.pending:
@@ -287,10 +301,7 @@ def run_p2t(base: SimplicialCone) -> P2TState:
         cone = engine.cones.get(uid)
         if cone is None:
             continue
-        mu = abs(cone.det)
-        if mu & (mu - 1) == 0:
-            continue
-        p = p_max(factorize(mu))
+        p = p_max(factorize(abs(cone.det)))
         z_prime = adjust_coefficients(find_x(cone, p), p)
         x_prime = _combine(cone, z_prime, p)
         # The holder list is fixed before the first split, so adding each
@@ -304,6 +315,7 @@ def run_p2t(base: SimplicialCone) -> P2TState:
             # x' = (1/p) * sum z_i g_i, so its numerators are det * z_i / p.
             nums = tuple([scale * c for c in z])
             children = _split_at(parent, x_prime, nums, new_label, engine.uid_source)
+            mu_children = tuple([abs(c.det) for c in children])
             # Fields in order: keywords would double the cost of building one.
             trace.append(
                 TraceEvent(
@@ -315,12 +327,14 @@ def run_p2t(base: SimplicialCone) -> P2TState:
                     new_label,
                     tuple([c.uid for c in children]),
                     abs(det_parent),
-                    tuple([abs(c.det) for c in children]),
+                    mu_children,
                 )
             )
-            for child in children:
-                engine.add(child)
+            for child, mu in zip(children, mu_children):
+                if mu & (mu - 1):
+                    engine.add(child)
+                else:
+                    tiling.append(child)
             created.extend(children)
         assert uid not in engine.cones, "the offending cone must get subdivided"
-    tri = Triangulation(base, list(engine.cones.values()), created)
-    return P2TState(triangulation=tri, trace=trace)
+    return P2TState(Triangulation(base, tiling, created), trace)

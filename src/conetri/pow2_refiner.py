@@ -39,7 +39,8 @@ def refine_to_unimodular(cones: Sequence[SimplicialCone]) -> list[SimplicialCone
     therefore go straight to `final` and never enter the engine's live set.
 
     New uids start one past the largest input uid: on run_p2t's tiling, one
-    past every uid phase 1 made, as its last event's children stay live.
+    past every uid phase 1 made, since its last event's children all end
+    in that tiling.
 
     Args:
         cones: tiling whose cones all have power-of-two multiplicity, with

@@ -123,9 +123,32 @@ FOLDING = [
 ]
 
 
+# smith_normal_form's last 2 x 2 block, alone (2 x 2) and after a first step
+# on a pivot 1 (3 x 3). The block's pivot needs a row swap (zero top-left),
+# a column swap (least entry in column 1), both, or a sign flip, or ties
+# with a later entry, or the block needs a fold. The last two are singular
+# only in that block: one reduces to a zero last entry, the other is zero
+# from the start.
+TAIL = [
+    [(2, -2), (3, 5)],
+    [(0, 3), (2, 5)],
+    [(5, 2), (7, 9)],
+    [(5, 7), (9, 2)],
+    [(-2, 3), (5, 7)],
+    [(6, 0), (0, 4)],
+    [(1, 2, 3), (0, 0, 3), (0, 2, 5)],
+    [(1, 2, 3), (0, 5, 2), (0, 7, 9)],
+    [(1, 2, 3), (0, 5, 7), (0, 9, 2)],
+    [(1, 2, 3), (0, -2, 3), (0, 5, 7)],
+    [(1, 2, 3), (0, 6, 0), (0, 0, 4)],
+    [(1, 2, 3), (0, 2, 4), (0, 1, 2)],
+    [(1, 2, 3), (0, 0, 0), (0, 0, 0)],
+]
+
+
 def test_smith_matches_reference_exactly():
     rng = random.Random(20261019)
-    cases = [list(m) for m in FOLDING]
+    cases = [list(m) for m in FOLDING + TAIL]
     for _ in range(3000):
         d = rng.randint(1, 6)
         bound = rng.choice((3, 10, 1000))

@@ -6,6 +6,7 @@ import json
 import math
 import random
 from collections import Counter
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -386,6 +387,75 @@ def test_ray_index_matches_exhaustive_scan():
         assert snapshot(fast.triangulation.cones) == snapshot(slow.triangulation.cones)
         assert snapshot(fast_final) == snapshot(slow_final)
     assert nonprimitive["p2t"] and nonprimitive["refine"], nonprimitive
+
+
+def d5_pin_bases():
+    """The distinct d = 5 ORDER_P_PINS cones, in pin order."""
+    bases = []
+    for gens, _, _ in ORDER_P_PINS:
+        if len(gens) == 5 and gens not in bases:
+            bases.append(gens)
+    return bases
+
+
+def test_phase1_live_set_holds_only_cones_with_an_odd_factor():
+    # p divides every holder's det, so a power-of-two cone is never split
+    # again: run_p2t puts such children straight into its tiling and adds
+    # only the others to the engine.
+    added = []
+    real_add = _Engine.add
+
+    def recording_add(self, cone):
+        added.append(cone)
+        real_add(self, cone)
+
+    checked = 0
+    for gens in ray_index_cases() + d5_pin_bases():
+        base = make_cone(gens)
+        added.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Engine, "add", recording_add)
+            state = run_p2t(base)
+        if is_power_of_two(base.multiplicity):
+            assert added == []
+            continue
+        assert added[0] is base
+        for cone in added[1:]:
+            assert not is_power_of_two(cone.multiplicity), cone
+        checked += len(added) - 1
+        # Every cone of the tiling was created, and none was ever live.
+        live = {id(c) for c in added}
+        assert not any(id(c) in live for c in state.triangulation.cones)
+    assert checked > 1000, checked
+
+
+def test_no_finished_cone_contains_a_later_point():
+    # test_ray_index_matches_exhaustive_scan's oracle scans the live cones
+    # only, and finished power-of-two cones are no longer among them. So
+    # check them here: no cone of the final tiling that existed when a
+    # round began contains that round's point, by a fresh adjugate. A
+    # round's events are consecutive and share (p, x'); the cones made by
+    # its earlier holders hold x' as a generator, so a cone existed when
+    # the round began iff its uid is below the round's first child's.
+    pairs = rounds = 0
+    for gens in ray_index_cases():
+        state = run_p2t(make_cone(gens))
+        final = [(c.uid, c.det, adjugate(c.matrix())) for c in state.triangulation.cones]
+        point = None
+        for ev in state.trace:
+            if (ev.p, ev.x_prime) == point:
+                continue
+            point = (ev.p, ev.x_prime)
+            rounds += 1
+            first_child = ev.children_ids[0]
+            for uid, det, adj in final:
+                if uid >= first_child:
+                    continue
+                pairs += 1
+                sign = 1 if det > 0 else -1
+                nums = [sign * sum(map(mul, row, ev.x_prime)) for row in adj]
+                assert min(nums) < 0, (uid, ev)
+    assert rounds > 100 and pairs > 1000, (rounds, pairs)
 
 
 def test_stored_dets_match_an_independent_determinant():
