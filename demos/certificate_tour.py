@@ -25,7 +25,7 @@ def main():
 
     state = run_p2t(base)
     final = refine_to_unimodular(state.triangulation.cones)
-    report = certify(base, final, state.trace, state.triangulation.all_created)
+    report = certify(base, final, state.trace)
     print(f"final cones:        {len(final)}")
 
     # The verdicts, in report order.

@@ -25,7 +25,7 @@ def run_one(dim, bound, seed, mu_cap):
             break
     state = run_p2t(base)
     final = refine_to_unimodular(state.triangulation.cones)
-    report = certify(base, final, state.trace, state.triangulation.all_created)
+    report = certify(base, final, state.trace)
     ok = all(report.certificates)
     num, den = report.max_dilation
     return base.multiplicity, len(final), num / den, report.slack_ratio, ok

@@ -213,7 +213,7 @@ def _run_phases(cfg: RunConfig) -> tuple[dict[str, Any], list[TraceEvent]]:
     mu_ceiling = intermediate_mu_ceiling(base.multiplicity)
     state = run_p2t(base)
     final = refine_to_unimodular(state.triangulation.cones)
-    report = certify(base, final, state.trace, state.triangulation.all_created)
+    report = certify(base, final, state.trace)
     return _report_dict(base, final, report, mu_ceiling), state.trace
 
 
@@ -339,8 +339,6 @@ def _cmd_random(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     try:
-        # The ceiling overflows a float long before final_bounds' trial
-        # division gets expensive, so it goes first.
         ceiling = intermediate_mu_ceiling(args.mu)
         thm, cor = final_bounds(args.mu, args.dim)
     except ValueError as exc:

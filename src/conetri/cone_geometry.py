@@ -296,10 +296,11 @@ def _split_at(
 class Triangulation(NamedTuple):
     """Phase 1's tiling of a base cone (run_p2t's P2TState.triangulation).
 
-    `cones` is the tiling in creation order, for refine_to_unimodular;
-    `all_created`, for certify, adds the base and every cone later split.
-    It is the label history: each subdivision vector is the newest-label
-    generator of the cones its split created.
+    `cones` is the tiling in creation order, for refine_to_unimodular.
+    `all_created` adds the base and every cone later split. Nothing in
+    conetri reads it: it is kept for the benchmark alone (perfbench/ counts
+    and passes it) until ROADMAP item 2, as the trace holds all the audit
+    needs.
     """
 
     base: SimplicialCone

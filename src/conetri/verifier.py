@@ -2,11 +2,14 @@
 
 The checks recompute what they can from the generators: tiling checks use
 exact rational volume bookkeeping, the audit of the subdivision trace
-re-derives potentials from fresh factorizations, and length checks compare
-exact dilations against the closed-form ceilings. Three inputs are read as
-given, not re-derived: each cone's stored det (its multiplicity), the
-trace's mu_parent and mu_children, and the all_created history the label
-checks walk. A certificate is therefore only as sound as those records.
+re-derives potentials from fresh factorizations and checks each label
+vector's exact dilation against its budget. Two comparisons go through a
+float: the multiplicity ceiling is compared in log2 with PHI_SLACK, and the
+exact worst dilation is compared with the float theorem bound nudged one
+ulp up (_within). Two inputs are read as given, not re-derived: each final
+cone's stored det (its multiplicity) and the trace itself (each event's
+x_prime, new_label_index, mu_parent and mu_children). A certificate is
+therefore only as sound as those records.
 
 The tiling certificate is a cross-section volume identity. Cutting the base
 cone with the affine hyperplane {dilation == 1} turns each cone D of the
@@ -175,9 +178,11 @@ def final_bounds(mu: int, d: int) -> tuple[float, float | None]:
 
     Raises:
         ValueError: if mu < 1 or d < 2.
-        OverflowError: if d**2 exceeds a float (the message names d), or a
-            bound does (the message names mu and d); a number with too many
-            digits to print is named by its bit length.
+        OverflowError: if d**2 exceeds a float (the message names d), or
+            intermediate_mu_ceiling(mu) or a bound does (the message names
+            mu and d); a number with too many digits to print is named by
+            its bit length. The ceiling, which overflows from mu ~2**44 on,
+            is tested before factorize trial-divides up to sqrt(mu).
     """
     if mu < 1:
         raise ValueError(f"multiplicity must be positive, got {mu}")
@@ -189,21 +194,18 @@ def final_bounds(mu: int, d: int) -> tuple[float, float | None]:
         raise OverflowError(
             f"the bounds for dimension {_int_name(d)} overflow a float"
         ) from None
-    ld = math.log2(mu)
-    try:  # a product saturates to inf, a power raises
-        cor = (d_squared / 64.0) * mu**SIMPLE_EXPONENT * 1.5 ** (0.5 * ld * ld)
+    overflow = OverflowError(
+        f"the bounds for mu {_int_name(mu)} and dimension {_int_name(d)} overflow a float"
+    )
+    try:
+        intermediate_mu_ceiling(mu)
     except OverflowError:
-        cor = math.inf
-    # thm <= cor for mu >= 2, and cor needs no factorization: an infinite
-    # cor is known before factorize trial-divides up to sqrt(mu), about
-    # sqrt(mu) / 3 divisions for a mu with a large prime factor.
-    thm = math.inf
-    if cor < math.inf:
-        thm = (d_squared / 4.0) * mu * 4.0 ** phi(factorize(mu)) * 1.5 ** (0.5 * ld * (ld + 3.0))
+        raise overflow from None
+    ld = math.log2(mu)
+    thm = (d_squared / 4.0) * mu * 4.0 ** phi(factorize(mu)) * 1.5 ** (0.5 * ld * (ld + 3.0))
+    cor = (d_squared / 64.0) * mu**SIMPLE_EXPONENT * 1.5 ** (0.5 * ld * ld)
     if math.inf in (thm, cor):
-        raise OverflowError(
-            f"the bounds for mu {_int_name(mu)} and dimension {_int_name(d)} overflow a float"
-        )
+        raise overflow
     return thm, (cor if mu > 1 else None)
 
 
@@ -214,79 +216,76 @@ def audit_trace(
 ) -> tuple[bool, bool, bool, bool]:
     """Re-audit the recorded trail of a power-of-two phase.
 
-    Checks, with fresh factorizations and exact dilations:
+    Checks, from the trace alone:
       * phi descent: each child multiplicity has potential at most the
-        parent's minus 1, compared exactly;
-      * label depth: every cone's largest label s obeys s <= phi(mu) - 1,
-        tested exactly as 2**(s + 1 + 2*eta(mu)) <= mu**2;
-      * multiplicity ceiling: every created cone obeys intermediate_mu_ceiling;
-      * label length: the vector of every nonnegative label s carried by
-        any created cone lies in the base with dilation at most
-        (d/2) * mu(base) * 4**s, compared exactly. all_created must be the
-        full creation history for the coverage argument (newest label per
-        cone) to be exhaustive.
+        parent's minus 1, compared exactly with fresh factorizations;
+      * label depth: every new label s obeys s <= phi(mu) - 1, tested
+        exactly as 2**(s + 1 + 2*eta(mu)) <= mu**2;
+      * multiplicity ceiling: every multiplicity the trace names obeys
+        intermediate_mu_ceiling, compared in log2 with PHI_SLACK;
+      * label length: every event's x_prime lies in the base with dilation
+        at most (d/2) * mu(base) * 4**s for its label s, compared exactly.
+
+    all_created is not read. It is kept because perfbench/run.py passes
+    P2TState.triangulation.all_created here, and goes with ROADMAP item 2.
 
     Returns:
         (phi_descent_ok, label_depth_ok, mu_bound_ok, xi_length_ok).
     """
-    return _audit(base, coordinate_rows(base), trace, all_created)
+    return _audit(base, coordinate_rows(base), trace)
 
 
 def _audit(
-    base: SimplicialCone,
-    rows: IntMatrix,
-    trace: Iterable[TraceEvent],
-    all_created: Sequence[SimplicialCone],
+    base: SimplicialCone, rows: IntMatrix, trace: Iterable[TraceEvent]
 ) -> tuple[bool, bool, bool, bool]:
-    """audit_trace with the base's coordinate_rows already computed."""
+    """audit_trace with the base's coordinate_rows already computed.
+
+    The trace covers every cone run_p2t creates: each child of an event
+    carries the event's new_label_index as its largest label, with x_prime
+    as its vector, and has one of the event's mu_children as its
+    multiplicity; every parent is the base or an earlier child.
+    """
     d = base.dimension
     mu_base = base.multiplicity
-    # s <= phi(mu) - 1  <=>  2**(s + 1 + 2*eta(mu)) <= mu**2. A cone's
-    # largest label is at least -1 (base labels run -1..-d), so the shift
-    # is never negative.
+    # s <= phi(mu) - 1  <=>  2**(s + 1 + 2*eta(mu)) <= mu**2. A run's
+    # labels are at least -1 (base labels run -1..-d), so the shift is
+    # never negative.
     depth_shift = 1 + 2 * eta(factorize(mu_base))
     mu_squared = mu_base * mu_base
 
     # 4**eta(m), each multiplicity factorized once per call: a run repeats
     # a few hundred multiplicities across tens of thousands of events.
     four_eta: dict[int, int] = {}
+    newest: set[tuple[tuple[int, ...], int]] = set()
 
     phi_descent_ok = True
     for ev in trace:
         # phi(c) <= phi(p) - 1  <=>  2 * c**2 * 4**eta(p) <= p**2 * 4**eta(c),
         # an exact integer test.
         p = ev.mu_parent
-        for m in (p, *ev.mu_children):
-            if m not in four_eta:
-                four_eta[m] = 4 ** eta(factorize(m))
-        four_eta_p = four_eta[p]
+        four_eta_p = four_eta.get(p)
+        if four_eta_p is None:
+            four_eta_p = four_eta[p] = 4 ** eta(factorize(p))
         for c in ev.mu_children:
-            if 2 * c * c * four_eta_p > p * p * four_eta[c]:
+            four_eta_c = four_eta.get(c)
+            if four_eta_c is None:
+                four_eta_c = four_eta[c] = 4 ** eta(factorize(c))
+            if 2 * c * c * four_eta_p > p * p * four_eta_c:
                 phi_descent_ok = False
+        newest.add((ev.x_prime, ev.new_label_index))
 
-    # A cone's largest label. The depth test is monotone in it, so it runs
-    # once, on the largest of all (-1 when all_created is empty, which
-    # passes); the ceiling runs once per distinct det.
-    tops = [max(cone.labels) for cone in all_created]
-    label_depth_ok = 1 << (max(tops, default=-1) + depth_shift) <= mu_squared
+    # The depth test is monotone in the label, so it runs once, on the
+    # largest (-1, the base's, for an empty trace, which passes).
+    top = max((s for _, s in newest), default=-1)
+    label_depth_ok = 1 << (top + depth_shift) <= mu_squared
+    # The ceiling runs once per multiplicity the trace names. mu_base needs
+    # no test of its own: L <= L * (L + 3) / 2 for every L = log2(mu) >= 0.
     ld_base = math.log2(mu_base)
     log_ceiling = 0.5 * ld_base * (ld_base + 3.0)
-    mu_bound_ok = all(
-        math.log2(abs(det)) <= log_ceiling + PHI_SLACK
-        for det in {cone.det for cone in all_created}
-    )
-    # Every nonnegative label enters existence on the cones of one event,
-    # where it is their largest label; it never changes vector afterwards.
-    # Auditing each created cone's newest label, read off its own
-    # generators, therefore covers every (label, vector) pair carried by
-    # any created cone. A vector inside the base has dilation n / mu for the
-    # sum n of its numerators over rows, so the bound is the integer test
+    mu_bound_ok = all(math.log2(m) <= log_ceiling + PHI_SLACK for m in four_eta)
+    # A vector inside the base has dilation n / mu for the sum n of its
+    # numerators over rows, so the bound is the integer test
     # 2 * n <= d * mu**2 * 4**s; a vector outside fails.
-    newest = {
-        (cone.generators[cone.labels.index(s)], s)
-        for cone, s in zip(all_created, tops)
-        if s >= 0
-    }
     d_mu_squared = d * mu_squared
     xi_length_ok = True
     for vec, s in newest:
@@ -300,7 +299,6 @@ def certify(
     base: SimplicialCone,
     final: Sequence[SimplicialCone],
     trace: Iterable[TraceEvent],
-    p2t_created: Sequence[SimplicialCone],
 ) -> CertificateReport:
     """Assemble the full certificate report for a finished run.
 
@@ -309,22 +307,21 @@ def certify(
         final: the unimodular cones produced by both phases
             (refine_to_unimodular's list).
         trace: subdivision events of the power-of-two phase (run_p2t's
-            P2TState.trace).
-        p2t_created: every cone created during the power-of-two phase,
-            base included (P2TState.triangulation.all_created): the audit
-            set for the multiplicity and label certificates.
+            P2TState.trace), the one record audit_trace reads; () for a
+            tiling without a phase 1.
 
     Returns:
         CertificateReport; its final_bound_ok means every final cone is
-        unimodular and the worst dilation sits under the theorem bound,
-        which the simplified bound never undercuts (final_bounds).
+        unimodular and the exact worst dilation sits under the float theorem
+        bound nudged one ulp up (_within). The simplified bound never
+        undercuts the theorem bound (final_bounds).
     """
     rows = coordinate_rows(base)
     volume_ok, containment_ok, all_unimodular, worst = _sweep(base, rows, final)
     if not all_unimodular:
         worst = (0, 1)
     thm, cor = final_bounds(base.multiplicity, base.dimension)
-    audit_flags = _audit(base, rows, trace, p2t_created)
+    audit_flags = _audit(base, rows, trace)
     bound_ok = all_unimodular and _within(worst, thm)
     reference = cor if cor is not None else thm
     num, den = worst

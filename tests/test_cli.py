@@ -195,7 +195,7 @@ def test_isolated_tiling_is_not_face_to_face():
     gens = MU19
     base, state, final = isolated_tiling(gens)
     assert base.multiplicity == 19
-    report = certify(base, final, state.trace, state.triangulation.all_created)
+    report = certify(base, final, state.trace)
     assert len(report.certificates) == 8 and all(report.certificates)
     facets = oracle_facet_matching(gens, [c.generators for c in final])
     assert len(facets["interior_bad"]) == 12

@@ -113,9 +113,9 @@ def test_final_bounds_overflow_names_mu_and_dimension():
 
 
 def test_final_bounds_names_the_overflow_before_it_sieves(monkeypatch):
-    # The simplified bound needs no factorization, so an overflowing mu is
-    # named before factorize trial-divides up to sqrt(mu), which for a mu
-    # with a large prime factor takes minutes (2**61 - 1) or never ends.
+    # A mu past intermediate_mu_ceiling (~2**44) is named before factorize
+    # trial-divides up to sqrt(mu), which for a mu with a large prime
+    # factor takes seconds (2**47 - 115), minutes (2**61 - 1) or never ends.
     def no_factorize(mu):
         pytest.fail(f"final_bounds factorized {mu} before naming the overflow")
 
@@ -127,6 +127,10 @@ def test_final_bounds_names_the_overflow_before_it_sieves(monkeypatch):
         final_bounds(2**60, 3)
     with pytest.raises(OverflowError, match=f"for mu {2**61 - 1} and dimension 3 overflow"):
         final_bounds(2**61 - 1, 3)
+    # The simplified bound fits a float here, but the run's own ceiling
+    # intermediate_mu_ceiling does not, so mu is refused unfactorized.
+    with pytest.raises(OverflowError, match=f"for mu {2**47 - 115} and dimension 2 overflow"):
+        final_bounds(2**47 - 115, 2)
 
 
 def test_overflow_names_a_number_too_long_to_print_by_its_bit_length():
@@ -248,6 +252,12 @@ def test_audit_trace_vacuous():
     assert audit_trace(base, [], [base]) == (True, True, True, True)
 
 
+def split_event(x_prime, new_label_index, mu_children, mu_parent=3):
+    """A TraceEvent that claims a split at x_prime with the given label and
+    multiplicities; the audit reads no other field."""
+    return TraceEvent(0, 3, (0, 0), (0, 0), x_prime, new_label_index, (1,), mu_parent, mu_children)
+
+
 def test_audit_trace_negative_controls():
     base = make_cone([(1, 0), (1, 3)])
 
@@ -263,73 +273,80 @@ def test_audit_trace_negative_controls():
     phi_ok, _, _, _ = audit_trace(base, [near], [base])
     assert not phi_ok
 
-    # Multiplicity above the intermediate ceiling (here 2^3.63 ~ 12.4).
-    big = labelled_cone(((1, 0), (13, 16)), (-1, -2))
-    assert big.multiplicity == 16
-    _, _, mu_ok, _ = audit_trace(base, [], [big])
+    # A child multiplicity above the intermediate ceiling (here 2^3.63 ~ 12.4).
+    big = split_event((1, 1), 0, (16,))
+    assert 16 > intermediate_mu_ceiling(base.multiplicity)
+    _, _, mu_ok, _ = audit_trace(base, [big], [base])
     assert not mu_ok
 
     # Label index beyond the phi(mu)-1 depth budget.
-    deep = labelled_cone(((1, 1), (1, 3)), (5, -2))
-    _, depth_ok, _, xi_ok = audit_trace(base, [], [deep])
+    deep = split_event((1, 1), 5, (2,))
+    _, depth_ok, _, xi_ok = audit_trace(base, [deep], [base])
     assert not depth_ok
     assert xi_ok
 
     # mu = 2**22 - 1 = 3 * 23 * 89 * 683 gives phi(mu) - 1 = 34.9999993:
     # label 35 is one too deep, by less than the old 1e-6 float slack.
     wide = make_cone([(1, 0), (1, 2**22 - 1)])
-    assert 35 - (phi(factorize(wide.multiplicity)) - 1) < 1e-6
-    _, depth_ok, _, _ = audit_trace(wide, [], [labelled_cone(((1, 0), (1, 1)), (35, -2))])
+    mu_wide = wide.multiplicity
+    assert 35 - (phi(factorize(mu_wide)) - 1) < 1e-6
+    _, depth_ok, _, _ = audit_trace(wide, [split_event((1, 0), 35, (1,), mu_wide)], [wide])
     assert not depth_ok
-    _, depth_ok, _, _ = audit_trace(wide, [], [labelled_cone(((1, 0), (1, 1)), (34, -2))])
+    _, depth_ok, _, _ = audit_trace(wide, [split_event((1, 0), 34, (1,), mu_wide)], [wide])
     assert depth_ok
 
     # Label-0 vector longer than (d/2)*mu*4^0 = 3.
-    long0 = labelled_cone(((4, 0), (1, 3)), (0, -2))
+    long0 = split_event((4, 0), 0, (12,))
     assert dilation(base, (4, 0)) == 4
-    _, depth_ok, mu_ok, xi_ok = audit_trace(base, [], [long0])
+    _, depth_ok, mu_ok, xi_ok = audit_trace(base, [long0], [base])
     assert depth_ok and mu_ok
     assert not xi_ok
     # Exactly at the bound passes.
-    at_bound = labelled_cone(((3, 0), (1, 3)), (0, -2))
+    at_bound = split_event((3, 0), 0, (9,))
     assert dilation(base, (3, 0)) == 3
-    assert audit_trace(base, [], [at_bound])[3]
+    assert audit_trace(base, [at_bound], [base])[3]
 
 
 def test_audit_trace_fails_a_label_vector_outside_the_base():
-    # The newest-label vector (-1, 1) lies outside the base: the length
+    # The label-0 vector (-1, 1) lies outside the base: the length
     # certificate fails instead of raising.
     base = make_cone([(1, 0), (0, 1)])
-    outside = labelled_cone([(-1, 1), (0, 1)], (0, -2))
-    created = [base, outside]
-    assert audit_trace(base, [], created)[3] is False
-    report = certify(base, [base], [], created)
+    outside = [split_event((-1, 1), 0, (1,), 1)]
+    assert audit_trace(base, outside, [base])[3] is False
+    report = certify(base, [base], outside)
     assert not report.certificates.xi_length_ok
 
 
-@pytest.mark.parametrize("d,bound", [(2, 9), (3, 5), (4, 3)])
+@pytest.mark.parametrize("d,bound", [(2, 9), (3, 5), (4, 3), (5, 2)])
 def test_newest_labels_cover_every_trace_vector(d, bound):
-    # The label-length audit reads only each created cone's newest label and
-    # the generator carrying it. That covers the paper's per-label bounds
-    # only if those pairs are exactly the (label, x') of the trace events.
+    # The audit reads the trace alone. It covers every cone phase 1 created
+    # only if each created cone's newest (label, vector) pair, the largest
+    # label and the set of multiplicities all come out of the events.
     rng = random.Random(1000 + d)
     for _ in range(6):
         base = make_cone(random_cone_gens(rng, d, bound))
         state = run_p2t(base)
+        created = state.triangulation.all_created
         newest = set()
-        for cone in state.triangulation.all_created:
+        for cone in created:
             s = cone.max_label()
             if s >= 0:
                 newest.add((s, cone.generators[cone.labels.index(s)]))
         events = {(ev.new_label_index, ev.x_prime) for ev in state.trace}
         assert newest == events
+        top = max(cone.max_label() for cone in created)
+        assert top == max((ev.new_label_index for ev in state.trace), default=-1)
+        mus = {base.multiplicity}
+        for ev in state.trace:
+            mus.update(ev.mu_children)
+        assert {abs(c.det) for c in created} == mus
 
 
 def test_certify_report_mu3():
     base = make_cone([(1, 0), (1, 3)])
     state = run_p2t(base)
     final = refine_to_unimodular(state.triangulation.cones)
-    rep = certify(base, final, state.trace, state.triangulation.all_created)
+    rep = certify(base, final, state.trace)
     ok = rep.certificates
     assert ok.volume_ok and ok.containment_ok and ok.all_unimodular
     assert ok.phi_descent_ok and ok.label_depth_ok
@@ -348,7 +365,7 @@ def test_certify_unimodular_base_meets_the_bound_with_equality():
     base = make_cone([(1, 0), (0, 1)])
     state = run_p2t(base)
     final = refine_to_unimodular(state.triangulation.cones)
-    rep = certify(base, final, state.trace, state.triangulation.all_created)
+    rep = certify(base, final, state.trace)
     assert rep.max_dilation == (1, 1)
     assert rep.final_bound_thm == 1.0
     assert rep.final_bound_cor is None
@@ -359,7 +376,7 @@ def test_certify_flags_bad_tiling():
     base = make_cone([(1, 0), (1, 3)])
     state = run_p2t(base)
     broken = refine_to_unimodular(state.triangulation.cones)[:-1]
-    rep = certify(base, broken, (), [base])
+    rep = certify(base, broken, ())
     assert not rep.certificates.volume_ok
     assert rep.certificates.containment_ok
     assert len(broken) == 2
@@ -374,7 +391,7 @@ def test_certify_random_cones(seed):
     base = make_cone(gens)
     state = run_p2t(base)
     final = refine_to_unimodular(state.triangulation.cones)
-    rep = certify(base, final, state.trace, state.triangulation.all_created)
+    rep = certify(base, final, state.trace)
     ok = rep.certificates
     assert ok.volume_ok and ok.containment_ok and ok.all_unimodular
     assert ok.phi_descent_ok and ok.label_depth_ok
