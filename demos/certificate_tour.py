@@ -10,9 +10,8 @@ the run left on the table.
 import argparse
 import random
 
-from conetri import refine_to_unimodular, run_p2t
+from conetri import certify, intermediate_mu_ceiling, refine_to_unimodular, run_p2t
 from conetri.cli import random_cone
-from conetri.verifier import certify, intermediate_mu_ceiling
 
 
 def main():

@@ -12,9 +12,8 @@ import random
 import statistics
 import time
 
-from conetri import refine_to_unimodular, run_p2t
+from conetri import certify, refine_to_unimodular, run_p2t
 from conetri.cli import random_cone
-from conetri.verifier import certify
 
 
 def run_one(dim, bound, seed, mu_cap):

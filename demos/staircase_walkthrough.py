@@ -10,8 +10,7 @@ doing real work.
 
 import argparse
 
-from conetri import make_cone, refine_to_unimodular, run_p2t
-from conetri.verifier import certify
+from conetri import certify, make_cone, refine_to_unimodular, run_p2t
 
 
 def show(tag, cones):

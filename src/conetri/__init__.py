@@ -8,51 +8,29 @@ refine_to_unimodular then halves the power-of-two multiplicities down to 1
 using half-integer generator sums. certify re-checks the outcome: exact
 tiling volume, containment, the phi descent, and the proven ceilings on how
 long the final generators can get. It recomputes coordinates, potentials
-and dilations, but reads each cone's stored det, the trace's multiplicities
-and the phase 1 creation history as given.
+and dilations, but reads each cone's stored det and phase 1's trace as
+given; the trace is the only phase 1 record it reads.
+
+__all__ is the public surface; every other name may change.
 """
 
-from .cone_geometry import (
-    LatticeVector,
-    SimplicialCone,
-    Triangulation,
-    half_vector,
-    make_cone,
-    order_p_element,
-)
+from .cone_geometry import SimplicialCone, make_cone
 from .errors import (
     ConetriError,
     DimensionError,
-    DivisibilityError,
     PhaseOrderError,
     PrimitivityError,
     SearchExhaustedError,
     SingularMatrixError,
 )
-from .number_theory import (
-    Factorization,
-    eta,
-    factorize,
-    is_prime,
-    odd_adjust,
-    p_max,
-    phi,
-)
-from .p2t_engine import (
-    P2TState,
-    TraceEvent,
-    adjust_coefficients,
-    coefficient_ok_protected,
-    find_x,
-    run_p2t,
-)
+from .p2t_engine import TraceEvent, run_p2t
 from .pow2_refiner import refine_to_unimodular
 from .verifier import (
     CertificateReport,
     Certificates,
-    audit_trace,
     certify,
     final_bounds,
+    intermediate_mu_ceiling,
 )
 
 __all__ = [
@@ -60,32 +38,16 @@ __all__ = [
     "Certificates",
     "ConetriError",
     "DimensionError",
-    "DivisibilityError",
-    "Factorization",
-    "LatticeVector",
-    "P2TState",
     "PhaseOrderError",
     "PrimitivityError",
     "SearchExhaustedError",
     "SimplicialCone",
     "SingularMatrixError",
     "TraceEvent",
-    "Triangulation",
-    "adjust_coefficients",
-    "audit_trace",
     "certify",
-    "coefficient_ok_protected",
-    "eta",
-    "factorize",
     "final_bounds",
-    "find_x",
-    "half_vector",
-    "is_prime",
+    "intermediate_mu_ceiling",
     "make_cone",
-    "odd_adjust",
-    "order_p_element",
-    "p_max",
-    "phi",
     "refine_to_unimodular",
     "run_p2t",
 ]

@@ -143,10 +143,6 @@ def _write_json(obj: Any, fh: TextIO) -> None:
     fh.write("\n")
 
 
-def _fraction_str(ratio: tuple[int, int]) -> str:
-    return "{}/{}".format(*ratio)
-
-
 def _report_dict(
     base: SimplicialCone,
     final: list[SimplicialCone],
@@ -168,7 +164,7 @@ def _report_dict(
                 for c in final
             ],
         },
-        "max_dilation": _fraction_str(report.max_dilation),
+        "max_dilation": "{}/{}".format(*report.max_dilation),
         "bounds": {
             "theorem": report.final_bound_thm,
             "simplified": report.final_bound_cor,
@@ -202,19 +198,15 @@ def run_pipeline(cfg: RunConfig) -> tuple[dict[str, Any], list[TraceEvent]]:
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return _run_phases(cfg)
+        base = make_cone(cfg.generators)
+        mu_ceiling = intermediate_mu_ceiling(base.multiplicity)
+        state = run_p2t(base)
+        final = refine_to_unimodular(state.triangulation.cones)
+        report = certify(base, final, state.trace)
+        return _report_dict(base, final, report, mu_ceiling), state.trace
     finally:
         if was_enabled:
             gc.enable()
-
-
-def _run_phases(cfg: RunConfig) -> tuple[dict[str, Any], list[TraceEvent]]:
-    base = make_cone(cfg.generators)
-    mu_ceiling = intermediate_mu_ceiling(base.multiplicity)
-    state = run_p2t(base)
-    final = refine_to_unimodular(state.triangulation.cones)
-    report = certify(base, final, state.trace)
-    return _report_dict(base, final, report, mu_ceiling), state.trace
 
 
 def _report_text(doc: dict[str, Any]) -> str:

@@ -40,7 +40,6 @@ from .number_theory import (
     p_max,
 )
 
-TAU = ROSSER_CONSTANT
 
 def is_power_of_two(n: int) -> bool:
     return n >= 1 and n & (n - 1) == 0
@@ -51,7 +50,7 @@ def protected_count(p: int) -> int:
 
     floor(ln(p) / tau) with tau the Rosser-Schoenfeld constant; natural log.
     """
-    return int(math.log(p) / TAU)
+    return int(math.log(p) / ROSSER_CONSTANT)
 
 
 def coefficient_ok_protected(z: int, p: int) -> bool:

@@ -29,6 +29,9 @@ RUNS = [
 BAD_RUNS = [
     pytest.param("staircase_walkthrough.py", ["-n", "0"], id="staircase_walkthrough.py-n-0"),
     pytest.param("bounds_landscape.py", ["--dim", "1"], id="bounds_landscape.py-dim-1"),
+    # d**2 overflows a float; at 10**154 the bound for mu 3 does.
+    pytest.param("bounds_landscape.py", ["--dim", str(10**155)], id="bounds_landscape.py-dim-1e155"),
+    pytest.param("bounds_landscape.py", ["--dim", str(10**154)], id="bounds_landscape.py-dim-1e154"),
     pytest.param("random_campaign.py", ["--count", "0"], id="random_campaign.py-count-0"),
     pytest.param("random_campaign.py", ["--bound", "0"], id="random_campaign.py-bound-0"),
 ]
