@@ -11,12 +11,11 @@ sits on one of its own generators.
 All coordinate computations are exact, and the base is the only cone whose
 coordinates are computed: the verifier measures every generator against it
 through coordinate_rows. The subdivision engine computes none. Both phases
-make their split points from known coefficients (order_p_element's z;
-half_vector's subset, with p = 2 and z_g = 1): x = (1/p) * sum z_g * g over
-generators g of the producer. Every cone holding those generators has the
-same coefficients on them (see p2t_engine._Engine.cones_containing), so its
-numerators (det times x's coordinates) are det * z_g / p, and a child's
-multiplicity is its parent's numerator in the replaced slot.
+split at a point x = (1/p) * sum z_g * g over generators g of the producer
+(order_p_element's z; half_vector's subset, with p = 2 and z_g = 1), and
+both build the children with _split_at from the numerators det * z_g / p
+that the lemma of p2t_engine._Engine.cones_containing gives every cone
+holding x.
 
 A cone stores no ray directions. A stellar subdivision puts its vector into
 every live cone that contains it, so each ray of a tiling the engine keeps
@@ -267,30 +266,27 @@ def _split_at(
     cone: SimplicialCone,
     x: LatticeVector,
     nums: tuple[int, ...],
-    new_label: int,
     uid_source: Iterator[int],
 ) -> list[SimplicialCone]:
-    """Build the children of a subdivision whose numerators are known.
+    """Build the children of a stellar subdivision whose numerators are known.
 
     The caller guarantees that nums are det times x's coordinates over the
-    cone (so of det's sign) and that x is not one of its generators (see
-    p2t_engine.run_p2t, which passes det/p times the coefficients z' that
-    _Engine.cones_containing put in the cone's slots). Each slot i with
-    nums[i] != 0 gets a child with generator i replaced by x; by Cramer's
+    cone (so of det's sign) and that x is not one of its generators. Each
+    slot i with nums[i] != 0, in slot order, gets a child with generator i
+    replaced by x, labelled one past the cone's largest label; by Cramer's
     rule its det is nums[i].
     """
-    gens = cone.generators
-    labels = cone.labels
-    return [
-        SimplicialCone(
-            gens[:i] + (x,) + gens[i + 1 :],
-            labels[:i] + (new_label,) + labels[i + 1 :],
-            next(uid_source),
-            n,
-        )
-        for i, n in enumerate(nums)
-        if n
-    ]
+    gens = list(cone.generators)
+    labels = list(cone.labels)
+    new_label = max(labels) + 1
+    children = []
+    for i, n in enumerate(nums):
+        if n:
+            g, label = gens[i], labels[i]
+            gens[i], labels[i] = x, new_label
+            children.append(SimplicialCone(tuple(gens), tuple(labels), next(uid_source), n))
+            gens[i], labels[i] = g, label
+    return children
 
 
 class Triangulation(NamedTuple):

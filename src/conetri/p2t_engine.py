@@ -157,9 +157,10 @@ class _Engine:
     """Live cones of one subdivision phase, with a ray index over them.
 
     Each phase runs its own loop (run_p2t, refine_to_unimodular): it pops
-    uids off the FIFO `pending`, splits the live cones containing its
-    point, and decides which children to add back and what to record about
-    them. A child no later point can lie in is never added: phase 1 sends
+    uids off the FIFO `pending`, picks a point and the live cones holding
+    it, replaces each through `split` with the numerators it derives, and
+    decides which children to add back and what to record about them. A
+    child no later point can lie in is never added: phase 1 sends
     power-of-two children and phase 2 unimodular ones straight to its
     output, and those cones take no part in the index.
 
@@ -202,14 +203,21 @@ class _Engine:
                 bucket.add(uid)
         self.pending.append(uid)
 
-    def remove(self, cone: SimplicialCone) -> None:
-        """Take a cone out of the live set and the ray index."""
-        del self.cones[cone.uid]
-        for g in cone.generators:
-            bucket = self.ray_index[g]
-            bucket.discard(cone.uid)
+    def split(
+        self, parent: SimplicialCone, x: LatticeVector, nums: tuple[int, ...]
+    ) -> list[SimplicialCone]:
+        """Take a live cone out of the live set and the ray index, and
+        return its children at x (_split_at; nums are det times x's
+        coordinates over it). The caller adds back the ones to keep."""
+        uid = parent.uid
+        del self.cones[uid]
+        index = self.ray_index
+        for g in parent.generators:
+            bucket = index[g]
+            bucket.discard(uid)
             if not bucket:
-                del self.ray_index[g]
+                del index[g]
+        return _split_at(parent, x, nums, self.uid_source)
 
     def holders(self, vectors: list[LatticeVector]) -> list[SimplicialCone]:
         """Live cones whose generators include every one of `vectors`, in
@@ -264,8 +272,9 @@ def run_p2t(base: SimplicialCone) -> P2TState:
     Cones are processed first-in first-out by uid; each round handles the
     largest prime factor p of the multiplicity of the oldest remaining
     offender and subdivides every cone containing the constructed point x'.
-    Each split parent leaves the live set, its children whose multiplicity
-    has an odd factor join it, and one TraceEvent records the split: the
+    Each holder goes through _Engine.split with the numerators det/p * z',
+    the split step phase 2 shares; its children whose multiplicity has an
+    odd factor join the live set, and one TraceEvent records the split: the
     trace is the phase's certificate, which audit_trace replays and
     `conetri run --trace` writes out.
 
@@ -306,14 +315,11 @@ def run_p2t(base: SimplicialCone) -> P2TState:
         # The holder list is fixed before the first split, so adding each
         # parent's children at once leaves uids and `pending` in order.
         for parent, z in engine.cones_containing(cone, z_prime):
-            engine.remove(parent)
             det_parent = parent.det
             scale, rem = divmod(det_parent, p)
             assert rem == 0, "p divides every holder's det"
-            new_label = parent.max_label() + 1
             # x' = (1/p) * sum z_i g_i, so its numerators are det * z_i / p.
-            nums = tuple([scale * c for c in z])
-            children = _split_at(parent, x_prime, nums, new_label, engine.uid_source)
+            children = engine.split(parent, x_prime, tuple([scale * c for c in z]))
             mu_children = tuple([abs(c.det) for c in children])
             # Fields in order: keywords would double the cost of building one.
             trace.append(
@@ -323,7 +329,7 @@ def run_p2t(base: SimplicialCone) -> P2TState:
                     tuple([c % p for c in z]),
                     z,
                     x_prime,
-                    new_label,
+                    children[0].max_label(),
                     tuple([c.uid for c in children]),
                     abs(det_parent),
                     mu_children,

@@ -4,7 +4,9 @@ Once every multiplicity is a power of two, the generator matrix of any
 non-unimodular cone has even determinant, so some nonempty subset of its
 generators sums to twice a lattice vector u. Subdividing at u halves the
 multiplicity of every affected cone exactly; l rounds of halving per cone
-finish a multiplicity of 2**l. The new generators stay short: generation-k
+finish a multiplicity of 2**l. Each halving is the same split step as
+phase 1's (_Engine.split): only the point, its numerators and where the
+children go differ. The new generators stay short: generation-k
 vectors have dilation at most h_k relative to the cone being refined, with
 h_k <= (d/2) * (3/2)**(k-1).
 """
@@ -23,15 +25,14 @@ def refine_to_unimodular(cones: Sequence[SimplicialCone]) -> list[SimplicialCone
 
     Each round pops the oldest live cone and halves it at
     u = (1/2) * sum_{g in S} g for a subset S of its generators
-    (half_vector). That is the lemma of _Engine.cones_containing with p = 2
-    and every coefficient 1: every live cone holding all of S contains u,
-    with coordinates 1/2 on S and 0 elsewhere, and det times them is
-    integral, so its det is even; no other cone does (face to face, one
-    vector per ray). Each holder, in uid order, is replaced by one child per
-    slot of S, in slot order, with u in that slot and half its det. u has
-    coordinate 1/2, not 1, there, so it is none of the holder's generators
-    and no child copies its parent. This loop shares the engine's state
-    with phase 1 (run_p2t) but not its split path (_split_at).
+    (half_vector): the split point x of _Engine.cones_containing with p = 2
+    and z_g = 1 on S. By that lemma the cones containing u are the live
+    cones holding all of S (_Engine.holders), and each one's numerators are
+    det/2 on S's slots and 0 elsewhere, so its det is even. Each holder, in
+    uid order, goes through _Engine.split, as in phase 1, and gives one
+    child per slot of S with half its det. u has coordinate 1/2, not 1,
+    there, so it is none of the holder's generators and no child copies
+    its parent.
 
     A halving point is half the sum of generators shared by every cone that
     contains it, so its coordinates over a unimodular cone would be
@@ -65,7 +66,6 @@ def refine_to_unimodular(cones: Sequence[SimplicialCone]) -> list[SimplicialCone
         max((c.uid for c in cones), default=-1) + 1,
     )
     live, pending = engine.cones, engine.pending
-    new_uid = engine.uid_source.__next__
     while pending:
         cone = live.get(pending.popleft())
         if cone is None:
@@ -75,18 +75,14 @@ def refine_to_unimodular(cones: Sequence[SimplicialCone]) -> list[SimplicialCone
         u, slots = found
         face = [cone.generators[j] for j in slots]
         for parent in engine.holders(face):
-            engine.remove(parent)
             det = parent.det
             assert det & 1 == 0, "a cone holding S has numerators det/2 on S"
             half = det // 2
             keep = final.append if half == 1 or half == -1 else engine.add
-            gens = parent.generators
-            labels = parent.labels
-            new_label = parent.max_label() + 1
-            for i in sorted(map(gens.index, face)):
-                child_gens = list(gens)
-                child_gens[i] = u
-                child_labels = list(labels)
-                child_labels[i] = new_label
-                keep(SimplicialCone(tuple(child_gens), tuple(child_labels), new_uid(), half))
+            nums = [0] * len(u)
+            slot = parent.generators.index
+            for g in face:
+                nums[slot(g)] = half
+            for child in engine.split(parent, u, tuple(nums)):
+                keep(child)
     return final

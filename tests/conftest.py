@@ -1,9 +1,11 @@
 """Shared oracles for the test suite.
 
 Everything in here is implemented independently of the package internals:
-determinants by permutation expansion, linear solves by plain Fraction
-elimination, matrix products by plain sums, and triangulation validity from
-first principles. Tests compare package output against these, never against
+determinants by permutation expansion (bareiss_det where d! terms are too
+many, as for the facet matching of d >= 6 tilings), linear solves by plain
+Fraction elimination, matrix products by plain sums, and triangulation
+validity from first principles. minimal_2d gives the exact d=2 yardstick,
+the minimal unimodular triangulation. Tests compare package output against these, never against
 the package itself. oracle_smith_normal_form is the package's earlier
 Smith normal form, kept verbatim with its full R, and oracle_nullspace_mod2
 its earlier mod-2 kernel, on rows and as 0/1 tuples. dilation, prime_pi
@@ -44,6 +46,26 @@ def perm_det(m) -> int:
             term *= m[i][perm[i]]
         total += term
     return total
+
+
+def bareiss_det(m) -> int:
+    """Determinant by Bareiss fraction-free elimination, for the sizes where
+    perm_det's d! terms are too slow (d >= 6); tested against perm_det."""
+    a = [list(r) for r in m]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def cofactor_adjugate(m) -> tuple[tuple[int, ...], ...]:
@@ -142,11 +164,13 @@ def oracle_facet_matching(base_gens, cone_gens_list) -> dict:
 
     A facet of a cone is the set of rays of all its generators but one,
     keyed by their sorted primitive directions; its side is the sign of the
-    determinant of those directions followed by the dropped generator. A
-    facet lies on the base boundary when one base coordinate vanishes on
-    all its rays. In a face-to-face tiling every interior facet belongs to
-    exactly two cones, one on each side, and every boundary facet to exactly
-    one cone.
+    determinant of those directions followed by the dropped one. With a
+    cone's directions sorted, dropping the i-th moves that row to the end
+    in d-1-i swaps, so one bareiss_det per cone gives all d sides. A facet
+    lies on the base boundary when one base coordinate vanishes on all its
+    rays: one row of the base's cofactor_adjugate is orthogonal to each. In
+    a face-to-face tiling every interior facet belongs to exactly two
+    cones, one on each side, and every boundary facet to exactly one cone.
 
     Returns dict with:
       interior_bad: interior facets not held by one cone on each side;
@@ -163,20 +187,21 @@ def oracle_facet_matching(base_gens, cone_gens_list) -> dict:
 
     sides: dict[tuple, list[int]] = {}
     for gens in cone_gens_list:
-        rays = [direction(g) for g in gens]
+        rays = sorted(direction(g) for g in gens)
+        sign = 1 if bareiss_det(rays) > 0 else -1
         for i in range(d):
-            facet = tuple(sorted(rays[:i] + rays[i + 1 :]))
-            side = perm_det(list(facet) + [rays[i]])
-            sides.setdefault(facet, []).append(1 if side > 0 else -1)
-    coords: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
+            facet = tuple(rays[:i] + rays[i + 1 :])
+            sides.setdefault(facet, []).append(-sign if (d - 1 - i) % 2 else sign)
+    adj = cofactor_adjugate(tuple(zip(*base_gens)))
+    zeros: dict[tuple[int, ...], int] = {}
     interior_bad, boundary_bad = [], []
     for facet, signs in sides.items():
+        on_boundary = -1
         for r in facet:
-            if r not in coords:
-                coords[r] = oracle_barycentric(base_gens, r)
-        on_boundary = any(
-            all(coords[r][j] == 0 for r in facet) for j in range(d)
-        )
+            if r not in zeros:
+                dots = [sum(a * c for a, c in zip(row, r)) for row in adj]
+                zeros[r] = sum(1 << j for j, dot in enumerate(dots) if dot == 0)
+            on_boundary &= zeros[r]
         if on_boundary:
             if len(signs) != 1:
                 boundary_bad.append(facet)
@@ -393,6 +418,49 @@ def rosser_bound(x: float) -> float:
     if x <= 1:
         raise ValueError(f"rosser_bound needs x > 1, got {x}")
     return ROSSER_CONSTANT * x / math.log(x)
+
+
+def minimal_2d(g1, g2) -> list[tuple[int, int]]:
+    """Rays of the minimal unimodular triangulation of the d=2 cone
+    cone(g1, g2), in order from g1 to g2; g1 and g2 primitive and
+    independent. Every unimodular triangulation of the cone has all these
+    rays: they are the lattice points on the compact edges of the convex
+    hull of the cone's nonzero lattice points (Oda, Convex Bodies and
+    Algebraic Geometry, 1988, 1.6; Fulton, Introduction to Toric
+    Varieties, 1993, 2.6).
+
+    Built from the Hirzebruch-Jung continued fraction of mu/q, in
+    O(log mu) integer steps. With s the sign of det(g1, g2) and
+    c(v) = s * det(v, g2) a ray's lattice distance from g2's ray, the first
+    ray after g1 is the lattice point v with det(g1, v) = s and
+    0 <= c(v) < mu (an extended gcd of g1's entries), and each next ray is
+    b * v_i - v_{i-1} with b = ceil(c(v_{i-1}) / c(v_i)) >= 2, the least b
+    that keeps it in the cone. It ends on g2, where c = 0.
+    """
+    (a, b), g2 = g1, tuple(g2)
+    # a*x + b*y == gcd == +-1, so w = (-y, x) * s * gcd has det(g1, w) == s.
+    r0, r1, x0, x1, y0, y1 = a, b, 1, 0, 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1, x0, x1, y0, y1 = r1, r0 - q * r1, x1, x0 - q * x1, y1, y0 - q * y1
+    mu = a * g2[1] - b * g2[0]
+    s = 1 if mu > 0 else -1
+    mu *= s
+    w = (-y0 * s * r0, x0 * s * r0)
+
+    def c(v):
+        return s * (v[0] * g2[1] - v[1] * g2[0])
+
+    t = c(w) // mu
+    rays = [tuple(g1), (w[0] - t * a, w[1] - t * b)]
+    prev, cur = mu, c(rays[1])
+    while cur:
+        k = -(-prev // cur)
+        (p0, p1), (v0, v1) = rays[-2], rays[-1]
+        rays.append((k * v0 - p0, k * v1 - p1))
+        prev, cur = cur, k * cur - prev
+    assert rays[-1] == g2
+    return rays
 
 
 def staircase_cones(n: int) -> list[tuple[tuple[int, int], ...]]:

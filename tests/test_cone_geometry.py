@@ -226,11 +226,9 @@ def test_order_p_element_pinned(gens, p, want):
 
 
 def split(cone, x, uid_source=None):
-    """_split_at at x, with numerators from the oracle and the next label."""
+    """_split_at at x, with numerators from the oracle."""
     nums = oracle_numerators(cone.generators, x)
-    return _split_at(
-        cone, tuple(x), nums, cone.max_label() + 1, uid_source or repeat(0)
-    )
+    return _split_at(cone, tuple(x), nums, uid_source or repeat(0))
 
 
 def test_stellar_subdivide_examples():

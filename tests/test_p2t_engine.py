@@ -462,41 +462,32 @@ def test_stored_dets_match_an_independent_determinant():
     # The engine never recomputes a det: a child's is its parent's
     # numerator in the replaced slot (half its parent's in phase 2), and
     # every certificate reads it. Check it, sign included, against perm_det
-    # on every cone phase 1 creates, every cone phase 2 splits and every
-    # cone phase 2 outputs. Also check the claim that no split point is one
-    # of the split cone's generators, for run_p2t's split point in phase 1
-    # and for the halving point in phase 2: such a split would copy its
-    # parent.
+    # on every cone either phase splits, every cone phase 1 creates and
+    # every cone phase 2 outputs. Also check the claim that no split point
+    # is one of the split cone's generators, for run_p2t's split point in
+    # phase 1 and for the halving point in phase 2: such a split would copy
+    # its parent. Both phases build their children in _split_at.
     real_split_at = _split_at
-    real_holders = _Engine.holders
-    splits = Counter()
-    halvings = Counter()
+    splits = {"p2t": Counter(), "refine": Counter()}
+    phase = "p2t"
 
-    def checked_split_at(cone, x, nums, new_label, uid_source):
+    def checked_split_at(cone, x, nums, uid_source):
         assert x not in cone.generators
-        splits[len(x)] += 1
-        return real_split_at(cone, x, nums, new_label, uid_source)
-
-    def checked_holders(engine, vectors):
-        u = tuple(sum(col) // 2 for col in zip(*vectors))
-        holders = real_holders(engine, vectors)
-        for cone in holders:
-            assert u not in cone.generators
-            assert cone.det == perm_det(cone.generators)
-            halvings[len(u)] += 1
-        return holders
+        assert cone.det == perm_det(cone.generators)
+        splits[phase][len(x)] += 1
+        return real_split_at(cone, x, nums, uid_source)
 
     for gens in ray_index_cases():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("conetri.p2t_engine._split_at", checked_split_at)
+            phase = "p2t"
             state = run_p2t(make_cone(gens))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_Engine, "holders", checked_holders)
+            phase = "refine"
             final = refine_to_unimodular(state.triangulation.cones)
         for c in state.triangulation.all_created + final:
             assert c.det == perm_det(c.generators)
-    assert sorted(splits) == [2, 3, 4, 5]
-    assert sorted(halvings) == [2, 3, 4, 5]
+    assert sorted(splits["p2t"]) == [2, 3, 4, 5]
+    assert sorted(splits["refine"]) == [2, 3, 4, 5]
 
 
 def test_trace_event_is_frozen():

@@ -9,16 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conetri import pow2_refiner
-from conetri.cone_geometry import half_vector, make_cone
+from conetri.cli import random_cone
+from conetri.cone_geometry import _split_at, half_vector, make_cone
 from conetri.errors import PhaseOrderError
-from conetri.p2t_engine import run_p2t
+from conetri.p2t_engine import _Engine, run_p2t
 from conetri.pow2_refiner import refine_to_unimodular
+from conetri.verifier import certify
 
 from conftest import (
+    bareiss_det,
     canonical,
+    frac_solve,
+    minimal_2d,
     oracle_dilation,
     oracle_facet_matching,
     oracle_validate_tiling,
+    perm_det,
     staircase_cones,
 )
 from test_cone_geometry import random_cone_gens
@@ -213,3 +219,187 @@ def test_refine_uids_start_past_every_phase_1_uid():
         uids = [c.uid for c in refine_to_unimodular(tri.cones)]
         assert len(set(uids)) == len(uids)
         assert all(u > newest for u in set(uids) - {c.uid for c in tri.cones})
+
+
+def test_phase2_builds_every_cone_through_split_at():
+    # Both phases replace a holder through _Engine.split, whose one child
+    # builder is _split_at: every cone refine_to_unimodular creates, live or
+    # final, must be a child that _split_at returned.
+    made = []
+
+    def counting_split_at(cone, x, nums, uid_source):
+        children = _split_at(cone, x, nums, uid_source)
+        made.extend(children)
+        return children
+
+    added = []
+    real_add = _Engine.add
+
+    def recording_add(self, cone):
+        added.append(cone)
+        real_add(self, cone)
+
+    for gens in (
+        [(-1, -3, -3), (-4, 1, 1), (5, -1, -5)],
+        [(-2, 6, 1, -5), (-4, 2, 3, -6), (0, 3, -3, -1), (6, 4, -3, -1)],
+    ):
+        tiling = run_p2t(make_cone(gens)).triangulation.cones
+        made.clear()
+        added.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("conetri.p2t_engine._split_at", counting_split_at)
+            mp.setattr(_Engine, "add", recording_add)
+            final = refine_to_unimodular(tiling)
+        inputs = {id(c) for c in tiling}
+        created = [c for c in added + final if id(c) not in inputs]
+        assert len(created) > 20, len(created)
+        assert sorted(map(id, created)) == sorted(map(id, made))
+
+
+def test_bareiss_det_matches_perm_det():
+    rng = random.Random(20261020)
+    for d in range(1, 7):
+        for _ in range(20):
+            m = [[rng.randint(-6, 6) for _ in range(d)] for _ in range(d)]
+            assert bareiss_det(m) == perm_det(m)
+    assert bareiss_det([[0, 1, 0], [1, 0, 0], [0, 0, 1]]) == -1
+    assert bareiss_det([[1, 2], [2, 4]]) == 0
+
+
+def test_minimal_2d_is_the_minimal_unimodular_fan():
+    # The minimal triangulation is the unimodular one whose every inner ray
+    # v_i has v_{i-1} + v_{i+1} = b * v_i with b >= 2: with b = 1 the ray
+    # could be dropped. Its vectors lie in the triangle (0, g1, g2).
+    assert minimal_2d((1, 0), (1, 4)) == [(1, k) for k in range(5)]
+    assert minimal_2d((1, 0), (0, 1)) == [(1, 0), (0, 1)]
+    rng = random.Random(20261021)
+    for _ in range(200):
+        g1, g2 = random_cone_gens(rng, 2, 30)
+        rays = minimal_2d(g1, g2)
+        sign = 1 if perm_det([g1, g2]) > 0 else -1
+        assert (rays[0], rays[-1]) == (g1, g2)
+        for u, v in zip(rays, rays[1:]):
+            assert perm_det([u, v]) == sign
+        for u, v, w in zip(rays, rays[1:], rays[2:]):
+            b, rem = divmod(u[0] + w[0], v[0]) if v[0] else divmod(u[1] + w[1], v[1])
+            assert rem == 0 and b >= 2
+            assert (b * v[0], b * v[1]) == (u[0] + w[0], u[1] + w[1])
+        for v in rays:
+            assert oracle_dilation([g1, g2], v) <= 1
+
+
+def test_d2_pipeline_refines_the_minimal_triangulation():
+    # ROADMAP item 13's yardstick: every unimodular triangulation of a d=2
+    # cone has all the minimal one's rays, so each pipeline output must
+    # contain them and have at least as many cones.
+    rng = random.Random(20261022)
+    runs = 0
+    while runs < 150:
+        gens = random_cone_gens(rng, 2, 20)
+        base = make_cone(gens)
+        if base.multiplicity >= 400:
+            continue
+        runs += 1
+        final = refine_to_unimodular(run_p2t(base).triangulation.cones)
+        rays = minimal_2d(*gens)
+        assert set(rays) <= {g for c in final for g in c.generators}, gens
+        assert len(final) >= len(rays) - 1
+
+
+def phase2_hk_ratios(base):
+    """Run the pipeline on base, tracking each phase 2 cone's phase 1
+    ancestor P through _Engine.split, as ROADMAP item 15 asks.
+
+    Each halving point x that splits a cone descended from P belongs to
+    generation k = its label - P's largest label, and its dilation over P
+    must be at most h_k. Returns the worst dilation / h_k over every split
+    (exact), and the deepest generation seen.
+    """
+    state = run_p2t(base)
+    ancestor = {c.uid: c for c in state.triangulation.cones}
+    # w with P's generators times w = (1, ..., 1): w . x is x's dilation.
+    weights = {}
+    worst = Fraction(0)
+    deepest = 0
+    real_split = _Engine.split
+
+    def tracking_split(engine, parent, x, nums):
+        nonlocal worst, deepest
+        top = ancestor[parent.uid]
+        children = real_split(engine, parent, x, nums)
+        for child in children:
+            ancestor[child.uid] = top
+        if top.uid not in weights:
+            weights[top.uid] = frac_solve(top.generators, (1,) * base.dimension)
+        k = children[0].max_label() - top.max_label()
+        ratio = sum(w * c for w, c in zip(weights[top.uid], x)) / hk_exact(base.dimension, k)
+        worst = max(worst, ratio)
+        deepest = max(deepest, k)
+        return children
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Engine, "split", tracking_split)
+        refine_to_unimodular(state.triangulation.cones)
+    return worst, deepest
+
+
+# Campaign d=4 draw 6 (mu 1062), the benchmark's heavy-d4 cone at seed 0.
+HEAVY_D4 = ((5, -6, 6, 2), (-2, 2, 3, -1), (-5, -2, 3, -3), (4, -6, 0, 7))
+
+
+@pytest.mark.slow
+def test_phase2_points_obey_hk_over_their_phase1_cone():
+    # The paper's phase 2 lemma, on a full run: phase 2 halves the whole
+    # phase 1 tiling at once, across phase 1 cone boundaries, and every
+    # generation-k point still has dilation at most h_k over the phase 1
+    # cone it lies in. The draws are random_cone(d, bound, Random(1000 * d
+    # + 17 * bound + i)) for (d, bound, i); h_k is met with equality.
+    bases = [make_cone(HEAVY_D4)] + [
+        random_cone(d, bound, random.Random(1000 * d + 17 * bound + i))
+        for d, bound, i in (
+            (3, 6, 0), (4, 3, 0), (5, 2, 0), (6, 2, 0), (6, 2, 5), (7, 2, 0), (6, 3, 1)
+        )
+    ]
+    worsts, deepest = [], []
+    for base in bases:
+        worst, k = phase2_hk_ratios(base)
+        assert worst <= 1, (base.generators, worst)
+        worsts.append(worst)
+        deepest.append(k)
+    assert max(worsts) == 1 and max(deepest) >= 5, (worsts, deepest)
+
+
+# Bound-2 draws (d, i) = random_cone(d, 2, Random(1000 * d + 34 + i)) from
+# the first ten at d = 6, 7 and 8 whose whole run took under about 1 s and
+# made at most 100,000 cones (2 vCPU, Python 3.11). The others run for
+# 2-20 s or more, or exhaust gigabytes (ROADMAP item 16).
+HIGH_D_DRAWS = (
+    (6, 0), (6, 2), (6, 3), (6, 4), (6, 5), (6, 6), (6, 7),
+    (7, 1), (7, 6), (7, 7), (7, 8),
+    (8, 8),
+)
+
+
+@pytest.mark.slow
+def test_high_dimension_corpus_passes_every_certificate():
+    # The first corpus past d = 5, where halvings split many holders at
+    # once and |S| reaches 6-7. Every run must pass all eight certificates
+    # and the independent facet matching.
+    subset_sizes = set()
+
+    def sizing_split_at(cone, x, nums, uid_source):
+        children = _split_at(cone, x, nums, uid_source)
+        subset_sizes.add(len(children))
+        return children
+
+    for d, i in HIGH_D_DRAWS:
+        base = random_cone(d, 2, random.Random(1000 * d + 34 + i))
+        state = run_p2t(base)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("conetri.p2t_engine._split_at", sizing_split_at)
+            final = refine_to_unimodular(state.triangulation.cones)
+        report = certify(base, final, state.trace)
+        assert all(report.certificates), (d, i, report.certificates)
+        facets = oracle_facet_matching(base.generators, [c.generators for c in final])
+        assert facets["face_to_face_ok"], (d, i)
+    assert max(subset_sizes) >= 7, subset_sizes

@@ -27,6 +27,7 @@ from conftest import (
     dilation,
     isolated_tiling,
     labelled_cone,
+    minimal_2d,
     oracle_dilation,
     oracle_facet_matching,
     oracle_validate_tiling,
@@ -533,3 +534,15 @@ def test_facet_oracle_sees_what_the_volume_identity_misses():
     facets = oracle_facet_matching(base_gens, overlap)
     assert facets["boundary_bad"] == [((1, 0),)]
     assert facets["interior_bad"] == [((1, 1),), ((1, 3),)]
+
+
+def test_minimal_rays_reject_the_strip_counterexample():
+    # Every unimodular tiling of a d=2 cone has each ray of the minimal one
+    # (ROADMAP item 13). The doubled step of the strip example above leaves
+    # out (1, 4), a ray of the base itself, so the ray check rejects it
+    # without the verifier; the staircase has every ray.
+    rays = minimal_2d((1, 0), (1, 4))
+    overlap = staircase_cones(3) + staircase_cones(1)
+    assert (1, 4) in rays
+    assert (1, 4) not in {g for c in overlap for g in c}
+    assert set(rays) <= {g for c in staircase_cones(4) for g in c}
