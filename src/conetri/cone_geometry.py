@@ -11,11 +11,9 @@ sits on one of its own generators.
 All coordinate computations are exact, and the base is the only cone whose
 coordinates are computed: the verifier measures every generator against it
 through coordinate_rows. The subdivision engine computes none. Both phases
-split at a point x = (1/p) * sum z_g * g over generators g of the producer
-(order_p_element's z; half_vector's subset, with p = 2 and z_g = 1), and
-both build the children with _split_at from the numerators det * z_g / p
-that the lemma of p2t_engine._Engine.cones_containing gives every cone
-holding x.
+split at a point x = (1/p) * sum z_g * g, given by its coefficients z over
+the producer (order_p_element's, or half_vector's indicator with p = 2),
+and _split_at builds each holder's children from those coefficients.
 
 A cone stores no ray directions. A stellar subdivision puts its vector into
 every live cone that contains it, so each ray of a tiling the engine keeps
@@ -220,9 +218,9 @@ def _combine(cone: SimplicialCone, z: Iterable[int], p: int) -> LatticeVector:
 def half_vector(cone: SimplicialCone) -> tuple[LatticeVector, tuple[int, ...]] | None:
     """Half the sum of a nonempty generator subset that lands in the lattice.
 
-    Returns (u, slots): the lattice point u = (1/2) * sum_{j in slots} g_j
-    and the subset's slot indices in increasing order, so u's barycentric
-    coordinates are 1/2 on slots and 0 elsewhere. Returns None when the
+    Returns (u, z): the lattice point u = (1/2) * sum z_g * g and the
+    subset's 0/1 indicator z in slot order, so u's barycentric coordinates
+    are 1/2 where z is 1 and 0 elsewhere. Returns None when the
     multiplicity is odd (no such subset exists).
 
     Uses the mod-2 kernel basis of the generators (nullspace_mod2, which
@@ -256,35 +254,40 @@ def half_vector(cone: SimplicialCone) -> tuple[LatticeVector, tuple[int, ...]] |
         best = min(span[1:], key=lambda m: (m.bit_count(), m))
     else:
         best = min(kernel, key=lambda m: (m.bit_count(), m))
-    slots = tuple([i for i in range(d) if best >> (d - 1 - i) & 1])
-    acc = [sum(col) for col in zip(*[gens[i] for i in slots])]
+    z = tuple([best >> (d - 1 - i) & 1 for i in range(d)])
+    acc = [sum(col) for col in zip(*[g for g, c in zip(gens, z) if c])]
     assert all(c % 2 == 0 for c in acc)
-    return tuple([c // 2 for c in acc]), slots
+    return tuple([c // 2 for c in acc]), z
 
 
 def _split_at(
     cone: SimplicialCone,
     x: LatticeVector,
-    nums: tuple[int, ...],
+    z: tuple[int, ...],
+    p: int,
     uid_source: Iterator[int],
 ) -> list[SimplicialCone]:
-    """Build the children of a stellar subdivision whose numerators are known.
+    """Build the children of the stellar subdivision of a cone holding
+    x = (1/p) * sum z_g * g, where z are x's coefficients over this cone.
 
-    The caller guarantees that nums are det times x's coordinates over the
-    cone (so of det's sign) and that x is not one of its generators. Each
-    slot i with nums[i] != 0, in slot order, gets a child with generator i
+    Each slot i with z_i != 0, in slot order, gets a child with generator i
     replaced by x, labelled one past the cone's largest label; by Cramer's
-    rule its det is nums[i].
+    rule its det is the numerator det/p * z_i, an integer (adjugate times
+    x). Both phases pass every nonzero z_g nonzero mod the prime p, so p
+    divides det, and x is never one of the cone's generators (that needs
+    one z_g = p and the rest 0): no child copies its parent.
     """
+    scale, rem = divmod(cone.det, p)
+    assert rem == 0, "p divides the det of every cone holding x"
     gens = list(cone.generators)
     labels = list(cone.labels)
     new_label = max(labels) + 1
     children = []
-    for i, n in enumerate(nums):
-        if n:
+    for i, c in enumerate(z):
+        if c:
             g, label = gens[i], labels[i]
             gens[i], labels[i] = x, new_label
-            children.append(SimplicialCone(tuple(gens), tuple(labels), next(uid_source), n))
+            children.append(SimplicialCone(tuple(gens), tuple(labels), next(uid_source), scale * c))
             gens[i], labels[i] = g, label
     return children
 

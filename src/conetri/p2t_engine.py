@@ -157,12 +157,13 @@ class _Engine:
     """Live cones of one subdivision phase, with a ray index over them.
 
     Each phase runs its own loop (run_p2t, refine_to_unimodular): it pops
-    uids off the FIFO `pending`, picks a point and the live cones holding
-    it, replaces each through `split` with the numerators it derives, and
-    decides which children to add back and what to record about them. A
-    child no later point can lie in is never added: phase 1 sends
-    power-of-two children and phase 2 unimodular ones straight to its
-    output, and those cones take no part in the index.
+    uids off the FIFO `pending`, picks a point x = (1/p) * sum z_g * g by
+    its coefficients z over the popped cone, replaces every holder that
+    cones_containing returns through `split`, and decides which children
+    to add back and what to record about them. A child no later point can
+    lie in is never added: phase 1 sends power-of-two children and phase 2
+    unimodular ones straight to its output, and those cones take no part
+    in the index.
 
     The ray index maps each generator vector to the uids of the live cones
     that hold it. It is keyed by the vector, not by its primitive direction,
@@ -173,13 +174,13 @@ class _Engine:
     generator y on R. Then x is a positive multiple of y, so the producer
     holds y, x's support is {y}, and C, a holder of y, is split with x's
     coordinates zero but in y's slot. No split point is one of the split
-    cone's generators (see run_p2t and refine_to_unimodular), so C's
-    only child replaces y by x. Every live cone with a generator on R holds
-    x there afterwards, and no other ray gains a vector. A cone sent to the
-    output has no generator y on R either: it would hold x's support {y}
-    and so contain x, which no output cone does. Primitivity plays
-    no part, and the generators are not all primitive: order-p and halving
-    points are often multiples of a lattice vector.
+    cone's generators (_split_at), so C's only child replaces y by x.
+    Every live cone with a generator on R holds x there afterwards, and no
+    other ray gains a vector. A cone sent to the output has no generator y
+    on R either: it would hold x's support {y} and so contain x, which no
+    output cone does. Primitivity plays no part, and the generators are not
+    all primitive: order-p and halving points are often multiples of a
+    lattice vector.
     """
 
     def __init__(self, cones: Iterable[SimplicialCone], next_uid: int):
@@ -204,11 +205,12 @@ class _Engine:
         self.pending.append(uid)
 
     def split(
-        self, parent: SimplicialCone, x: LatticeVector, nums: tuple[int, ...]
+        self, parent: SimplicialCone, x: LatticeVector, z: tuple[int, ...], p: int
     ) -> list[SimplicialCone]:
         """Take a live cone out of the live set and the ray index, and
-        return its children at x (_split_at; nums are det times x's
-        coordinates over it). The caller adds back the ones to keep."""
+        return its children at x = (1/p) * sum z_g * g (_split_at; z as
+        cones_containing moved it over). The caller adds back the ones to
+        keep."""
         uid = parent.uid
         del self.cones[uid]
         index = self.ray_index
@@ -217,13 +219,7 @@ class _Engine:
             bucket.discard(uid)
             if not bucket:
                 del index[g]
-        return _split_at(parent, x, nums, self.uid_source)
-
-    def holders(self, vectors: list[LatticeVector]) -> list[SimplicialCone]:
-        """Live cones whose generators include every one of `vectors`, in
-        uid order: the intersection of their ray-index buckets."""
-        uids = set.intersection(*[self.ray_index[g] for g in vectors])
-        return [self.cones[uid] for uid in sorted(uids)]
+        return _split_at(parent, x, z, p, self.uid_source)
 
     def cones_containing(
         self, producer: SimplicialCone, z: tuple[int, ...]
@@ -232,9 +228,10 @@ class _Engine:
         coefficients over each, in uid order.
 
         z are x's coefficients over the producer, in slot order, and p is
-        the prime they were built for. No coordinates are computed, and x
-        is not an argument: the other cones' coefficients follow from z by
-        this lemma. Let
+        their denominator: find_x's prime in phase 1, 2 for half_vector's
+        indicator in phase 2. No coordinates are computed, and neither x
+        nor p is an argument: the other cones' coefficients follow from z
+        by this lemma. Let
         x = (1/p) * sum_{g in F} z_g * g with every z_g > 0 and F a set of
         the producer's generators. Then every cone C whose generators
         include F contains x, with these same coefficients z_g in F's slots
@@ -256,8 +253,10 @@ class _Engine:
             # Interior point: no other cone of the tiling can contain it.
             return [(producer, z)]
         support = [(g, c) for g, c in zip(producer.generators, z) if c]
+        cones = self.cones
         out = []
-        for cone in self.holders([g for g, _ in support]):
+        for uid in sorted(set.intersection(*[self.ray_index[g] for g, _ in support])):
+            cone = cones[uid]
             slot = cone.generators.index
             moved = [0] * len(z)
             for g, c in support:
@@ -272,20 +271,16 @@ def run_p2t(base: SimplicialCone) -> P2TState:
     Cones are processed first-in first-out by uid; each round handles the
     largest prime factor p of the multiplicity of the oldest remaining
     offender and subdivides every cone containing the constructed point x'.
-    Each holder goes through _Engine.split with the numerators det/p * z',
+    Each holder goes through _Engine.split with z' moved into its slots,
     the split step phase 2 shares; its children whose multiplicity has an
     odd factor join the live set, and one TraceEvent records the split: the
     trace is the phase's certificate, which audit_trace replays and
     `conetri run --trace` writes out.
 
-    No split is a no-op: x' is never one of a holder's generators. By the
-    cones_containing lemma, x' = (1/p) * sum z'_g * g equals a holder's
-    generator h only if F == {h} and z'_h == p; but every nonzero z'_g is
-    nonzero mod p, because adjust_coefficients only adds multiples of p to a
-    residue in (0, p). For the same reason p divides every holder's det,
-    since det * z'_g / p is an integer.
-
-    So a power-of-two cone is never a holder and is never split again.
+    Every nonzero z'_g is nonzero mod p, because adjust_coefficients only
+    adds multiples of p to a residue in (0, p), so p divides every holder's
+    det (_split_at), and a power-of-two cone is never a holder and is never
+    split again.
     Power-of-two children go straight to the tiling, in creation order,
     and never enter the engine, whose live set ends empty; a power-of-two
     base is its own tiling. all_created, the trace and every uid are as if
@@ -315,11 +310,7 @@ def run_p2t(base: SimplicialCone) -> P2TState:
         # The holder list is fixed before the first split, so adding each
         # parent's children at once leaves uids and `pending` in order.
         for parent, z in engine.cones_containing(cone, z_prime):
-            det_parent = parent.det
-            scale, rem = divmod(det_parent, p)
-            assert rem == 0, "p divides every holder's det"
-            # x' = (1/p) * sum z_i g_i, so its numerators are det * z_i / p.
-            children = engine.split(parent, x_prime, tuple([scale * c for c in z]))
+            children = engine.split(parent, x_prime, z, p)
             mu_children = tuple([abs(c.det) for c in children])
             # Fields in order: keywords would double the cost of building one.
             trace.append(
@@ -331,7 +322,7 @@ def run_p2t(base: SimplicialCone) -> P2TState:
                     x_prime,
                     children[0].max_label(),
                     tuple([c.uid for c in children]),
-                    abs(det_parent),
+                    abs(parent.det),
                     mu_children,
                 )
             )

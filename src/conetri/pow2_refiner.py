@@ -4,11 +4,11 @@ Once every multiplicity is a power of two, the generator matrix of any
 non-unimodular cone has even determinant, so some nonempty subset of its
 generators sums to twice a lattice vector u. Subdividing at u halves the
 multiplicity of every affected cone exactly; l rounds of halving per cone
-finish a multiplicity of 2**l. Each halving is the same split step as
-phase 1's (_Engine.split): only the point, its numerators and where the
-children go differ. The new generators stay short: generation-k
-vectors have dilation at most h_k relative to the cone being refined, with
-h_k <= (d/2) * (3/2)**(k-1).
+finish a multiplicity of 2**l. Each halving is phase 1's step
+(_Engine.cones_containing, then _Engine.split) with p = 2: only the point
+and where the children go differ. The new generators stay short:
+generation-k vectors have dilation at most h_k relative to the cone being
+refined, with h_k <= (d/2) * (3/2)**(k-1).
 """
 
 from __future__ import annotations
@@ -24,15 +24,11 @@ def refine_to_unimodular(cones: Sequence[SimplicialCone]) -> list[SimplicialCone
     """Subdivide every power-of-two cone of a tiling down to multiplicity 1.
 
     Each round pops the oldest live cone and halves it at
-    u = (1/2) * sum_{g in S} g for a subset S of its generators
-    (half_vector): the split point x of _Engine.cones_containing with p = 2
-    and z_g = 1 on S. By that lemma the cones containing u are the live
-    cones holding all of S (_Engine.holders), and each one's numerators are
-    det/2 on S's slots and 0 elsewhere, so its det is even. Each holder, in
-    uid order, goes through _Engine.split, as in phase 1, and gives one
-    child per slot of S with half its det. u has coordinate 1/2, not 1,
-    there, so it is none of the holder's generators and no child copies
-    its parent.
+    u = (1/2) * sum_{g in S} g for a subset S of its generators: half_vector
+    gives u and S's 0/1 indicator z. Every cone containing u comes from
+    _Engine.cones_containing with z moved into its slots, and goes through
+    _Engine.split with p = 2, as in phase 1, giving one child per slot of S
+    with half its det.
 
     A halving point is half the sum of generators shared by every cone that
     contains it, so its coordinates over a unimodular cone would be
@@ -72,17 +68,11 @@ def refine_to_unimodular(cones: Sequence[SimplicialCone]) -> list[SimplicialCone
             continue
         found = half_vector(cone)
         assert found is not None, "even multiplicity must yield a half vector"
-        u, slots = found
-        face = [cone.generators[j] for j in slots]
-        for parent in engine.holders(face):
-            det = parent.det
-            assert det & 1 == 0, "a cone holding S has numerators det/2 on S"
-            half = det // 2
-            keep = final.append if half == 1 or half == -1 else engine.add
-            nums = [0] * len(u)
-            slot = parent.generators.index
-            for g in face:
-                nums[slot(g)] = half
-            for child in engine.split(parent, u, tuple(nums)):
-                keep(child)
+        u, z = found
+        for parent, moved in engine.cones_containing(cone, z):
+            for child in engine.split(parent, u, moved, 2):
+                if child.det in (1, -1):
+                    final.append(child)
+                else:
+                    engine.add(child)
     return final

@@ -12,7 +12,9 @@ its earlier mod-2 kernel, on rows and as 0/1 tuples. dilation, prime_pi
 and rosser_bound are helpers the package never called, kept here for the
 tests that use them; dilation is built on the package's coordinate_rows.
 upper_rational is the Fraction form of the bound certify compares the worst
-dilation with.
+dilation with. greedy_tiling is a second subdivision rule, not an oracle: it
+drives the package's own engine with the shortest box point, as a baseline
+for the pipeline's tilings.
 """
 
 from __future__ import annotations
@@ -510,3 +512,64 @@ def isolated_tiling(gens):
     for cone in state.triangulation.cones:
         final.extend(refine_to_unimodular([cone]))
     return base, state, final
+
+
+def box_group(cone) -> set[tuple[int, ...]]:
+    """The cone's box group: every lattice point x = (1/m) * sum z_g * g with
+    each z_g in [0, m), m = |det|, as its coefficient vector z. A breadth-first
+    closure of the unit vectors' coordinate-row columns mod m."""
+    from conetri.cone_geometry import coordinate_rows
+
+    m = cone.multiplicity
+    rows = coordinate_rows(cone)
+    steps = [tuple(row[j] % m for row in rows) for j in range(cone.dimension)]
+    seen = {(0,) * cone.dimension}
+    queue = list(seen)
+    for z in queue:
+        for s in steps:
+            w = tuple((a + b) % m for a, b in zip(z, s))
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    assert len(seen) == m
+    return seen
+
+
+def greedy_tiling(gens):
+    """A unimodular tiling of make_cone(gens) by the greedy rule, the
+    baseline of ROADMAP item 9.
+
+    Each round takes the oldest non-unimodular live cone, picks its
+    shortest nonzero box point (the least z by (sum z, z)) and splits every
+    live cone containing it, through the engine's own cones_containing and
+    split. The point is passed with p = m / gcd(m, z) and z divided by that
+    gcd: then p divides every holder's det, as _split_at asserts, which it
+    need not for p = m.
+
+    Returns:
+        The unimodular cones, in the order they were made.
+    """
+    from conetri.cone_geometry import _combine, make_cone
+    from conetri.p2t_engine import _Engine
+
+    base = make_cone(gens)
+    if base.multiplicity == 1:
+        return [base]
+    engine = _Engine([base], base.uid + 1)
+    final = []
+    while engine.pending:
+        cone = engine.cones.get(engine.pending.popleft())
+        if cone is None:
+            continue
+        m = cone.multiplicity
+        z = min((z for z in box_group(cone) if any(z)), key=lambda z: (sum(z), z))
+        g = math.gcd(m, *z)
+        p, z = m // g, tuple(c // g for c in z)
+        x = _combine(cone, z, p)
+        for parent, moved in engine.cones_containing(cone, z):
+            for child in engine.split(parent, x, moved, p):
+                if child.multiplicity == 1:
+                    final.append(child)
+                else:
+                    engine.add(child)
+    return final

@@ -61,14 +61,14 @@ def order_p_point(cone, p):
 
 
 def half_point(cone):
-    """half_vector's point u, or None, after checking its slots: nonempty,
-    increasing, and summing to 2u."""
+    """half_vector's point u, or None, after checking its indicator: 0/1
+    in slot order, nonzero, and picking generators that sum to 2u."""
     found = half_vector(cone)
     if found is None:
         return None
-    u, slots = found
-    assert slots and list(slots) == sorted(set(slots))
-    picked = [cone.generators[j] for j in slots]
+    u, z = found
+    assert len(z) == cone.dimension and set(z) <= {0, 1} and any(z)
+    picked = [g for g, c in zip(cone.generators, z) if c]
     assert tuple(map(sum, zip(*picked))) == tuple(2 * c for c in u)
     return u
 
@@ -226,9 +226,10 @@ def test_order_p_element_pinned(gens, p, want):
 
 
 def split(cone, x, uid_source=None):
-    """_split_at at x, with numerators from the oracle."""
+    """_split_at at x, with the oracle's numerators as coefficients over
+    the denominator det, so that det/p * z are the numerators again."""
     nums = oracle_numerators(cone.generators, x)
-    return _split_at(cone, tuple(x), nums, uid_source or repeat(0))
+    return _split_at(cone, tuple(x), nums, cone.det, uid_source or repeat(0))
 
 
 def test_stellar_subdivide_examples():
@@ -290,11 +291,11 @@ def test_stellar_subdivide_multiplicities_split(seed):
 
 
 def test_half_vector_examples():
-    assert half_vector(make_cone([(1, 0), (1, 2)])) == ((1, 1), (0, 1))
+    assert half_vector(make_cone([(1, 0), (1, 2)])) == ((1, 1), (1, 1))
     assert half_vector(make_cone([(1, 0), (0, 1)])) is None
-    assert half_vector(make_cone([(1, 0), (1, 4)])) == ((1, 2), (0, 1))
+    assert half_vector(make_cone([(1, 0), (1, 4)])) == ((1, 2), (1, 1))
     assert half_vector(make_cone([(1, 0), (1, 3)])) is None
-    assert half_vector(labelled_cone([(1, 0), (0, 2)], (-1, -2)))[1] == (1,)
+    assert half_vector(labelled_cone([(1, 0), (0, 2)], (-1, -2)))[1] == (0, 1)
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -309,12 +310,13 @@ def test_half_vector_properties(seed):
         assert found is None
     else:
         assert found is not None
-        u, slots = found
+        u, z = found
         lam = oracle_barycentric(gens, u)
         assert set(lam) <= {Fraction(0), Fraction(1, 2)}
         assert sum(lam) > 0
-        # The slots are exactly where u's coordinates are 1/2.
-        assert slots == tuple(j for j, v in enumerate(lam) if v)
+        # z is 1 exactly where u's coordinates are 1/2: u's coefficients
+        # over the cone with denominator 2.
+        assert z == tuple(2 * v for v in lam)
 
 
 def parity_pattern_cone(rng, d):
@@ -365,7 +367,7 @@ def test_half_vector_large_kernel_takes_the_lightest_basis_vector():
     gens = tuple(tuple(2 if i == j else 0 for j in range(d)) for i in range(d))
     # det(2*I) = 2^13; perm_det would expand 13! terms.
     c = SimplicialCone(gens, tuple(range(-1, -d - 1, -1)), 0, 2**d)
-    assert half_vector(c) == ((0,) * (d - 1) + (1,), (d - 1,))
+    assert half_vector(c) == ((0,) * (d - 1) + (1,), (0,) * (d - 1) + (1,))
 
 
 def test_direct_cone_allows_nonprimitive():

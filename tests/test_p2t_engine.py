@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conetri.cone_geometry import _combine, _split_at, make_cone, vector_content
+from conetri.cone_geometry import _combine, _split_at, half_vector, make_cone, vector_content
 from conetri.errors import DivisibilityError
 from conetri.exact_linalg import adjugate, smith_normal_form
 from conetri.number_theory import ROSSER_CONSTANT, factorize, is_prime, p_max, phi
@@ -263,7 +263,8 @@ def exhaustive_cones_containing():
     fresh_adjugate = functools.cache(lambda gens: adjugate(tuple(zip(*gens))))
 
     def scan(engine, producer, z):
-        # run_p2t's p and point: x = (1/p) * sum z_g * g over the producer.
+        # The point x = (1/p) * sum z_g * g over the producer: run_p2t's p,
+        # or 2 for a power-of-two producer in refine_to_unimodular.
         p = p_max(factorize(producer.multiplicity))
         x = _combine(producer, z, p)
         px = [sum(c * g[i] for c, g in zip(z, producer.generators)) for i in range(len(x))]
@@ -284,32 +285,6 @@ def exhaustive_cones_containing():
                 if cone is producer:
                     assert tuple(coeffs) == z
                 out.append((cone, tuple(coeffs)))
-        return out
-
-    return scan
-
-
-def exhaustive_holders():
-    """Reference for _Engine.holders as phase 2 calls it: every live cone
-    containing the halving point u = (1/2) * sum(vectors), found by a fresh
-    adjugate of each live cone. Each cone found must have u's numerators
-    det/2 in the slots of `vectors` and 0 elsewhere."""
-    fresh_adjugate = functools.cache(lambda gens: adjugate(tuple(zip(*gens))))
-
-    def scan(engine, vectors):
-        total = [sum(col) for col in zip(*vectors)]
-        assert all(c % 2 == 0 for c in total)
-        u = tuple(c // 2 for c in total)
-        out = []
-        for uid in sorted(engine.cones):
-            cone = engine.cones[uid]
-            adj = fresh_adjugate(cone.generators)
-            nums = tuple(sum(a * c for a, c in zip(row, u)) for row in adj)
-            sign = 1 if cone.det > 0 else -1
-            if all(n * sign >= 0 for n in nums):
-                half = tuple(cone.det // 2 if g in vectors else 0 for g in cone.generators)
-                assert nums == half
-                out.append(cone)
         return out
 
     return scan
@@ -355,9 +330,9 @@ def snapshot(cones):
 
 
 def test_ray_index_matches_exhaustive_scan():
-    # Dual route: the ray-index candidates, with derived numerators in
-    # phase 1 and as the holders of the halved face in phase 2, must change
-    # neither phase. The index is keyed by generator vector, not by
+    # Dual route: the ray-index candidates with coefficients moved over
+    # from the producer must change neither phase; both find their holders
+    # through cones_containing. The index is keyed by generator vector, not by
     # primitive direction, so the runs must add non-primitive generators in
     # both phases.
     added = []
@@ -380,13 +355,45 @@ def test_ray_index_matches_exhaustive_scan():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_Engine, "cones_containing", exhaustive_cones_containing())
             slow = run_p2t(make_cone(gens))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_Engine, "holders", exhaustive_holders())
             slow_final = refine_to_unimodular(slow.triangulation.cones)
         assert fast.trace == slow.trace
         assert snapshot(fast.triangulation.cones) == snapshot(slow.triangulation.cones)
         assert snapshot(fast_final) == snapshot(slow_final)
     assert nonprimitive["p2t"] and nonprimitive["refine"], nonprimitive
+
+
+def test_phase2_finds_its_holders_through_cones_containing():
+    # One containment path for both phases: every halving asks
+    # cones_containing exactly once, for the cone half_vector halved and
+    # its 0/1 indicator, and every coefficient vector it moves into a
+    # holder's slots is 0/1 with the same number of ones.
+    halved, asked = [], []
+    shared = [0]
+    real_cones_containing = _Engine.cones_containing
+
+    def recording_half_vector(cone):
+        found = half_vector(cone)
+        halved.append((cone.uid, found[1]))
+        return found
+
+    def checked_cones_containing(engine, producer, z):
+        holders = real_cones_containing(engine, producer, z)
+        asked.append((producer.uid, z))
+        for _, moved in holders:
+            assert set(moved) <= {0, 1} and sum(moved) == sum(z), (z, moved)
+        shared[0] = max(shared[0], len(holders))
+        return holders
+
+    for gens in ray_index_cases():
+        tiling = run_p2t(make_cone(gens)).triangulation.cones
+        halved.clear()
+        asked.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("conetri.pow2_refiner.half_vector", recording_half_vector)
+            mp.setattr(_Engine, "cones_containing", checked_cones_containing)
+            refine_to_unimodular(tiling)
+        assert asked == halved
+    assert shared[0] > 1, shared
 
 
 def d5_pin_bases():
@@ -471,11 +478,11 @@ def test_stored_dets_match_an_independent_determinant():
     splits = {"p2t": Counter(), "refine": Counter()}
     phase = "p2t"
 
-    def checked_split_at(cone, x, nums, uid_source):
+    def checked_split_at(cone, x, z, p, uid_source):
         assert x not in cone.generators
         assert cone.det == perm_det(cone.generators)
         splits[phase][len(x)] += 1
-        return real_split_at(cone, x, nums, uid_source)
+        return real_split_at(cone, x, z, p, uid_source)
 
     for gens in ray_index_cases():
         with pytest.MonkeyPatch.context() as mp:

@@ -20,6 +20,7 @@ from conftest import (
     bareiss_det,
     canonical,
     frac_solve,
+    greedy_tiling,
     minimal_2d,
     oracle_dilation,
     oracle_facet_matching,
@@ -98,7 +99,7 @@ def test_half_vector_min_weight_tiebreak():
     # and the lexicographically least indicator wins: generators 1 and 2.
     c = make_cone([(1, 1, 0), (1, -1, 0), (1, 1, 2)])
     assert c.multiplicity == 4
-    assert half_vector(c) == ((1, 0, 1), (1, 2))
+    assert half_vector(c) == ((1, 0, 1), (0, 1, 1))
 
 
 def test_refine_events_halve_multiplicity(monkeypatch):
@@ -227,8 +228,8 @@ def test_phase2_builds_every_cone_through_split_at():
     # final, must be a child that _split_at returned.
     made = []
 
-    def counting_split_at(cone, x, nums, uid_source):
-        children = _split_at(cone, x, nums, uid_source)
+    def counting_split_at(cone, x, z, p, uid_source):
+        children = _split_at(cone, x, z, p, uid_source)
         made.extend(children)
         return children
 
@@ -254,6 +255,32 @@ def test_phase2_builds_every_cone_through_split_at():
         created = [c for c in added + final if id(c) not in inputs]
         assert len(created) > 20, len(created)
         assert sorted(map(id, created)) == sorted(map(id, made))
+
+
+def test_greedy_baseline_tiles_and_passes_every_certificate():
+    # ROADMAP item 9's baseline: the shortest box point, split through the
+    # same cones_containing and split as both phases. On seeded d = 2, 3, 4
+    # draws with mu <= 300, every greedy tiling passes all eight
+    # certificates (no phase 1 trace) and the independent facet matching,
+    # and in total it has fewer cones than the pipeline's tilings.
+    rng = random.Random(20261023)
+    greedy_cones = pipeline_cones = 0
+    for d, bound, n in ((2, 12, 20), (3, 5, 20), (4, 3, 10)):
+        runs = 0
+        while runs < n:
+            gens = random_cone_gens(rng, d, bound)
+            base = make_cone(gens)
+            if base.multiplicity > 300:
+                continue
+            runs += 1
+            final = greedy_tiling(gens)
+            report = certify(base, final, ())
+            assert all(report.certificates), (gens, report.certificates)
+            facets = oracle_facet_matching(gens, [c.generators for c in final])
+            assert facets["face_to_face_ok"], gens
+            greedy_cones += len(final)
+            pipeline_cones += len(refine_to_unimodular(run_p2t(base).triangulation.cones))
+    assert greedy_cones < pipeline_cones, (greedy_cones, pipeline_cones)
 
 
 def test_bareiss_det_matches_perm_det():
@@ -323,10 +350,10 @@ def phase2_hk_ratios(base):
     deepest = 0
     real_split = _Engine.split
 
-    def tracking_split(engine, parent, x, nums):
+    def tracking_split(engine, parent, x, z, p):
         nonlocal worst, deepest
         top = ancestor[parent.uid]
-        children = real_split(engine, parent, x, nums)
+        children = real_split(engine, parent, x, z, p)
         for child in children:
             ancestor[child.uid] = top
         if top.uid not in weights:
@@ -387,8 +414,8 @@ def test_high_dimension_corpus_passes_every_certificate():
     # and the independent facet matching.
     subset_sizes = set()
 
-    def sizing_split_at(cone, x, nums, uid_source):
-        children = _split_at(cone, x, nums, uid_source)
+    def sizing_split_at(cone, x, z, p, uid_source):
+        children = _split_at(cone, x, z, p, uid_source)
         subset_sizes.add(len(children))
         return children
 
