@@ -119,12 +119,9 @@ def random_cone(dim: int, bound: int, rng: random.Random) -> SimplicialCone:
         gens = [
             [rng.randint(-bound, bound) for _ in range(dim)] for _ in range(dim)
         ]
-        if any(vector_content(g) == 0 for g in gens):
-            continue
-        primitive = [primitive_direction(g) for g in gens]
         try:
-            return make_cone(primitive)
-        except ConetriError:
+            return make_cone([primitive_direction(g) for g in gens])
+        except ValueError:
             continue
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from itertools import count
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .cone_geometry import (
     LatticeVector,
@@ -39,10 +39,6 @@ from .number_theory import (
     odd_adjust,
     p_max,
 )
-
-
-def is_power_of_two(n: int) -> bool:
-    return n >= 1 and n & (n - 1) == 0
 
 
 def protected_count(p: int) -> int:
@@ -156,25 +152,25 @@ def adjust_coefficients(z: tuple[int, ...], p: int) -> tuple[int, ...]:
 class _Engine:
     """Live cones of one subdivision phase, with a ray index over them.
 
-    Each phase runs its own loop (run_p2t, refine_to_unimodular): it pops
-    uids off the FIFO `pending`, picks a point x = (1/p) * sum z_g * g by
-    its coefficients z over the popped cone, replaces every holder that
-    cones_containing returns through `split`, and decides which children
-    to add back and what to record about them. A child no later point can
-    lie in is never added: phase 1 sends power-of-two children and phase 2
-    unimodular ones straight to its output, and those cones take no part
-    in the index.
+    An engine starts empty. Each phase (run_p2t, refine_to_unimodular)
+    calls `add` to make a cone live, `pop` for the oldest live cone,
+    `cones_containing` for the holders of a point x = (1/p) * sum z_g * g
+    given by its coefficients z over that cone, and `split` to replace each
+    holder by its children. It decides only which cones go in, input and
+    children alike, and what to record about them. A cone no later point
+    can lie in is never added: phase 1 sends power-of-two cones and phase 2
+    unimodular ones to its output, and they take no part in the index.
 
     The ray index maps each generator vector to the uids of the live cones
     that hold it. It is keyed by the vector, not by its primitive direction,
     because every ray of the live tiling carries exactly one generator
-    vector. The starting cones must have this property: one cone has it,
-    and so does any set of cones from an earlier engine's tiling. Both
-    phases keep it. Say x lies on a ray R, and a live cone C has a
-    generator y on R. Then x is a positive multiple of y, so the producer
-    holds y, x's support is {y}, and C, a holder of y, is split with x's
-    coordinates zero but in y's slot. No split point is one of the split
-    cone's generators (_split_at), so C's only child replaces y by x.
+    vector. The cones a phase adds from its input must have this property:
+    one cone has it, and so does any set of cones from an earlier engine's
+    tiling. Every split keeps it. Say x lies on a ray R, and a live cone C
+    has a generator y on R. Then x is a positive multiple of y, so the
+    producer holds y, x's support is {y}, and C, a holder of y, is split
+    with x's coordinates zero but in y's slot. No split point is one of the
+    split cone's generators (_split_at), so C's only child replaces y by x.
     Every live cone with a generator on R holds x there afterwards, and no
     other ray gains a vector. A cone sent to the output has no generator y
     on R either: it would hold x's support {y} and so contain x, which no
@@ -183,13 +179,11 @@ class _Engine:
     lattice vector.
     """
 
-    def __init__(self, cones: Iterable[SimplicialCone], next_uid: int):
+    def __init__(self, next_uid: int):
         self.cones: dict[int, SimplicialCone] = {}
         self.ray_index: dict[LatticeVector, set[int]] = {}
         self.pending: deque[int] = deque()
         self.uid_source = count(next_uid)
-        for cone in cones:
-            self.add(cone)
 
     def add(self, cone: SimplicialCone) -> None:
         """Make a cone live: index its rays and queue it."""
@@ -203,6 +197,14 @@ class _Engine:
             else:
                 bucket.add(uid)
         self.pending.append(uid)
+
+    def pop(self) -> SimplicialCone | None:
+        """The oldest live cone, or None; skips uids split since queued."""
+        while self.pending:
+            cone = self.cones.get(self.pending.popleft())
+            if cone is not None:
+                return cone
+        return None
 
     def split(
         self, parent: SimplicialCone, x: LatticeVector, z: tuple[int, ...], p: int
@@ -268,23 +270,21 @@ class _Engine:
 def run_p2t(base: SimplicialCone) -> P2TState:
     """Subdivide until every multiplicity is a power of two.
 
-    Cones are processed first-in first-out by uid; each round handles the
-    largest prime factor p of the multiplicity of the oldest remaining
-    offender and subdivides every cone containing the constructed point x'.
-    Each holder goes through _Engine.split with z' moved into its slots,
-    the split step phase 2 shares; its children whose multiplicity has an
-    odd factor join the live set, and one TraceEvent records the split: the
-    trace is the phase's certificate, which audit_trace replays and
-    `conetri run --trace` writes out.
+    One rule routes the base and every child: a cone whose multiplicity
+    has an odd factor joins the engine's live set, and any other goes
+    straight to the tiling, in creation order. Each round pops the oldest
+    live cone, takes the largest prime factor p of its multiplicity and
+    subdivides every cone containing the constructed point x'. Each holder
+    goes through _Engine.split with z' moved into its slots, the split step
+    phase 2 shares, and one TraceEvent records the split: the trace is the
+    phase's certificate, which audit_trace replays and `conetri run
+    --trace` writes out.
 
     Every nonzero z'_g is nonzero mod p, because adjust_coefficients only
     adds multiples of p to a residue in (0, p), so p divides every holder's
     det (_split_at), and a power-of-two cone is never a holder and is never
-    split again.
-    Power-of-two children go straight to the tiling, in creation order,
-    and never enter the engine, whose live set ends empty; a power-of-two
-    base is its own tiling. all_created, the trace and every uid are as if
-    they had stayed live.
+    split again. So the live set ends empty, and all_created, the trace and
+    every uid are as if the power-of-two cones had stayed live.
 
     Args:
         base: the cone to triangulate (normally from make_cone).
@@ -293,22 +293,21 @@ def run_p2t(base: SimplicialCone) -> P2TState:
         P2TState whose triangulation tiles `base` with cones of power-of-two
         multiplicity, plus the full subdivision trace.
     """
-    if is_power_of_two(base.multiplicity):
-        return P2TState(Triangulation(base, [base], [base]), [])
-    engine = _Engine([base], base.uid + 1)
+    engine = _Engine(base.uid + 1)
     tiling: list[SimplicialCone] = []
     created = [base]
     trace: list[TraceEvent] = []
-    while engine.pending:
-        uid = engine.pending.popleft()
-        cone = engine.cones.get(uid)
-        if cone is None:
-            continue
+    mu = base.multiplicity
+    if mu & (mu - 1):
+        engine.add(base)
+    else:
+        tiling.append(base)
+    while (cone := engine.pop()) is not None:
         p = p_max(factorize(abs(cone.det)))
         z_prime = adjust_coefficients(find_x(cone, p), p)
         x_prime = _combine(cone, z_prime, p)
         # The holder list is fixed before the first split, so adding each
-        # parent's children at once leaves uids and `pending` in order.
+        # parent's children at once leaves uids and the queue in order.
         for parent, z in engine.cones_containing(cone, z_prime):
             children = engine.split(parent, x_prime, z, p)
             mu_children = tuple([abs(c.det) for c in children])
@@ -332,5 +331,5 @@ def run_p2t(base: SimplicialCone) -> P2TState:
                 else:
                     tiling.append(child)
             created.extend(children)
-        assert uid not in engine.cones, "the offending cone must get subdivided"
+        assert cone.uid not in engine.cones, "the offending cone must get subdivided"
     return P2TState(Triangulation(base, tiling, created), trace)

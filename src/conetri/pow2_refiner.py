@@ -17,23 +17,25 @@ from typing import Sequence
 
 from .cone_geometry import SimplicialCone, half_vector
 from .errors import PhaseOrderError
-from .p2t_engine import _Engine, is_power_of_two
+from .p2t_engine import _Engine
 
 
 def refine_to_unimodular(cones: Sequence[SimplicialCone]) -> list[SimplicialCone]:
     """Subdivide every power-of-two cone of a tiling down to multiplicity 1.
 
-    Each round pops the oldest live cone and halves it at
-    u = (1/2) * sum_{g in S} g for a subset S of its generators: half_vector
-    gives u and S's 0/1 indicator z. Every cone containing u comes from
-    _Engine.cones_containing with z moved into its slots, and goes through
-    _Engine.split with p = 2, as in phase 1, giving one child per slot of S
-    with half its det.
+    One pass over the input sends each unimodular cone to `final` and adds
+    every other one to the engine. Each round then pops the oldest live cone
+    and halves it at u = (1/2) * sum_{g in S} g for a subset S of its
+    generators: half_vector gives u and S's 0/1 indicator z. Every cone
+    containing u comes from _Engine.cones_containing with z moved into its
+    slots, and goes through _Engine.split with p = 2, as in phase 1, giving
+    one child per slot of S with half its det.
 
     A halving point is half the sum of generators shared by every cone that
     contains it, so its coordinates over a unimodular cone would be
-    half-integers: no halving ever touches a unimodular cone. Such cones
-    therefore go straight to `final` and never enter the engine's live set.
+    half-integers: no halving ever touches a unimodular cone. Such cones,
+    input and children alike, therefore go straight to `final` and never
+    enter the engine's live set.
 
     New uids start one past the largest input uid: on run_p2t's tiling, one
     past every uid phase 1 made, since its last event's children all end
@@ -49,23 +51,21 @@ def refine_to_unimodular(cones: Sequence[SimplicialCone]) -> list[SimplicialCone
         cones in input order, then each new one as it is made.
 
     Raises:
-        PhaseOrderError: if some multiplicity is not a power of two.
+        PhaseOrderError: at the first cone not of power-of-two multiplicity.
     """
+    engine = _Engine(max((c.uid for c in cones), default=-1) + 1)
+    final = []
     for c in cones:
-        if not is_power_of_two(c.multiplicity):
+        mu = c.multiplicity
+        if mu == 1:
+            final.append(c)
+        elif mu & (mu - 1):
             raise PhaseOrderError(
-                f"cone {c.uid} has multiplicity {c.multiplicity}, not a power of two"
+                f"cone {c.uid} has multiplicity {mu}, not a power of two"
             )
-    final = [c for c in cones if c.multiplicity == 1]
-    engine = _Engine(
-        (c for c in cones if c.multiplicity != 1),
-        max((c.uid for c in cones), default=-1) + 1,
-    )
-    live, pending = engine.cones, engine.pending
-    while pending:
-        cone = live.get(pending.popleft())
-        if cone is None:
-            continue
+        else:
+            engine.add(c)
+    while (cone := engine.pop()) is not None:
         found = half_vector(cone)
         assert found is not None, "even multiplicity must yield a half vector"
         u, z = found

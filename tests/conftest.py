@@ -8,9 +8,10 @@ validity from first principles. minimal_2d gives the exact d=2 yardstick,
 the minimal unimodular triangulation. Tests compare package output against these, never against
 the package itself. oracle_smith_normal_form is the package's earlier
 Smith normal form, kept verbatim with its full R, and oracle_nullspace_mod2
-its earlier mod-2 kernel, on rows and as 0/1 tuples. dilation, prime_pi
-and rosser_bound are helpers the package never called, kept here for the
-tests that use them; dilation is built on the package's coordinate_rows.
+its earlier mod-2 kernel, on rows and as 0/1 tuples. dilation, prime_pi,
+rosser_bound and is_power_of_two are helpers the package does not call,
+kept here for the tests that use them; dilation is built on the package's
+coordinate_rows.
 upper_rational is the Fraction form of the bound certify compares the worst
 dilation with. greedy_tiling is a second subdivision rule, not an oracle: it
 drives the package's own engine with the shortest box point, as a baseline
@@ -22,6 +23,10 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+
+
+def is_power_of_two(n: int) -> bool:
+    return n >= 1 and n & (n - 1) == 0
 
 
 def perm_det(m) -> int:
@@ -553,14 +558,13 @@ def greedy_tiling(gens):
     from conetri.p2t_engine import _Engine
 
     base = make_cone(gens)
-    if base.multiplicity == 1:
-        return [base]
-    engine = _Engine([base], base.uid + 1)
+    engine = _Engine(base.uid + 1)
     final = []
-    while engine.pending:
-        cone = engine.cones.get(engine.pending.popleft())
-        if cone is None:
-            continue
+    if base.multiplicity == 1:
+        final.append(base)
+    else:
+        engine.add(base)
+    while (cone := engine.pop()) is not None:
         m = cone.multiplicity
         z = min((z for z in box_group(cone) if any(z)), key=lambda z: (sum(z), z))
         g = math.gcd(m, *z)

@@ -22,13 +22,13 @@ from conetri.p2t_engine import (
     adjust_coefficients,
     coefficient_ok_protected,
     find_x,
-    is_power_of_two,
     protected_count,
     run_p2t,
 )
 from conetri.pow2_refiner import refine_to_unimodular
 
 from conftest import (
+    is_power_of_two,
     oracle_barycentric,
     oracle_smith_normal_form,
     oracle_validate_tiling,
@@ -253,6 +253,30 @@ def test_run_p2t_random_campaign(seed):
     # Label depth across everything ever created.
     for cone in tri.all_created:
         assert cone.max_label() <= phi_base - 1 + 1e-6 or cone is base
+
+
+def test_engine_owns_its_live_set():
+    # An engine starts empty with the uid it is given, add queues cones in
+    # order, and pop returns the oldest live one, skipping a cone that was
+    # split after it was queued.
+    engine = _Engine(5)
+    assert engine.cones == {} and engine.pop() is None
+    tiling = run_p2t(make_cone([(1, 0), (1, 3)])).triangulation.cones
+    halved, other = sorted(tiling, key=lambda c: c.multiplicity, reverse=True)
+    assert (halved.multiplicity, other.multiplicity) == (2, 1)
+    engine.add(halved)
+    engine.add(other)
+    u, z = half_vector(halved)
+    children = engine.split(halved, u, z, 2)
+    assert [c.uid for c in children] == [5, 6]
+    for child in children:
+        engine.add(child)
+    assert engine.pop() is other
+    assert engine.pop() is children[0]
+    assert engine.pop() is children[1]
+    assert engine.pop() is None
+    # Popping leaves a cone live; only split takes one out.
+    assert set(engine.cones) == {other.uid, 5, 6}
 
 
 def exhaustive_cones_containing():
