@@ -12,8 +12,8 @@ All coordinate computations are exact, and the base is the only cone whose
 coordinates are computed: the verifier measures every generator against it
 through coordinate_rows. The subdivision engine computes none. Both phases
 split at a point x = (1/p) * sum z_g * g, given by its coefficients z over
-the producer (order_p_element's, or half_vector's indicator with p = 2),
-and _split_at builds each holder's children from those coefficients.
+the producer (order_p_element's, or half_vector's indicator with p = 2).
+_combine builds x from them, and _split_at each holder's children.
 
 A cone stores no ray directions. A stellar subdivision puts its vector into
 every live cone that contains it, so each ray of a tiling the engine keeps
@@ -24,8 +24,8 @@ carries exactly one generator vector, and the engine's ray index
 from __future__ import annotations
 
 from math import gcd
-from operator import index
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from operator import index, mul
+from typing import Iterator, Sequence
 
 from .errors import (
     DimensionError,
@@ -204,24 +204,18 @@ def order_p_element(cone: SimplicialCone, p: int) -> tuple[int, ...]:
     return z
 
 
-def _combine(cone: SimplicialCone, z: Iterable[int], p: int) -> LatticeVector:
+def _combine(cone: SimplicialCone, z: Sequence[int], p: int) -> LatticeVector:
     """(1/p) * sum z_i * g_i, asserting that it is a lattice point."""
-    acc = [0] * cone.dimension
-    for zi, g in zip(z, cone.generators):
-        if zi:
-            for i, c in enumerate(g):
-                acc[i] += zi * c
+    acc = [sum(map(mul, z, col)) for col in zip(*cone.generators)]
     assert all(c % p == 0 for c in acc)
-    return tuple(c // p for c in acc)
+    return tuple([c // p for c in acc])
 
 
-def half_vector(cone: SimplicialCone) -> tuple[LatticeVector, tuple[int, ...]] | None:
-    """Half the sum of a nonempty generator subset that lands in the lattice.
-
-    Returns (u, z): the lattice point u = (1/2) * sum z_g * g and the
-    subset's 0/1 indicator z in slot order, so u's barycentric coordinates
-    are 1/2 where z is 1 and 0 elsewhere. Returns None when the
-    multiplicity is odd (no such subset exists).
+def half_vector(cone: SimplicialCone) -> tuple[int, ...]:
+    """The 0/1 indicator z, in slot order, of a nonempty generator subset S
+    whose sum is twice a lattice point u = (1/2) * sum z_g * g (build it
+    with _combine), so u's barycentric coordinates are 1/2 on S and 0
+    elsewhere. Raises DivisibilityError if the multiplicity is odd.
 
     Uses the mod-2 kernel basis of the generators (nullspace_mod2, which
     takes them as columns). Any nonzero kernel element gives a valid
@@ -241,7 +235,7 @@ def half_vector(cone: SimplicialCone) -> tuple[LatticeVector, tuple[int, ...]] |
     d = len(gens)
     kernel = nullspace_mod2(gens)
     if not kernel:
-        return None
+        raise DivisibilityError(f"2 does not divide multiplicity {cone.multiplicity}")
     if len(kernel) == 1:
         # The usual case: the only nonzero kernel element.
         best = kernel[0]
@@ -254,10 +248,7 @@ def half_vector(cone: SimplicialCone) -> tuple[LatticeVector, tuple[int, ...]] |
         best = min(span[1:], key=lambda m: (m.bit_count(), m))
     else:
         best = min(kernel, key=lambda m: (m.bit_count(), m))
-    z = tuple([best >> (d - 1 - i) & 1 for i in range(d)])
-    acc = [sum(col) for col in zip(*[g for g, c in zip(gens, z) if c])]
-    assert all(c % 2 == 0 for c in acc)
-    return tuple([c // 2 for c in acc]), z
+    return tuple([best >> (d - 1 - i) & 1 for i in range(d)])
 
 
 def _split_at(
@@ -290,18 +281,3 @@ def _split_at(
             children.append(SimplicialCone(tuple(gens), tuple(labels), next(uid_source), scale * c))
             gens[i], labels[i] = g, label
     return children
-
-
-class Triangulation(NamedTuple):
-    """Phase 1's tiling of a base cone (run_p2t's P2TState.triangulation).
-
-    `cones` is the tiling in creation order, for refine_to_unimodular.
-    `all_created` adds the base and every cone later split. Nothing in
-    conetri reads it: it is kept for the benchmark alone (perfbench/ counts
-    and passes it) until ROADMAP item 2, as the trace holds all the audit
-    needs.
-    """
-
-    base: SimplicialCone
-    cones: list[SimplicialCone]
-    all_created: list[SimplicialCone]

@@ -1,12 +1,12 @@
 """Refinement of power-of-two cones into unimodular ones.
 
 Once every multiplicity is a power of two, the generator matrix of any
-non-unimodular cone has even determinant, so some nonempty subset of its
+non-unimodular cone has even determinant, so some nonempty subset S of its
 generators sums to twice a lattice vector u. Subdividing at u halves the
 multiplicity of every affected cone exactly; l rounds of halving per cone
-finish a multiplicity of 2**l. Each halving is phase 1's step
-(_Engine.cones_containing, then _Engine.split) with p = 2: only the point
-and where the children go differ. The new generators stay short:
+finish a multiplicity of 2**l. Each halving is phase 1's step with p = 2:
+half_vector gives S's indicator z and _combine builds u, then
+_Engine.cones_containing and _Engine.split. The new generators stay short:
 generation-k vectors have dilation at most h_k relative to the cone being
 refined, with h_k <= (d/2) * (3/2)**(k-1).
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .cone_geometry import SimplicialCone, half_vector
+from .cone_geometry import SimplicialCone, _combine, half_vector
 from .errors import PhaseOrderError
 from .p2t_engine import _Engine
 
@@ -26,10 +26,10 @@ def refine_to_unimodular(cones: Sequence[SimplicialCone]) -> list[SimplicialCone
     One pass over the input sends each unimodular cone to `final` and adds
     every other one to the engine. Each round then pops the oldest live cone
     and halves it at u = (1/2) * sum_{g in S} g for a subset S of its
-    generators: half_vector gives u and S's 0/1 indicator z. Every cone
-    containing u comes from _Engine.cones_containing with z moved into its
-    slots, and goes through _Engine.split with p = 2, as in phase 1, giving
-    one child per slot of S with half its det.
+    generators: half_vector gives S's indicator z and _combine builds u.
+    Every cone containing u comes from _Engine.cones_containing with z
+    moved into its slots, and goes through _Engine.split with p = 2, as in
+    phase 1, giving one child per slot of S with half its det.
 
     A halving point is half the sum of generators shared by every cone that
     contains it, so its coordinates over a unimodular cone would be
@@ -66,9 +66,8 @@ def refine_to_unimodular(cones: Sequence[SimplicialCone]) -> list[SimplicialCone
         else:
             engine.add(c)
     while (cone := engine.pop()) is not None:
-        found = half_vector(cone)
-        assert found is not None, "even multiplicity must yield a half vector"
-        u, z = found
+        z = half_vector(cone)
+        u = _combine(cone, z, 2)
         for parent, moved in engine.cones_containing(cone, z):
             for child in engine.split(parent, u, moved, 2):
                 if child.det in (1, -1):

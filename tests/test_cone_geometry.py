@@ -61,16 +61,15 @@ def order_p_point(cone, p):
 
 
 def half_point(cone):
-    """half_vector's point u, or None, after checking its indicator: 0/1
-    in slot order, nonzero, and picking generators that sum to 2u."""
-    found = half_vector(cone)
-    if found is None:
-        return None
-    u, z = found
+    """half_vector's point u, built from its indicator z, and z, after
+    checking z: 0/1 in slot order, nonzero, and picking generators that sum
+    to 2u."""
+    z = half_vector(cone)
+    u = _combine(cone, z, 2)
     assert len(z) == cone.dimension and set(z) <= {0, 1} and any(z)
     picked = [g for g, c in zip(cone.generators, z) if c]
     assert tuple(map(sum, zip(*picked))) == tuple(2 * c for c in u)
-    return u
+    return u, z
 
 
 def test_make_cone_basics():
@@ -291,11 +290,13 @@ def test_stellar_subdivide_multiplicities_split(seed):
 
 
 def test_half_vector_examples():
-    assert half_vector(make_cone([(1, 0), (1, 2)])) == ((1, 1), (1, 1))
-    assert half_vector(make_cone([(1, 0), (0, 1)])) is None
-    assert half_vector(make_cone([(1, 0), (1, 4)])) == ((1, 2), (1, 1))
-    assert half_vector(make_cone([(1, 0), (1, 3)])) is None
-    assert half_vector(labelled_cone([(1, 0), (0, 2)], (-1, -2)))[1] == (0, 1)
+    assert half_point(make_cone([(1, 0), (1, 2)])) == ((1, 1), (1, 1))
+    with pytest.raises(DivisibilityError, match="2 does not divide multiplicity 1"):
+        half_vector(make_cone([(1, 0), (0, 1)]))
+    assert half_point(make_cone([(1, 0), (1, 4)])) == ((1, 2), (1, 1))
+    with pytest.raises(DivisibilityError, match="2 does not divide multiplicity 3"):
+        half_vector(make_cone([(1, 0), (1, 3)]))
+    assert half_vector(labelled_cone([(1, 0), (0, 2)], (-1, -2))) == (0, 1)
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -305,12 +306,11 @@ def test_half_vector_properties(seed):
     d = rng.choice([2, 3])
     gens = random_cone_gens(rng, d, 6)
     c = make_cone(gens)
-    found = half_vector(c)
     if c.multiplicity % 2 == 1:
-        assert found is None
+        with pytest.raises(DivisibilityError):
+            half_vector(c)
     else:
-        assert found is not None
-        u, z = found
+        u, z = half_point(c)
         lam = oracle_barycentric(gens, u)
         assert set(lam) <= {Fraction(0), Fraction(1, 2)}
         assert sum(lam) > 0
@@ -344,7 +344,12 @@ def test_half_vector_matches_oracle(d):
     kernel_dims = set()
     for _ in range(60):
         c = parity_pattern_cone(rng, d)
-        assert half_point(c) == oracle_half_vector(c.generators)
+        want = oracle_half_vector(c.generators)
+        if want is None:
+            with pytest.raises(DivisibilityError):
+                half_vector(c)
+        else:
+            assert half_point(c)[0] == want
         kernel_dims.add((len(even_subsets(c.generators)) + 1).bit_length() - 1)
     assert {1, 2} <= kernel_dims
 
@@ -367,7 +372,7 @@ def test_half_vector_large_kernel_takes_the_lightest_basis_vector():
     gens = tuple(tuple(2 if i == j else 0 for j in range(d)) for i in range(d))
     # det(2*I) = 2^13; perm_det would expand 13! terms.
     c = SimplicialCone(gens, tuple(range(-1, -d - 1, -1)), 0, 2**d)
-    assert half_vector(c) == ((0,) * (d - 1) + (1,), (0,) * (d - 1) + (1,))
+    assert half_point(c) == ((0,) * (d - 1) + (1,), (0,) * (d - 1) + (1,))
 
 
 def test_direct_cone_allows_nonprimitive():

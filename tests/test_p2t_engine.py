@@ -266,8 +266,8 @@ def test_engine_owns_its_live_set():
     assert (halved.multiplicity, other.multiplicity) == (2, 1)
     engine.add(halved)
     engine.add(other)
-    u, z = half_vector(halved)
-    children = engine.split(halved, u, z, 2)
+    z = half_vector(halved)
+    children = engine.split(halved, _combine(halved, z, 2), z, 2)
     assert [c.uid for c in children] == [5, 6]
     for child in children:
         engine.add(child)
@@ -396,9 +396,9 @@ def test_phase2_finds_its_holders_through_cones_containing():
     real_cones_containing = _Engine.cones_containing
 
     def recording_half_vector(cone):
-        found = half_vector(cone)
-        halved.append((cone.uid, found[1]))
-        return found
+        z = half_vector(cone)
+        halved.append((cone.uid, z))
+        return z
 
     def checked_cones_containing(engine, producer, z):
         holders = real_cones_containing(engine, producer, z)

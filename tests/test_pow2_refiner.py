@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conetri import pow2_refiner
 from conetri.cli import random_cone
-from conetri.cone_geometry import _split_at, half_vector, make_cone
+from conetri.cone_geometry import _combine, _split_at, half_vector, make_cone
 from conetri.errors import PhaseOrderError
 from conetri.p2t_engine import _Engine, run_p2t
 from conetri.pow2_refiner import refine_to_unimodular
@@ -61,9 +61,9 @@ def record_halvings(monkeypatch, mu):
     calls = []
 
     def recording(cone):
-        found = half_vector(cone)
-        calls.append((found[0], l - (cone.multiplicity.bit_length() - 1) + 1))
-        return found
+        z = half_vector(cone)
+        calls.append((_combine(cone, z, 2), l - (cone.multiplicity.bit_length() - 1) + 1))
+        return z
 
     monkeypatch.setattr(pow2_refiner, "half_vector", recording)
     return calls
@@ -100,7 +100,8 @@ def test_half_vector_min_weight_tiebreak():
     # and the lexicographically least indicator wins: generators 1 and 2.
     c = make_cone([(1, 1, 0), (1, -1, 0), (1, 1, 2)])
     assert c.multiplicity == 4
-    assert half_vector(c) == ((1, 0, 1), (0, 1, 1))
+    z = half_vector(c)
+    assert (_combine(c, z, 2), z) == ((1, 0, 1), (0, 1, 1))
 
 
 def test_refine_events_halve_multiplicity(monkeypatch):
@@ -258,6 +259,28 @@ def test_phase2_builds_every_cone_through_split_at():
         assert sorted(map(id, created)) == sorted(map(id, made))
 
 
+def test_phase2_builds_each_point_through_combine(monkeypatch):
+    # Phase 2 builds its point as phase 1 does, with _combine: once per
+    # halving, on the cone half_vector halved, its indicator and p = 2.
+    halved, combined = [], []
+
+    def recording_half_vector(cone):
+        z = half_vector(cone)
+        halved.append((cone, z, 2))
+        return z
+
+    def counting_combine(cone, z, p):
+        combined.append((cone, z, p))
+        return _combine(cone, z, p)
+
+    tiling = run_p2t(make_cone([(-1, -3, -3), (-4, 1, 1), (5, -1, -5)])).triangulation.cones
+    monkeypatch.setattr("conetri.pow2_refiner.half_vector", recording_half_vector)
+    monkeypatch.setattr("conetri.pow2_refiner._combine", counting_combine)
+    refine_to_unimodular(tiling)
+    assert len(halved) >= 10, len(halved)
+    assert combined == halved
+
+
 def test_greedy_baseline_tiles_and_passes_every_certificate():
     # ROADMAP item 9's baseline: the shortest box point, split through the
     # same cones_containing and split as both phases. On seeded d = 2, 3, 4
@@ -392,9 +415,9 @@ def test_phase2_points_obey_hk_over_their_phase1_cone():
     # phase 1 tiling at once, across phase 1 cone boundaries, and every
     # generation-k point still has dilation at most h_k over the phase 1
     # cone it lies in. The draws are random_cone(d, bound, Random(1000 * d
-    # + 17 * bound + i)) for (d, bound, i), then HIGH_D_DRAWS and the d = 4
-    # campaign's first twelve cones (its seventh is HEAVY_D4); h_k is met
-    # with equality.
+    # + 17 * bound + i)) for (d, bound, i), then HIGH_D_DRAWS and the first
+    # twelve cones of the campaign at d = 4 (its seventh is HEAVY_D4), 2, 3
+    # and 5; h_k is met with equality.
     assert campaign_cone(4, 6).generators == HEAVY_D4
     bases = (
         [make_cone(HEAVY_D4)]
@@ -406,6 +429,7 @@ def test_phase2_points_obey_hk_over_their_phase1_cone():
         ]
         + [random_cone(d, 2, random.Random(1000 * d + 34 + i)) for d, i in HIGH_D_DRAWS]
         + [campaign_cone(4, j) for j in range(12) if j != 6]
+        + [campaign_cone(d, j) for d in (2, 3, 5) for j in range(12)]
     )
     worsts, deepest = [], []
     for base in bases:
