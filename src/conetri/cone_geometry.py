@@ -10,9 +10,9 @@ sits on one of its own generators.
 
 All coordinate computations are exact, and the base is the only cone whose
 coordinates are computed: the verifier measures every generator against it
-through coordinate_rows. The subdivision engine computes none. Both phases
-split at a point x = (1/p) * sum z_g * g, given by its coefficients z over
-the producer (order_p_element's, or half_vector's indicator with p = 2).
+through coordinate_rows. The subdivision engine computes none. Its loop
+(p2t_engine._Engine) splits at x = (1/p) * sum z_g * g, given by z over the
+producer (order_p_element's, or half_vector's indicator with p = 2):
 _combine builds x from them, and _split_at each holder's children.
 
 A cone stores no ray directions. A stellar subdivision puts its vector into

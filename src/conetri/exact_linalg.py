@@ -2,9 +2,9 @@
 
 Everything here runs on arbitrary-precision Python integers; no floating
 point is used anywhere in this module. Matrices are sequences of rows;
-results are returned as immutable tuples. The determinant is computed
-fraction-free (Bareiss), so intermediate values stay integral even though
-naive elimination would produce rationals.
+results are returned as immutable tuples. Beyond 4 x 4 the determinant is
+computed fraction-free (Bareiss), so intermediate values stay integral even
+though naive elimination would produce rationals.
 """
 
 from __future__ import annotations
@@ -39,8 +39,10 @@ def _require_square(rows: list[list[int]]) -> int:
 def determinant(m: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix, computed fraction-free.
 
-    Bareiss elimination: every intermediate entry is itself a minor of the
-    input, so the divisions below are exact and everything stays an int.
+    Written out for n <= 4, where it costs a few multiplications, and the
+    unpacking of the rows checks the shape. Beyond, Bareiss elimination:
+    every intermediate entry is itself a minor of the input, so the
+    divisions below are exact and everything stays an int.
 
     Args:
         m: square matrix as a sequence of rows of ints.
@@ -51,6 +53,27 @@ def determinant(m: Sequence[Sequence[int]]) -> int:
     Raises:
         DimensionError: if `m` is not square.
     """
+    n = len(m)
+    try:
+        if n == 2:
+            (a0, a1), (b0, b1) = m
+            return a0 * b1 - a1 * b0
+        if n == 3:
+            (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = m
+            return a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
+        if n == 4:
+            # Laplace expansion by the 2 x 2 minors of the first two rows.
+            (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (e0, e1, e2, e3) = m
+            return (
+                (a0 * b1 - a1 * b0) * (c2 * e3 - c3 * e2)
+                - (a0 * b2 - a2 * b0) * (c1 * e3 - c3 * e1)
+                + (a0 * b3 - a3 * b0) * (c1 * e2 - c2 * e1)
+                + (a1 * b2 - a2 * b1) * (c0 * e3 - c3 * e0)
+                - (a1 * b3 - a3 * b1) * (c0 * e2 - c2 * e0)
+                + (a2 * b3 - a3 * b2) * (c0 * e1 - c1 * e0)
+            )
+    except ValueError:
+        raise DimensionError(f"expected a square {n}x{n} matrix") from None
     a = _as_rows(m)
     n = _require_square(a)
     sign = 1

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from itertools import count
-from typing import NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .cone_geometry import (
     LatticeVector,
@@ -164,40 +164,47 @@ def adjust_coefficients(z: tuple[int, ...], p: int) -> tuple[int, ...]:
 
 
 class _Engine:
-    """Live cones of one subdivision phase, with a ray index over them.
+    """The one subdivision loop of both phases, over its live cones and a
+    ray index of them.
 
-    An engine starts empty. Each phase (run_p2t, refine_to_unimodular)
-    calls `add` to make a cone live, `pop` for the oldest live cone,
-    `cones_containing` for the holders of a point x = (1/p) * sum z_g * g
-    given by its coefficients z over that cone, and `split` to replace each
-    holder by its children. It decides only which cones go in, input and
-    children alike, and what to record about them. A cone no later point
-    can lie in is never added: phase 1 sends power-of-two cones and phase 2
-    unimodular ones to its output, and they take no part in the index.
+    A phase routes its input in (`route`) and calls
+    `subdivide(choose, record)`. Each round pops the oldest live cone, asks
+    `choose` for its point x = (1/p) * sum z_g * g as (z, p), builds x
+    once with _combine, and replaces every holder that `cones_containing`
+    returns by its children (`split`), handing each split to `record` as
+    (parent, p, z, x, children), with z moved into that parent's slots.
+    Then it routes the round's children. A cone is finished, and goes to
+    the list `done` instead of the live set, when its multiplicity is a
+    power of two at most `top`: math.inf in phase 1, 1 in phase 2. No
+    later point lies in a finished cone (run_p2t and refine_to_unimodular
+    say why), so it takes no part in the index. Phase 2 passes no `record`:
+    a yield per round, or a Python call per child, cost it a few percent.
 
     The ray index maps each generator vector to the uids of the live cones
     that hold it. It is keyed by the vector, not by its primitive direction,
     because every ray of the live tiling carries exactly one generator
-    vector. The cones a phase adds from its input must have this property:
-    one cone has it, and so does any set of cones from an earlier engine's
+    vector. The cones a phase routes in must have this property: one cone
+    has it, and so does any set of cones from an earlier engine's
     tiling. Every split keeps it. Say x lies on a ray R, and a live cone C
     has a generator y on R. Then x is a positive multiple of y, so the
     producer holds y, x's support is {y}, and C, a holder of y, is split
     with x's coordinates zero but in y's slot. No split point is one of the
     split cone's generators (_split_at), so C's only child replaces y by x.
     Every live cone with a generator on R holds x there afterwards, and no
-    other ray gains a vector. A cone sent to the output has no generator y
-    on R either: it would hold x's support {y} and so contain x, which no
-    output cone does. Primitivity plays no part, and the generators are not
+    other ray gains a vector. A finished cone has no generator y on R
+    either: it would hold x's support {y} and so contain x, which no
+    finished cone does. Primitivity plays no part, and the generators are not
     all primitive: order-p and halving points are often multiples of a
     lattice vector.
     """
 
-    def __init__(self, next_uid: int):
+    def __init__(self, next_uid: int, top: float):
         self.cones: dict[int, SimplicialCone] = {}
         self.ray_index: dict[LatticeVector, set[int]] = {}
         self.pending: deque[int] = deque()
         self.uid_source = count(next_uid)
+        self.top = top
+        self.done: list[SimplicialCone] = []
 
     def add(self, cone: SimplicialCone) -> None:
         """Make a cone live: index its rays and queue it."""
@@ -212,6 +219,16 @@ class _Engine:
                 bucket.add(uid)
         self.pending.append(uid)
 
+    def route(self, cones: Iterable[SimplicialCone]) -> None:
+        """Append each finished cone to `done` and add each other one."""
+        top, done = self.top, self.done
+        for cone in cones:
+            mu = abs(cone.det)
+            if mu & (mu - 1) or mu > top:
+                self.add(cone)
+            else:
+                done.append(cone)
+
     def pop(self) -> SimplicialCone | None:
         """The oldest live cone, or None; skips uids split since queued."""
         while self.pending:
@@ -220,13 +237,28 @@ class _Engine:
                 return cone
         return None
 
+    def subdivide(self, choose: Callable, record: Callable | None = None) -> None:
+        """The loop of the class docstring."""
+        while (cone := self.pop()) is not None:
+            z, p = choose(cone)
+            x = _combine(cone, z, p)
+            born = []
+            for parent, moved in self.cones_containing(cone, z):
+                children = self.split(parent, x, moved, p)
+                born += children
+                if record is not None:
+                    record(parent, p, moved, x, children)
+            # The holder list is fixed before the first split, so routing the
+            # round's children after it leaves uids and the queue in order.
+            self.route(born)
+            assert cone.uid not in self.cones, "the popped cone must get split"
+
     def split(
         self, parent: SimplicialCone, x: LatticeVector, z: tuple[int, ...], p: int
     ) -> list[SimplicialCone]:
         """Take a live cone out of the live set and the ray index, and
         return its children at x = (1/p) * sum z_g * g (_split_at; z as
-        cones_containing moved it over). The caller adds back the ones to
-        keep."""
+        cones_containing moved it over), for the caller to route."""
         uid = parent.uid
         del self.cones[uid]
         index = self.ray_index
@@ -285,15 +317,13 @@ class _Engine:
 def run_p2t(base: SimplicialCone) -> P2TState:
     """Subdivide until every multiplicity is a power of two.
 
-    One rule routes the base and every child: a cone whose multiplicity
-    has an odd factor joins the engine's live set, and any other goes
-    straight to the tiling, in creation order. Each round pops the oldest
-    live cone, takes the largest prime factor p of its multiplicity and
-    subdivides every cone containing the constructed point x'. Each holder
-    goes through _Engine.split with z' moved into its slots, the split step
-    phase 2 shares, and one TraceEvent records the split: the trace is the
-    phase's certificate, which audit_trace replays and `conetri run
-    --trace` writes out.
+    Phase 1 runs the loop of _Engine with its own point, finished rule and
+    record. A popped cone is split at x' = (1/p) * sum z'_g * g, with p
+    the largest prime factor of its multiplicity and z' =
+    adjust_coefficients(find_x). A power-of-two cone is finished, and the
+    tiling lists those in creation order. One TraceEvent records each
+    split: the trace is the phase's certificate, which audit_trace replays
+    and `conetri run --trace` writes out.
 
     Every nonzero z'_g is nonzero mod p, because adjust_coefficients only
     adds multiples of p to a residue in (0, p), so p divides every holder's
@@ -308,43 +338,31 @@ def run_p2t(base: SimplicialCone) -> P2TState:
         P2TState whose triangulation tiles `base` with cones of power-of-two
         multiplicity, plus the full subdivision trace.
     """
-    engine = _Engine(base.uid + 1)
-    tiling: list[SimplicialCone] = []
+    def choose(cone: SimplicialCone) -> tuple[tuple[int, ...], int]:
+        p = p_max(factorize(abs(cone.det)))
+        return adjust_coefficients(find_x(cone, p), p), p
+
+    engine = _Engine(base.uid + 1, math.inf)
+    engine.route([base])
     created = [base]
     trace: list[TraceEvent] = []
-    mu = base.multiplicity
-    if mu & (mu - 1):
-        engine.add(base)
-    else:
-        tiling.append(base)
-    while (cone := engine.pop()) is not None:
-        p = p_max(factorize(abs(cone.det)))
-        z_prime = adjust_coefficients(find_x(cone, p), p)
-        x_prime = _combine(cone, z_prime, p)
-        # The holder list is fixed before the first split, so adding each
-        # parent's children at once leaves uids and the queue in order.
-        for parent, z in engine.cones_containing(cone, z_prime):
-            children = engine.split(parent, x_prime, z, p)
-            mu_children = tuple([abs(c.det) for c in children])
-            # Fields in order: keywords would double the cost of building one.
-            trace.append(
-                TraceEvent(
-                    parent.uid,
-                    p,
-                    tuple([c % p for c in z]),
-                    z,
-                    x_prime,
-                    children[0].max_label(),
-                    tuple([c.uid for c in children]),
-                    abs(parent.det),
-                    mu_children,
-                )
+
+    def record(parent, p, z, x_prime, children):
+        # Fields in order: keywords would double the cost of building one.
+        trace.append(
+            TraceEvent(
+                parent.uid,
+                p,
+                tuple([c % p for c in z]),
+                z,
+                x_prime,
+                children[0].max_label(),
+                tuple([c.uid for c in children]),
+                abs(parent.det),
+                tuple([abs(c.det) for c in children]),
             )
-            for child, mu in zip(children, mu_children):
-                if mu & (mu - 1):
-                    engine.add(child)
-                else:
-                    tiling.append(child)
-            created.extend(children)
-        assert cone.uid not in engine.cones, "the offending cone must get subdivided"
-    return P2TState(Triangulation(base, tiling, created), trace)
+        )
+        created.extend(children)
+
+    engine.subdivide(choose, record)
+    return P2TState(Triangulation(base, engine.done, created), trace)

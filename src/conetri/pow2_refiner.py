@@ -4,18 +4,18 @@ Once every multiplicity is a power of two, the generator matrix of any
 non-unimodular cone has even determinant, so some nonempty subset S of its
 generators sums to twice a lattice vector u. Subdividing at u halves the
 multiplicity of every affected cone exactly; l rounds of halving per cone
-finish a multiplicity of 2**l. Each halving is phase 1's step with p = 2:
-half_vector gives S's indicator z and _combine builds u, then
-_Engine.cones_containing and _Engine.split. The new generators stay short:
-generation-k vectors have dilation at most h_k relative to the cone being
-refined, with h_k <= (d/2) * (3/2)**(k-1).
+finish a multiplicity of 2**l. Each halving is one round of the loop both
+phases share, p2t_engine._Engine.subdivide, at half_vector's indicator of
+S. The new generators stay short: generation-k vectors have dilation at
+most h_k relative to the cone being refined, with h_k <= (d/2) *
+(3/2)**(k-1).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .cone_geometry import SimplicialCone, _combine, half_vector
+from .cone_geometry import SimplicialCone, half_vector
 from .errors import PhaseOrderError
 from .p2t_engine import _Engine
 
@@ -23,19 +23,15 @@ from .p2t_engine import _Engine
 def refine_to_unimodular(cones: Sequence[SimplicialCone]) -> list[SimplicialCone]:
     """Subdivide every power-of-two cone of a tiling down to multiplicity 1.
 
-    One pass over the input sends each unimodular cone to `final` and adds
-    every other one to the engine. Each round then pops the oldest live cone
-    and halves it at u = (1/2) * sum_{g in S} g for a subset S of its
-    generators: half_vector gives S's indicator z and _combine builds u.
-    Every cone containing u comes from _Engine.cones_containing with z
-    moved into its slots, and goes through _Engine.split with p = 2, as in
-    phase 1, giving one child per slot of S with half its det.
+    The loop is _Engine.subdivide (see _Engine). Phase 2 supplies the point
+    u = (1/2) * sum_{g in S} g, from half_vector's indicator z of S with
+    p = 2, which gives one child per slot of S with half its det, and the
+    finished rule: unimodular. It records nothing.
 
     A halving point is half the sum of generators shared by every cone that
     contains it, so its coordinates over a unimodular cone would be
-    half-integers: no halving ever touches a unimodular cone. Such cones,
-    input and children alike, therefore go straight to `final` and never
-    enter the engine's live set.
+    half-integers: no halving ever touches a unimodular cone, and such
+    cones, input and children alike, never enter the live set.
 
     New uids start one past the largest input uid: on run_p2t's tiling, one
     past every uid phase 1 made, since its last event's children all end
@@ -53,25 +49,11 @@ def refine_to_unimodular(cones: Sequence[SimplicialCone]) -> list[SimplicialCone
     Raises:
         PhaseOrderError: at the first cone not of power-of-two multiplicity.
     """
-    engine = _Engine(max((c.uid for c in cones), default=-1) + 1)
-    final = []
     for c in cones:
         mu = c.multiplicity
-        if mu == 1:
-            final.append(c)
-        elif mu & (mu - 1):
-            raise PhaseOrderError(
-                f"cone {c.uid} has multiplicity {mu}, not a power of two"
-            )
-        else:
-            engine.add(c)
-    while (cone := engine.pop()) is not None:
-        z = half_vector(cone)
-        u = _combine(cone, z, 2)
-        for parent, moved in engine.cones_containing(cone, z):
-            for child in engine.split(parent, u, moved, 2):
-                if child.det in (1, -1):
-                    final.append(child)
-                else:
-                    engine.add(child)
-    return final
+        if mu & (mu - 1):
+            raise PhaseOrderError(f"cone {c.uid} has multiplicity {mu}, not a power of two")
+    engine = _Engine(max((c.uid for c in cones), default=-1) + 1, 1)
+    engine.route(cones)
+    engine.subdivide(lambda cone: (half_vector(cone), 2))
+    return engine.done

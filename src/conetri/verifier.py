@@ -6,10 +6,11 @@ re-derives potentials from fresh factorizations and checks each label
 vector's exact dilation against its budget. Two comparisons go through a
 float: the multiplicity ceiling is compared in log2 with PHI_SLACK, and the
 exact worst dilation is compared with the float theorem bound nudged one
-ulp up (_within). Two inputs are read as given, not re-derived: each final
-cone's stored det (its multiplicity) and the trace itself (each event's
-x_prime, new_label_index, mu_parent and mu_children). A certificate is
-therefore only as sound as those records.
+ulp up (_within). Each final cone's det is computed from its generators
+(exact_linalg.determinant), never read from the cone. One input is read as
+given, not re-derived: the trace itself (each event's x_prime,
+new_label_index, mu_parent and mu_children). A certificate is therefore
+only as sound as that record.
 
 The tiling certificate is a cross-section volume identity. Cutting the base
 cone with the affine hyperplane {dilation == 1} turns each cone D of the
@@ -30,7 +31,7 @@ from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .cone_geometry import SimplicialCone, coordinate_rows
-from .exact_linalg import IntMatrix
+from .exact_linalg import IntMatrix, determinant
 from .number_theory import eta, factorize, phi
 from .p2t_engine import TraceEvent
 
@@ -100,7 +101,8 @@ def _sweep(
     rows is coordinate_rows(base). Everything is kept in integer
     numerators over D = |det(base)|. A generator g's numerators are
     rows @ g: g lies in the base when none is negative, and their sum s_g
-    is D times g's dilation. A cone C's volume term mu(C) / prod(s_g / D)
+    is D times g's dilation. A cone C's multiplicity mu(C) is the
+    |determinant| of its generators, and its volume term mu(C) / prod(s_g / D)
     is then D**d * mu(C) / prod(s_g), and the terms mu(C) / prod(s_g) are
     added exactly as a balanced pairwise sum (_pairwise_sum), not left to right:
     a running total's denominator grows to the lcm of every denominator
@@ -116,7 +118,8 @@ def _sweep(
     scaled: dict[tuple[int, ...], int] = {}
     terms: list[tuple[int, int]] = []
     for c in cones:
-        if c.det not in (1, -1):
+        mu = abs(determinant(c.generators))
+        if mu != 1:
             all_unimodular = False
         prod = 1
         for g in c.generators:
@@ -130,7 +133,7 @@ def _sweep(
                 scaled[g] = s
             prod *= s
         else:
-            terms.append((abs(c.det), prod))
+            terms.append((mu, prod))
     vol_n, vol_d = _pairwise_sum(terms)
     volume_ok = containment_ok and vol_n * mu_base**base.dimension == mu_base * vol_d
     top = max(scaled.values(), default=0)

@@ -544,36 +544,26 @@ def greedy_tiling(gens):
     """A unimodular tiling of make_cone(gens) by the greedy rule, the
     baseline of ROADMAP item 9.
 
-    Each round takes the oldest non-unimodular live cone, picks its
-    shortest nonzero box point (the least z by (sum z, z)) and splits every
-    live cone containing it, through the engine's own cones_containing and
-    split. The point is passed with p = m / gcd(m, z) and z divided by that
-    gcd: then p divides every holder's det, as _split_at asserts, which it
-    need not for p = m.
+    It drives the engine's own loop (_Engine.subdivide) with the shortest box
+    point of each popped cone (the least nonzero z by (sum z, z)), and
+    finishes only unimodular cones. The point is passed with
+    p = m / gcd(m, z) and z divided by that gcd: then p divides every
+    holder's det, as _split_at asserts, which it need not for p = m.
 
     Returns:
         The unimodular cones, in the order they were made.
     """
-    from conetri.cone_geometry import _combine, make_cone
+    from conetri.cone_geometry import make_cone
     from conetri.p2t_engine import _Engine
 
-    base = make_cone(gens)
-    engine = _Engine(base.uid + 1)
-    final = []
-    if base.multiplicity == 1:
-        final.append(base)
-    else:
-        engine.add(base)
-    while (cone := engine.pop()) is not None:
+    def shortest(cone):
         m = cone.multiplicity
         z = min((z for z in box_group(cone) if any(z)), key=lambda z: (sum(z), z))
         g = math.gcd(m, *z)
-        p, z = m // g, tuple(c // g for c in z)
-        x = _combine(cone, z, p)
-        for parent, moved in engine.cones_containing(cone, z):
-            for child in engine.split(parent, x, moved, p):
-                if child.multiplicity == 1:
-                    final.append(child)
-                else:
-                    engine.add(child)
-    return final
+        return tuple(c // g for c in z), m // g
+
+    base = make_cone(gens)
+    engine = _Engine(base.uid + 1, 1)
+    engine.route([base])
+    engine.subdivide(shortest)
+    return engine.done

@@ -46,8 +46,24 @@ def test_determinant_examples():
 
 
 def test_determinant_rejects_nonsquare():
-    with pytest.raises(DimensionError):
-        determinant([(1, 2, 3), (4, 5, 6)])
+    for m in (
+        [(1, 2, 3), (4, 5, 6)],
+        [(1, 2), (3,)],
+        [(1, 2, 3), (4, 5), (6, 7, 8)],
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)],
+        [(1,) * 5] * 4 + [(1,) * 4],
+    ):
+        with pytest.raises(DimensionError):
+            determinant(m)
+
+
+def test_determinant_matches_permanent_expansion_2x2_to_6x6():
+    # The written-out forms for n <= 4, and Bareiss beyond.
+    rng = random.Random(20261024)
+    for n in range(2, 7):
+        for _ in range(50):
+            m = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n))
+            assert determinant(m) == perm_det(m), m
 
 
 @given(square_matrix(3))

@@ -10,9 +10,19 @@ from operator import mul
 
 import pytest
 from hypothesis import given, settings
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 from hypothesis import strategies as st
 
-from conetri.cone_geometry import _combine, _split_at, half_vector, make_cone, vector_content
+from conetri.cone_geometry import (
+    SimplicialCone,
+    _combine,
+    _split_at,
+    coordinate_rows,
+    half_vector,
+    make_cone,
+    order_p_element,
+    vector_content,
+)
 from conetri.errors import DivisibilityError
 from conetri.exact_linalg import adjugate, smith_normal_form
 from conetri.number_theory import ROSSER_CONSTANT, factorize, is_prime, p_max, phi
@@ -26,10 +36,12 @@ from conetri.p2t_engine import (
     run_p2t,
 )
 from conetri.pow2_refiner import refine_to_unimodular
+from conetri.verifier import _sweep
 
 from conftest import (
     is_power_of_two,
     oracle_barycentric,
+    oracle_facet_matching,
     oracle_smith_normal_form,
     oracle_validate_tiling,
     perm_det,
@@ -259,8 +271,8 @@ def test_engine_owns_its_live_set():
     # An engine starts empty with the uid it is given, add queues cones in
     # order, and pop returns the oldest live one, skipping a cone that was
     # split after it was queued.
-    engine = _Engine(5)
-    assert engine.cones == {} and engine.pop() is None
+    engine = _Engine(5, 1)
+    assert engine.cones == {} and engine.done == [] and engine.pop() is None
     tiling = run_p2t(make_cone([(1, 0), (1, 3)])).triangulation.cones
     halved, other = sorted(tiling, key=lambda c: c.multiplicity, reverse=True)
     assert (halved.multiplicity, other.multiplicity) == (2, 1)
@@ -279,6 +291,20 @@ def test_engine_owns_its_live_set():
     assert set(engine.cones) == {other.uid, 5, 6}
 
 
+def test_engine_routes_by_its_finished_rule():
+    # route appends each cone whose multiplicity is a power of two no
+    # larger than top to done, and queues every other one live, both in
+    # input order.
+    mus = (1, 2, 3, 4, 6)
+    cones = [SimplicialCone(((1, 0), (1, m)), (-1, -2), uid, m) for uid, m in enumerate(mus)]
+    for top, done in ((1, [1]), (math.inf, [1, 2, 4]), (2, [1, 2])):
+        engine = _Engine(1, top)
+        engine.route(cones)
+        assert [c.multiplicity for c in engine.done] == done
+        live = [c.multiplicity for c in iter(engine.pop, None)]
+        assert live == [m for m in mus if m not in done]
+
+
 def exhaustive_cones_containing():
     """Reference for _Engine.cones_containing: test every live cone, with
     x's coefficients over it from a fresh adjugate of its generator matrix
@@ -286,10 +312,12 @@ def exhaustive_cones_containing():
     adjugate is computed once per reference."""
     fresh_adjugate = functools.cache(lambda gens: adjugate(tuple(zip(*gens))))
 
-    def scan(engine, producer, z):
-        # The point x = (1/p) * sum z_g * g over the producer: run_p2t's p,
-        # or 2 for a power-of-two producer in refine_to_unimodular.
-        p = p_max(factorize(producer.multiplicity))
+    def scan(engine, producer, z, p=None):
+        # The point x = (1/p) * sum z_g * g over the producer: p as given,
+        # else run_p2t's p, or 2 for a power-of-two producer in
+        # refine_to_unimodular.
+        if p is None:
+            p = p_max(factorize(producer.multiplicity))
         x = _combine(producer, z, p)
         px = [sum(c * g[i] for c, g in zip(z, producer.generators)) for i in range(len(x))]
         assert px == [p * xi for xi in x]
@@ -384,6 +412,83 @@ def test_ray_index_matches_exhaustive_scan():
         assert snapshot(fast.triangulation.cones) == snapshot(slow.triangulation.cones)
         assert snapshot(fast_final) == snapshot(slow_final)
     assert nonprimitive["p2t"] and nonprimitive["refine"], nonprimitive
+
+
+class EngineUnderAnySplitOrder(RuleBasedStateMachine):
+    """The engine's invariants under split orders the pipeline never makes.
+
+    A seeded small base (d = 2 to 4, mu <= 60) goes into an engine that
+    finishes unimodular cones only. Each step splits every holder of a
+    point of a live cone, chosen in any order: an order-p point, for any
+    prime p of the cone's det and any multiple, or the halving point of a
+    power-of-two cone. After each step, cones_containing agrees with an
+    exhaustive scan on every live cone's order-p points, and the live and
+    finished cones tile the base face to face with the right volume.
+    """
+
+    @initialize(seed=st.integers(min_value=0, max_value=10**6))
+    def start(self, seed):
+        rng = random.Random(seed)
+        d = rng.choice((2, 3, 4))
+        while True:
+            gens = random_cone_gens(rng, d, {2: 9, 3: 5, 4: 3}[d])
+            if 1 < abs(perm_det(gens)) <= 60:
+                break
+        self.base = make_cone(gens)
+        self.engine = _Engine(1, 1)
+        self.engine.route([self.base])
+        self.scan = exhaustive_cones_containing()
+
+    def live(self, keep=lambda cone: True):
+        """The live cones that pass keep, in uid order."""
+        return [c for _, c in sorted(self.engine.cones.items()) if keep(c)]
+
+    def split_holders(self, cone, z, p):
+        x = _combine(cone, z, p)
+        for parent, moved in self.engine.cones_containing(cone, z):
+            self.engine.route(self.engine.split(parent, x, moved, p))
+
+    @precondition(lambda self: self.engine.cones)
+    @rule(data=st.data())
+    def split_at_an_order_p_point(self, data):
+        cone = data.draw(st.sampled_from(self.live()))
+        p = data.draw(st.sampled_from([q for q, _ in factorize(cone.multiplicity).factors]))
+        j = data.draw(st.integers(min_value=1, max_value=p - 1))
+        self.split_holders(cone, tuple(j * c % p for c in order_p_element(cone, p)), p)
+
+    @precondition(lambda self: self.live(lambda c: is_power_of_two(c.multiplicity)))
+    @rule(data=st.data())
+    def halve_a_power_of_two_cone(self, data):
+        cone = data.draw(st.sampled_from(self.live(lambda c: is_power_of_two(c.multiplicity))))
+        self.split_holders(cone, half_vector(cone), 2)
+
+    @precondition(lambda self: not self.engine.cones)
+    @rule()
+    def every_cone_is_finished(self):
+        # Once no cone is live, the tiling is unimodular.
+        assert all(c.multiplicity == 1 for c in self.engine.done)
+
+    @invariant()
+    def holders_match_an_exhaustive_scan(self):
+        for cone in self.live():
+            for p, _ in factorize(cone.multiplicity).factors:
+                z = order_p_element(cone, p)
+                expected = self.scan(self.engine, cone, z, p)
+                assert self.engine.cones_containing(cone, z) == expected
+
+    @invariant()
+    def cones_tile_the_base(self):
+        cones = self.live() + self.engine.done
+        facets = oracle_facet_matching(self.base.generators, [c.generators for c in cones])
+        assert facets["face_to_face_ok"]
+        volume_ok, containment_ok, _, _ = _sweep(self.base, coordinate_rows(self.base), cones)
+        assert volume_ok and containment_ok
+
+
+TestEngineUnderAnySplitOrder = EngineUnderAnySplitOrder.TestCase
+TestEngineUnderAnySplitOrder.settings = settings(
+    max_examples=25, stateful_step_count=12, deadline=None
+)
 
 
 def test_phase2_finds_its_holders_through_cones_containing():

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from functools import cache
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
@@ -260,8 +261,9 @@ def test_phase2_builds_every_cone_through_split_at():
 
 
 def test_phase2_builds_each_point_through_combine(monkeypatch):
-    # Phase 2 builds its point as phase 1 does, with _combine: once per
-    # halving, on the cone half_vector halved, its indicator and p = 2.
+    # Phase 2 builds its point in the loop both phases share, with
+    # _combine: once per halving, on the cone half_vector halved, its
+    # indicator and p = 2.
     halved, combined = [], []
 
     def recording_half_vector(cone):
@@ -275,10 +277,64 @@ def test_phase2_builds_each_point_through_combine(monkeypatch):
 
     tiling = run_p2t(make_cone([(-1, -3, -3), (-4, 1, 1), (5, -1, -5)])).triangulation.cones
     monkeypatch.setattr("conetri.pow2_refiner.half_vector", recording_half_vector)
-    monkeypatch.setattr("conetri.pow2_refiner._combine", counting_combine)
+    monkeypatch.setattr("conetri.p2t_engine._combine", counting_combine)
     refine_to_unimodular(tiling)
     assert len(halved) >= 10, len(halved)
     assert combined == halved
+
+
+def phase2_engine(cones, record):
+    """The engine refine_to_unimodular builds on cones, run with record
+    called on each split as (parent, p, z, x, children). Its `done` is
+    then refine_to_unimodular's output."""
+    engine = _Engine(max((c.uid for c in cones), default=-1) + 1, 1)
+    engine.route(cones)
+    engine.subdivide(lambda cone: (half_vector(cone), 2), record)
+    return engine
+
+
+def fields(cones):
+    return [(c.uid, c.generators, c.labels, c.det) for c in cones]
+
+
+def test_phase2_recorded_splits_replay_to_refine_output():
+    # Phase 2's splits, read off the loop refine_to_unimodular runs with no
+    # monkeypatch, replay to its output: start from the unimodular inputs,
+    # take each split's parent out of the live cones, and finish each child
+    # of multiplicity 1. Every split is at p = 2 and halves the det.
+    total = 0
+    for gens in (
+        [(-1, -3, -3), (-4, 1, 1), (5, -1, -5)],
+        [(-2, 6, 1, -5), (-4, 2, 3, -6), (0, 3, -3, -1), (6, 4, -3, -1)],
+    ):
+        tiling = run_p2t(make_cone(gens)).triangulation.cones
+        final = refine_to_unimodular(tiling)
+        splits = []
+        engine = phase2_engine(tiling, lambda *split: splits.append(split))
+        live = {c.uid: c for c in tiling if c.multiplicity > 1}
+        replayed = [c for c in tiling if c.multiplicity == 1]
+        for parent, p, z, x, children in splits:
+            assert live.pop(parent.uid) is parent
+            assert p == 2 and sum(z) == len(children)
+            for child in children:
+                assert 2 * child.det == parent.det
+                assert x in child.generators
+                if child.multiplicity == 1:
+                    replayed.append(child)
+                else:
+                    live[child.uid] = child
+        total += len(splits)
+        assert live == {}
+        assert fields(replayed) == fields(engine.done) == fields(final)
+    assert total > 100, total
+
+
+def test_heavy_d4_phase2_makes_98200_splits():
+    # A consumer that only counts sees every split of phase 2 on the
+    # benchmark's heavy-d4 cone at seed 0.
+    counter = count()
+    phase2_engine(run_p2t(make_cone(HEAVY_D4)).triangulation.cones, lambda *_: next(counter))
+    assert next(counter) == 98_200
 
 
 def test_greedy_baseline_tiles_and_passes_every_certificate():
@@ -359,7 +415,7 @@ def test_d2_pipeline_refines_the_minimal_triangulation():
 
 def phase2_hk_ratios(base):
     """Run the pipeline on base, tracking each phase 2 cone's phase 1
-    ancestor P through _Engine.split, as ROADMAP item 15 asks.
+    ancestor P through the splits phase 2 records, as ROADMAP item 15 asks.
 
     Each halving point x that splits a cone descended from P belongs to
     generation k = its label - P's largest label, and its dilation over P
@@ -372,12 +428,10 @@ def phase2_hk_ratios(base):
     weights = {}
     worst = Fraction(0)
     deepest = 0
-    real_split = _Engine.split
-
-    def tracking_split(engine, parent, x, z, p):
-        nonlocal worst, deepest
+    splits = []
+    phase2_engine(state.triangulation.cones, lambda *split: splits.append(split))
+    for parent, _, _, x, children in splits:
         top = ancestor[parent.uid]
-        children = real_split(engine, parent, x, z, p)
         for child in children:
             ancestor[child.uid] = top
         if top.uid not in weights:
@@ -386,11 +440,6 @@ def phase2_hk_ratios(base):
         ratio = sum(w * c for w, c in zip(weights[top.uid], x)) / hk_exact(base.dimension, k)
         worst = max(worst, ratio)
         deepest = max(deepest, k)
-        return children
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_Engine, "split", tracking_split)
-        refine_to_unimodular(state.triangulation.cones)
     return worst, deepest
 
 

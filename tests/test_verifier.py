@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conetri.cone_geometry import coordinate_rows, make_cone
+from conetri.cone_geometry import SimplicialCone, coordinate_rows, make_cone
 from conetri.number_theory import eta, factorize, phi
 from conetri.p2t_engine import TraceEvent, run_p2t
 from conetri.pow2_refiner import refine_to_unimodular
@@ -381,6 +381,18 @@ def test_certify_flags_bad_tiling():
     assert not rep.certificates.volume_ok
     assert rep.certificates.containment_ok
     assert len(broken) == 2
+
+
+def test_certify_computes_every_final_det():
+    # The mu-2 base listed twice, with stored dets 1 and -1: two
+    # "unimodular" cones whose stored volume terms add up to the base's.
+    # certify reads no stored det, and the computed ones (2 each) fail the
+    # tiling.
+    base = make_cone([(1, 0), (1, 2)])
+    forged = [SimplicialCone(base.generators, base.labels, uid, det) for uid, det in ((1, 1), (2, -1))]
+    flags = certify(base, forged, ()).certificates
+    assert not flags.all_unimodular and not flags.volume_ok
+    assert not flags.final_bound_ok
 
 
 @given(st.integers(min_value=0, max_value=10**6))
