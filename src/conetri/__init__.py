@@ -7,8 +7,8 @@ potential phi of every touched multiplicity drops by at least 1 per step.
 refine_to_unimodular then halves the power-of-two multiplicities down to 1
 using half-integer generator sums. certify re-checks the outcome: exact
 tiling volume, containment, the phi descent, and the proven ceilings on how
-long the final generators can get. It recomputes coordinates, potentials
-and dilations, but reads each cone's stored det and phase 1's trace as
+long the final generators can get. It recomputes coordinates, potentials,
+dilations and every det from the generators, and reads phase 1's trace as
 given; the trace is the only phase 1 record it reads.
 
 __all__ is the public surface; every other name may change.

@@ -19,7 +19,7 @@ dropping.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import OrderedDict, defaultdict
 from itertools import count
 from typing import Callable, Iterable, NamedTuple
 
@@ -168,17 +168,19 @@ class _Engine:
     ray index of them.
 
     A phase routes its input in (`route`) and calls
-    `subdivide(choose, record)`. Each round pops the oldest live cone, asks
-    `choose` for its point x = (1/p) * sum z_g * g as (z, p), builds x
-    once with _combine, and replaces every holder that `cones_containing`
-    returns by its children (`split`), handing each split to `record` as
-    (parent, p, z, x, children), with z moved into that parent's slots.
-    Then it routes the round's children. A cone is finished, and goes to
-    the list `done` instead of the live set, when its multiplicity is a
-    power of two at most `top`: math.inf in phase 1, 1 in phase 2. No
-    later point lies in a finished cone (run_p2t and refine_to_unimodular
-    say why), so it takes no part in the index. Phase 2 passes no `record`:
-    a yield per round, or a Python call per child, cost it a few percent.
+    `subdivide(choose, record)`. The live set `cones` is an OrderedDict
+    from uid to cone, oldest first, whose first value takes O(1) to find
+    (a dict's would skip every entry deleted before it). Each round takes
+    that oldest cone, asks `choose` for its point x = (1/p) * sum z_g * g
+    as (z, p), builds x once with _combine, and replaces every holder that
+    `cones_containing` returns by its children (`split`), handing each
+    split to `record` as (parent, p, z, x, children), with z moved into
+    that parent's slots. Then it routes the round's children. A cone is
+    finished, and goes to `done` instead, when its multiplicity is a power
+    of two at most `top`: math.inf in phase 1, 1 in phase 2. No later
+    point lies in a finished cone (run_p2t and refine_to_unimodular say
+    why), so it takes no part in the index. Phase 2 passes no `record`: a
+    yield per round, or a Python call per child, cost it a few percent.
 
     The ray index maps each generator vector to the uids of the live cones
     that hold it. It is keyed by the vector, not by its primitive direction,
@@ -199,25 +201,19 @@ class _Engine:
     """
 
     def __init__(self, next_uid: int, top: float):
-        self.cones: dict[int, SimplicialCone] = {}
-        self.ray_index: dict[LatticeVector, set[int]] = {}
-        self.pending: deque[int] = deque()
+        self.cones: OrderedDict[int, SimplicialCone] = OrderedDict()
+        self.ray_index: defaultdict[LatticeVector, set[int]] = defaultdict(set)
         self.uid_source = count(next_uid)
         self.top = top
         self.done: list[SimplicialCone] = []
 
     def add(self, cone: SimplicialCone) -> None:
-        """Make a cone live: index its rays and queue it."""
+        """Make a cone live: queue it last and index its rays."""
         uid = cone.uid
         self.cones[uid] = cone
         index = self.ray_index
         for g in cone.generators:
-            bucket = index.get(g)
-            if bucket is None:
-                index[g] = {uid}
-            else:
-                bucket.add(uid)
-        self.pending.append(uid)
+            index[g].add(uid)
 
     def route(self, cones: Iterable[SimplicialCone]) -> None:
         """Append each finished cone to `done` and add each other one."""
@@ -229,17 +225,11 @@ class _Engine:
             else:
                 done.append(cone)
 
-    def pop(self) -> SimplicialCone | None:
-        """The oldest live cone, or None; skips uids split since queued."""
-        while self.pending:
-            cone = self.cones.get(self.pending.popleft())
-            if cone is not None:
-                return cone
-        return None
-
     def subdivide(self, choose: Callable, record: Callable | None = None) -> None:
         """The loop of the class docstring."""
-        while (cone := self.pop()) is not None:
+        cones = self.cones
+        while cones:
+            cone = next(iter(cones.values()))
             z, p = choose(cone)
             x = _combine(cone, z, p)
             born = []
@@ -249,9 +239,9 @@ class _Engine:
                 if record is not None:
                     record(parent, p, moved, x, children)
             # The holder list is fixed before the first split, so routing the
-            # round's children after it leaves uids and the queue in order.
+            # round's children after it adds them to the live map in uid order.
             self.route(born)
-            assert cone.uid not in self.cones, "the popped cone must get split"
+            assert cone.uid not in cones, "the oldest live cone must get split"
 
     def split(
         self, parent: SimplicialCone, x: LatticeVector, z: tuple[int, ...], p: int
@@ -318,8 +308,8 @@ def run_p2t(base: SimplicialCone) -> P2TState:
     """Subdivide until every multiplicity is a power of two.
 
     Phase 1 runs the loop of _Engine with its own point, finished rule and
-    record. A popped cone is split at x' = (1/p) * sum z'_g * g, with p
-    the largest prime factor of its multiplicity and z' =
+    record. The oldest live cone is split at x' = (1/p) * sum z'_g * g,
+    with p the largest prime factor of its multiplicity and z' =
     adjust_coefficients(find_x). A power-of-two cone is finished, and the
     tiling lists those in creation order. One TraceEvent records each
     split: the trace is the phase's certificate, which audit_trace replays

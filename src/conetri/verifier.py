@@ -6,11 +6,11 @@ re-derives potentials from fresh factorizations and checks each label
 vector's exact dilation against its budget. Two comparisons go through a
 float: the multiplicity ceiling is compared in log2 with PHI_SLACK, and the
 exact worst dilation is compared with the float theorem bound nudged one
-ulp up (_within). Each final cone's det is computed from its generators
-(exact_linalg.determinant), never read from the cone. One input is read as
-given, not re-derived: the trace itself (each event's x_prime,
-new_label_index, mu_parent and mu_children). A certificate is therefore
-only as sound as that record.
+ulp up (_within). Every det, the base's and each final cone's, is computed
+from its generators (exact_linalg.determinant), never read from the cone.
+One input is read as given, not re-derived: the trace itself (each event's
+x_prime, new_label_index, mu_parent and mu_children). A certificate is
+therefore only as sound as that record.
 
 The tiling certificate is a cross-section volume identity. Cutting the base
 cone with the affine hyperplane {dilation == 1} turns each cone D of the
@@ -31,6 +31,7 @@ from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .cone_geometry import SimplicialCone, coordinate_rows
+from .errors import DimensionError
 from .exact_linalg import IntMatrix, determinant
 from .number_theory import eta, factorize, phi
 from .p2t_engine import TraceEvent
@@ -92,6 +93,13 @@ def _pairwise_sum(terms: list[tuple[int, int]]) -> tuple[int, int]:
     return terms[0] if terms else (0, 1)
 
 
+def _measured(base: SimplicialCone) -> tuple[SimplicialCone, IntMatrix]:
+    """base with its det computed from its generators, and its
+    coordinate_rows: no verdict rests on a stored det."""
+    base = SimplicialCone(base.generators, base.labels, base.uid, determinant(base.generators))
+    return base, coordinate_rows(base)
+
+
 def _sweep(
     base: SimplicialCone, rows: IntMatrix, cones: Sequence[SimplicialCone]
 ) -> tuple[bool, bool, bool, tuple[int, int]]:
@@ -100,25 +108,32 @@ def _sweep(
 
     rows is coordinate_rows(base). Everything is kept in integer
     numerators over D = |det(base)|. A generator g's numerators are
-    rows @ g: g lies in the base when none is negative, and their sum s_g
-    is D times g's dilation. A cone C's multiplicity mu(C) is the
-    |determinant| of its generators, and its volume term mu(C) / prod(s_g / D)
-    is then D**d * mu(C) / prod(s_g), and the terms mu(C) / prod(s_g) are
-    added exactly as a balanced pairwise sum (_pairwise_sum), not left to right:
-    a running total's denominator grows to the lcm of every denominator
-    seen, so each late addition of a left-to-right sum would cost as much
-    as the largest. The total vol_n / vol_d is compared with mu(base) = D
-    exactly, as vol_n * D**d == D * vol_d. The worst dilation is the
-    largest s_g over D, taken over the generators found inside the base,
-    as a (num, den) pair reduced by its gcd: (0, 1) when there is none.
+    rows @ g: g lies in the base when it has length d and none is
+    negative, and their sum s_g is D times g's dilation. The rows are
+    nonsingular, so s_g == 0 only for the zero vector, which no cone may
+    hold. A cone C's multiplicity mu(C) is the |determinant| of its
+    generators (0 if they are not a square matrix), and its volume term
+    mu(C) / prod(s_g / D) is then D**d * mu(C) / prod(s_g), and the terms
+    mu(C) / prod(s_g) are added exactly as a balanced pairwise sum
+    (_pairwise_sum), not left to right: a running total's denominator
+    grows to the lcm of every denominator seen, so each late addition of a
+    left-to-right sum would cost as much as the largest. The total
+    vol_n / vol_d is compared with mu(base) = D exactly, as
+    vol_n * D**d == D * vol_d. The worst dilation is the largest s_g over
+    D, taken over the generators found inside the base, as a (num, den)
+    pair reduced by its gcd: (0, 1) when there is none.
     """
+    d = base.dimension
     mu_base = base.multiplicity
     containment_ok = True
     all_unimodular = True
     scaled: dict[tuple[int, ...], int] = {}
     terms: list[tuple[int, int]] = []
     for c in cones:
-        mu = abs(determinant(c.generators))
+        try:
+            mu = abs(determinant(c.generators))
+        except DimensionError:
+            mu = 0
         if mu != 1:
             all_unimodular = False
         prod = 1
@@ -126,16 +141,16 @@ def _sweep(
             s = scaled.get(g)
             if s is None:
                 nums = [sum(map(mul, row, g)) for row in rows]
-                if any(n < 0 for n in nums):
+                s = sum(nums)
+                if len(g) != d or min(nums) < 0 or not s:
                     containment_ok = False
                     break
-                s = sum(nums)
                 scaled[g] = s
             prod *= s
         else:
             terms.append((mu, prod))
     vol_n, vol_d = _pairwise_sum(terms)
-    volume_ok = containment_ok and vol_n * mu_base**base.dimension == mu_base * vol_d
+    volume_ok = containment_ok and vol_n * mu_base**d == mu_base * vol_d
     top = max(scaled.values(), default=0)
     common = math.gcd(top, mu_base)
     return volume_ok, containment_ok, all_unimodular, (top // common, mu_base // common)
@@ -235,13 +250,13 @@ def audit_trace(
     Returns:
         (phi_descent_ok, label_depth_ok, mu_bound_ok, xi_length_ok).
     """
-    return _audit(base, coordinate_rows(base), trace)
+    return _audit(*_measured(base), trace)
 
 
 def _audit(
     base: SimplicialCone, rows: IntMatrix, trace: Iterable[TraceEvent]
 ) -> tuple[bool, bool, bool, bool]:
-    """audit_trace with the base's coordinate_rows already computed.
+    """audit_trace on _measured's base and rows.
 
     The trace covers every cone run_p2t creates: each child of an event
     carries the event's new_label_index as its largest label, with x_prime
@@ -288,12 +303,12 @@ def _audit(
     mu_bound_ok = all(math.log2(m) <= log_ceiling + PHI_SLACK for m in four_eta)
     # A vector inside the base has dilation n / mu for the sum n of its
     # numerators over rows, so the bound is the integer test
-    # 2 * n <= d * mu**2 * 4**s; a vector outside fails.
+    # 2 * n <= d * mu**2 * 4**s; a vector outside, or not of length d, fails.
     d_mu_squared = d * mu_squared
     xi_length_ok = True
     for vec, s in newest:
         nums = [sum(map(mul, row, vec)) for row in rows]
-        if min(nums) < 0 or 2 * sum(nums) > d_mu_squared * 4**s:
+        if len(vec) != d or min(nums) < 0 or 2 * sum(nums) > d_mu_squared * 4**s:
             xi_length_ok = False
     return phi_descent_ok, label_depth_ok, mu_bound_ok, xi_length_ok
 
@@ -304,6 +319,9 @@ def certify(
     trace: Iterable[TraceEvent],
 ) -> CertificateReport:
     """Assemble the full certificate report for a finished run.
+
+    No stored det is read: the base's and every final cone's are computed
+    from their generators (_measured, _sweep).
 
     Args:
         base: the original cone.
@@ -319,7 +337,7 @@ def certify(
         bound nudged one ulp up (_within). The simplified bound never
         undercuts the theorem bound (final_bounds).
     """
-    rows = coordinate_rows(base)
+    base, rows = _measured(base)
     volume_ok, containment_ok, all_unimodular, worst = _sweep(base, rows, final)
     if not all_unimodular:
         worst = (0, 1)

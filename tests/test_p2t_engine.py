@@ -269,26 +269,24 @@ def test_run_p2t_random_campaign(seed):
 
 def test_engine_owns_its_live_set():
     # An engine starts empty with the uid it is given, add queues cones in
-    # order, and pop returns the oldest live one, skipping a cone that was
-    # split after it was queued.
+    # order, and its live map, oldest first, is the queue: a split cone
+    # leaves it, and the oldest live cone is its first value.
     engine = _Engine(5, 1)
-    assert engine.cones == {} and engine.done == [] and engine.pop() is None
+    assert engine.cones == {} and engine.ray_index == {} and engine.done == []
     tiling = run_p2t(make_cone([(1, 0), (1, 3)])).triangulation.cones
     halved, other = sorted(tiling, key=lambda c: c.multiplicity, reverse=True)
     assert (halved.multiplicity, other.multiplicity) == (2, 1)
     engine.add(halved)
     engine.add(other)
+    assert list(engine.cones.values()) == [halved, other]
     z = half_vector(halved)
     children = engine.split(halved, _combine(halved, z, 2), z, 2)
     assert [c.uid for c in children] == [5, 6]
+    assert list(engine.cones.values()) == [other]
+    assert all(halved.uid not in bucket for bucket in engine.ray_index.values())
     for child in children:
         engine.add(child)
-    assert engine.pop() is other
-    assert engine.pop() is children[0]
-    assert engine.pop() is children[1]
-    assert engine.pop() is None
-    # Popping leaves a cone live; only split takes one out.
-    assert set(engine.cones) == {other.uid, 5, 6}
+    assert list(engine.cones.values()) == [other, *children]
 
 
 def test_engine_routes_by_its_finished_rule():
@@ -301,7 +299,7 @@ def test_engine_routes_by_its_finished_rule():
         engine = _Engine(1, top)
         engine.route(cones)
         assert [c.multiplicity for c in engine.done] == done
-        live = [c.multiplicity for c in iter(engine.pop, None)]
+        live = [c.multiplicity for c in engine.cones.values()]
         assert live == [m for m in mus if m not in done]
 
 
@@ -422,8 +420,9 @@ class EngineUnderAnySplitOrder(RuleBasedStateMachine):
     point of a live cone, chosen in any order: an order-p point, for any
     prime p of the cone's det and any multiple, or the halving point of a
     power-of-two cone. After each step, cones_containing agrees with an
-    exhaustive scan on every live cone's order-p points, and the live and
-    finished cones tile the base face to face with the right volume.
+    exhaustive scan on every live cone's order-p points, the ray index is
+    the one rebuilt from the live map, which is in uid order, and the live
+    and finished cones tile the base face to face with the right volume.
     """
 
     @initialize(seed=st.integers(min_value=0, max_value=10**6))
@@ -477,6 +476,16 @@ class EngineUnderAnySplitOrder(RuleBasedStateMachine):
                 assert self.engine.cones_containing(cone, z) == expected
 
     @invariant()
+    def ray_index_is_the_live_sets_own(self):
+        # No empty bucket and no stale uid, and the live map is in uid order.
+        rebuilt = {}
+        for uid, cone in self.engine.cones.items():
+            for g in cone.generators:
+                rebuilt.setdefault(g, set()).add(uid)
+        assert self.engine.ray_index == rebuilt
+        assert list(self.engine.cones) == sorted(self.engine.cones)
+
+    @invariant()
     def cones_tile_the_base(self):
         cones = self.live() + self.engine.done
         facets = oracle_facet_matching(self.base.generators, [c.generators for c in cones])
@@ -488,6 +497,16 @@ class EngineUnderAnySplitOrder(RuleBasedStateMachine):
 TestEngineUnderAnySplitOrder = EngineUnderAnySplitOrder.TestCase
 TestEngineUnderAnySplitOrder.settings = settings(
     max_examples=25, stateful_step_count=12, deadline=None
+)
+
+
+class EngineUnderLongSplitOrders(EngineUnderAnySplitOrder):
+    """The same machine with a larger budget: more bases, longer runs."""
+
+
+TestEngineUnderLongSplitOrders = pytest.mark.slow(EngineUnderLongSplitOrders.TestCase)
+TestEngineUnderLongSplitOrders.settings = settings(
+    max_examples=300, stateful_step_count=30, deadline=None
 )
 
 

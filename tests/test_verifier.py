@@ -395,6 +395,68 @@ def test_certify_computes_every_final_det():
     assert not flags.final_bound_ok
 
 
+def test_certify_computes_the_base_det():
+    # The unit quadrant with a stored det of 2, against one unimodular
+    # cone that covers half of it: mu(base) and the sign of its coordinate
+    # rows come from its generators, so the volume identity fails.
+    base = SimplicialCone(((1, 0), (0, 1)), (-1, -2), 0, 2)
+    half = SimplicialCone(((1, 0), (1, 1)), (-1, 0), 1, 1)
+    flags = certify(base, [half], ()).certificates
+    assert not flags.volume_ok and flags.containment_ok
+    assert not flags.final_bound_ok
+    # Its own det, stored with either sign, lets the quadrant tile itself.
+    for det in (1, -1):
+        honest = SimplicialCone(base.generators, base.labels, 0, det)
+        assert all(certify(honest, [make_cone(base.generators)], ()).certificates)
+    # (2, 0) has dilation 2 over the quadrant, above its label-0 budget
+    # (d/2) * mu = 1; the stored det would have doubled that budget.
+    assert not audit_trace(base, [split_event((2, 0), 0, (1,), 1)], [])[3]
+
+
+@pytest.mark.parametrize(
+    "generators",
+    [
+        ((1, 0, 0), (0, 1, 0), (1, 0, 1)),  # det 1, a cone of Z^3
+        ((1, 0, 0), (0, 1, 0)),  # not square: its det raises
+        ((1, 0), (0, 1, 0)),  # one generator too long
+        ((1,), (0, 1)),  # one generator too short
+    ],
+)
+def test_certify_fails_generators_of_the_wrong_length(generators):
+    # A generator whose length is not d fails containment, and so the
+    # volume identity, rather than being dotted with the base's rows up to
+    # the shorter length, and nothing raises.
+    base = make_cone([(1, 0), (0, 1)])
+    cone = SimplicialCone(generators, tuple(range(-1, -len(generators) - 1, -1)), 1, 1)
+    flags = certify(base, [cone], ()).certificates
+    assert not flags.containment_ok and not flags.volume_ok
+    # The same in a tiling that passes otherwise.
+    flags = certify(base, [make_cone(base.generators), cone], ()).certificates
+    assert not flags.containment_ok and not flags.volume_ok
+
+
+def test_certify_fails_a_zero_generator():
+    # A zero generator makes the cone's det and its dilation product 0, so
+    # the volume identity alone would read 0 == 0. Inside the base only the
+    # zero vector has s_g == 0, and it fails containment.
+    base = make_cone([(1, 0), (1, 4)])
+    flat = SimplicialCone(((0, 0), (1, 0)), (-1, -2), 1, 0)
+    flags = certify(base, [flat], ()).certificates
+    assert not flags.containment_ok and not flags.volume_ok
+
+
+def test_audit_fails_a_trace_vector_of_the_wrong_length():
+    # mu3's one event, its x_prime (1, 1) given a third coordinate or cut
+    # to one: the length certificate fails instead of reading the prefix.
+    base = make_cone([(1, 0), (1, 3)])
+    (event,) = run_p2t(base).trace
+    assert audit_trace(base, [event], [base]) == (True, True, True, True)
+    for vec in ((1, 1, -7), (1,), ()):
+        forged = [event._replace(x_prime=vec)]
+        assert audit_trace(base, forged, [base]) == (True, True, True, False)
+        assert not certify(base, [base], forged).certificates.xi_length_ok
+
+
 @given(st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=30, deadline=None)
 def test_certify_random_cones(seed):
